@@ -26,6 +26,7 @@ from .graphs import (
     hadamard,
     is_graphical,
     q_matrix,
+    tri_index,
 )
 from .oracle import (
     edge_counts,
@@ -278,19 +279,15 @@ def criterion_c7() -> CriterionResult:
                     counts = edge_counts(fam)
                     for j in range(n):
                         row = sum(
-                            counts[_tri(n, j, k)] for k in range(n) if k != j
+                            counts[tri_index(n, min(j, k), max(j, k))]
+                            for k in range(n)
+                            if k != j
                         )
                         if row != len(fam) * degrees[j]:
                             return False, f"row-sum mismatch at {degrees}, vertex {j}"
         return True, f"{checked} sequences checked, {graphical} graphical, all consistent"
 
     return _timed(body, "C7 oracle self-consistency", 120.0)
-
-
-def _tri(n: int, a: int, b: int) -> int:
-    if a > b:
-        a, b = b, a
-    return a * n - a * (a + 1) // 2 + (b - a - 1)
 
 
 def _all_tuples(n: int, top: int):

@@ -6,8 +6,9 @@ file, then explicit flags (flags win).  Replicas use one random stream per
 replica index, so re-running a config with the same seed reproduces every
 output file byte for byte except the wall-time metadata field.
 
-Exit codes: 0 success, 1 unexpected error, 2 non-graphical input sequence,
-3 oracle cap exceeded, 4 I/O failure, 5 statistical acceptance failure.
+Exit codes: 0 success, 1 invalid configuration or argument (any ValueError),
+2 non-graphical input sequence, 3 oracle cap exceeded, 4 I/O failure,
+5 statistical acceptance failure.
 """
 from __future__ import annotations
 
@@ -78,6 +79,19 @@ class ExperimentConfig:
     w_kind: str = "fc-p"                # p | chung-lu | fc-p
     save_graphs: bool = False
 
+    def __post_init__(self) -> None:
+        """Reject values of the wrong type or out of range, from flags and files alike."""
+        if not _is_int(self.runs) or self.runs < 1:
+            raise ValueError(f"runs must be an integer >= 1, got {self.runs!r}")
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
+        if not isinstance(self.checkpoints, list) or not all(
+            _is_int(m) and m >= 0 for m in self.checkpoints
+        ):
+            raise ValueError(f"checkpoints must be integers >= 0, got {self.checkpoints!r}")
+        SeqSampleMode(self.mode)
+        EtaDenominatorMode(self.denom)
+
     @staticmethod
     def from_sources(kind: str, config_path: str | None, flags: dict) -> "ExperimentConfig":
         values: dict = {"kind": kind}
@@ -95,20 +109,8 @@ class ExperimentConfig:
         return ExperimentConfig(**values)
 
 
-def _prob_mode(config: ExperimentConfig) -> SeqSampleMode:
-    if config.mode == "exact":
-        return SeqSampleMode.EXACT_ORACLE
-    if config.mode == "asymptotic":
-        return SeqSampleMode.ASYMPTOTIC
-    raise ValueError(f"unknown mode {config.mode!r}")
-
-
-def _denom_mode(config: ExperimentConfig) -> EtaDenominatorMode:
-    if config.denom == "exact-max":
-        return EtaDenominatorMode.EXACT_MAX
-    if config.denom == "certified-bound":
-        return EtaDenominatorMode.CERTIFIED_BOUND
-    raise ValueError(f"unknown denominator mode {config.denom!r}")
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def resolve_degrees(config: ExperimentConfig) -> tuple[DegreeSequence, str, bool]:
@@ -194,7 +196,7 @@ def run_experiment(config: ExperimentConfig) -> int:
         meta.update({"family_size": len(fam)})
 
     elif config.kind == "sample-gnd":
-        mode = _prob_mode(config)
+        mode = SeqSampleMode(config.mode)
         diag = SamplerDiagnostics()
         finals = []
         checkpoint_records = []
@@ -248,8 +250,8 @@ def run_experiment(config: ExperimentConfig) -> int:
 
     elif config.kind == "couple":
         params = _schedule(config, d)
-        prob = _prob_mode(config)
-        denom = _denom_mode(config)
+        prob = SeqSampleMode(config.mode)
+        denom = EtaDenominatorMode(config.denom)
         traces = []
         pairs_kept = []
         fallbacks = 0
@@ -362,9 +364,9 @@ def main(argv: list[str] | None = None) -> int:
         "w_kind": args.w_kind,
         "save_graphs": args.save_graphs,
     }
-    if args.checkpoints is not None:
-        flags["checkpoints"] = [int(x) for x in args.checkpoints.split(",") if x.strip()]
     try:
+        if args.checkpoints is not None:
+            flags["checkpoints"] = [int(x) for x in args.checkpoints.split(",") if x.strip()]
         config = ExperimentConfig.from_sources(args.command, args.config, flags)
         return run_experiment(config)
     except NonGraphicalError as exc:

@@ -11,9 +11,7 @@ containment.
 """
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import asdict, dataclass, field
 from math import log, sqrt
 from typing import Sequence
 
@@ -31,21 +29,16 @@ from .graphs import (
     q_matrix,
     f_c_transform,
     hadamard,
-    remaining_degrees,
     tri_index,
-    tri_pairs,
 )
-from .oracle import (
-    enumerate_graphs,
-    exact_conditional_edge_prob,
-    exact_uniform_sample,
-    oracle_cap,
-)
+from .oracle import exact_uniform_sample, oracle_cap
 from .randomness import AliasTable, RandomSource, sample_poisson
 from .samplers import (
-    AsymptoticKernel,
-    OracleKernel,
+    EtaDenominatorMode,
+    InvariantError,
     SeqSampleMode,
+    accept_candidates,
+    make_kernel,
     sample_gnw,
     seq_sample_d,
 )
@@ -61,11 +54,6 @@ __all__ = [
     "run_coupling",
     "ind_sample",
 ]
-
-
-class EtaDenominatorMode(Enum):
-    EXACT_MAX = "exact-max"
-    CERTIFIED_BOUND = "certified-bound"
 
 
 @dataclass(frozen=True)
@@ -171,16 +159,9 @@ def rho(
     j, k = normalize_edge(*jk)
     if state.has_edge(j, k):
         raise ValueError(f"({j},{k}) already present in the state")
-    dj, dk = d[j], d[k]
-    if dj < 1 or dk < 1:
+    if d[j] < 1 or d[k] < 1:
         raise ValueError("weight undefined for zero-degree endpoints")
-    if mode is SeqSampleMode.EXACT_ORACLE:
-        p = exact_conditional_edge_prob(d, state, (j, k), cap=cap)
-    else:
-        t, _ = remaining_degrees(d, state)
-        prod = t[j] * t[k]
-        p = prod / (sum(t.degrees) + prod) if prod > 0 else 0.0
-    return p / (dj * dk)
+    return make_kernel(d, mode, state, cap=cap).weight(j, k)
 
 
 def eta_denominator(
@@ -198,29 +179,17 @@ def eta_denominator(
     rho = t_h t_l / (d_h d_l (||t||_1 + t_h t_l)) <= (t_h/d_h)(t_l/d_l)/||t||_1.
     """
     d = DegreeSequence.of(d)
-    if denom_mode is EtaDenominatorMode.CERTIFIED_BOUND:
-        if prob_mode is not SeqSampleMode.ASYMPTOTIC:
-            raise ValueError(
-                "certified bound is only valid for asymptotic probabilities"
-            )
-        t, _ = remaining_degrees(d, state)
-        tsum = sum(t.degrees)
-        rmax = 0.0
-        for h in range(d.n):
-            if d[h] >= 1:
-                rmax = max(rmax, t[h] / d[h])
-        if tsum <= 0 or rmax <= 0.0:
-            raise ValueError("no eligible pair")
-        return rmax * rmax / tsum
-
-    best = 0.0
-    for h, l in tri_pairs(d.n):
-        if d[h] < 1 or d[l] < 1 or state.has_edge(h, l):
-            continue
-        best = max(best, rho(d, state, (h, l), prob_mode, cap=cap))
-    if best <= 0.0:
+    _require_compatible(denom_mode, prob_mode)
+    bound = make_kernel(d, prob_mode, state, cap=cap).denominator(denom_mode)
+    if bound <= 0.0:
         raise ValueError("no eligible pair")
-    return best
+    return bound
+
+
+def _require_compatible(denom_mode: EtaDenominatorMode, prob_mode: SeqSampleMode) -> None:
+    certified = denom_mode is EtaDenominatorMode.CERTIFIED_BOUND
+    if certified and prob_mode is not SeqSampleMode.ASYMPTOTIC:
+        raise ValueError("certified bound is only valid for asymptotic probabilities")
 
 
 @dataclass
@@ -249,22 +218,7 @@ class CouplingTrace:
     p_m_checkpoints: list[tuple[int, float]] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "poisson_steps": self.poisson_steps,
-            "fallback": self.fallback,
-            "fallback_step": self.fallback_step,
-            "steps_total": self.steps_total,
-            "eta_min": self.eta_min,
-            "rejections_g": self.rejections_g,
-            "rejections_l_only": self.rejections_l_only,
-            "duplicate_hits": self.duplicate_hits,
-            "insertions_both": self.insertions_both,
-            "edges_at_step_end": self.edges_at_step_end,
-            "completion_insertions": self.completion_insertions,
-            "completion_restarts": self.completion_restarts,
-            "approx_g": self.approx_g,
-            "p_m_checkpoints": [[s, p] for s, p in self.p_m_checkpoints],
-        }
+        return asdict(self)
 
 
 def ind_sample(
@@ -280,14 +234,23 @@ def ind_sample(
     its closed-form independent-edge law.  No containment relation holds.
     """
     d = DegreeSequence.of(d)
-    limit = oracle_cap() if cap is None else cap
-    if d.n <= limit:
-        g = exact_uniform_sample(d, rng, cap=cap)
-    else:
-        g, _ = seq_sample_d(d, SeqSampleMode.ASYMPTOTIC, rng)
+    g, _ = _redraw_upper(d, rng, cap)
     w = f_c_transform(hadamard(params.big_lambda, q_matrix(d)), params.lam)
     g_l = sample_gnw(w, rng)
     return g_l, g
+
+
+def _redraw_upper(
+    d: DegreeSequence, rng: RandomSource, cap: int | None
+) -> tuple[SimpleGraph, bool]:
+    """G from its own law, and whether that law is only approximate: exact
+    from the enumeration oracle when n is within the cap, otherwise the
+    asymptotic sequential sampler."""
+    limit = oracle_cap() if cap is None else cap
+    if d.n <= limit:
+        return exact_uniform_sample(d, rng, cap=cap), False
+    g, _ = seq_sample_d(d, SeqSampleMode.ASYMPTOTIC, rng)
+    return g, True
 
 
 def _auto_checkpoints(steps: int) -> list[int]:
@@ -331,10 +294,7 @@ def run_coupling(
         raise ValueError("params built for a different n")
     if not is_graphical(d):
         raise NonGraphicalError(f"{d.degrees} is not graphical")
-    if denom_mode is EtaDenominatorMode.CERTIFIED_BOUND and (
-        prob_mode is not SeqSampleMode.ASYMPTOTIC
-    ):
-        raise ValueError("certified bound is only valid for asymptotic probabilities")
+    _require_compatible(denom_mode, prob_mode)
 
     trace = CouplingTrace()
     total = d.total
@@ -349,221 +309,60 @@ def run_coupling(
         else {int(s) for s in p_m_checkpoint_steps}
     )
 
-    degs = d.degrees
-    table = AliasTable(degs)
-    ltri = params.big_lambda.tri
-    g_edges: set[Edge] = set()
+    kernel = make_kernel(d, prob_mode, SimpleGraph.empty(n), cap=cap)
+    g_edges = kernel.edges
     l_edges: set[Edge] = set()
-    t = list(degs)
-    tsum = total
-
-    oracle_sub: list[int] | None = None
-    gmask = 0
-    if prob_mode is SeqSampleMode.EXACT_ORACLE:
-        fam = enumerate_graphs(d, cap=cap)
-        if not fam.masks:
-            raise NonGraphicalError(f"{d.degrees} is not graphical")
-        oracle_sub = list(fam.masks)
-
-    # lazy max-heap over t_h/d_h for the certified bound; entries carry the
-    # t value they were pushed with so stale ones can be discarded
-    ratio_heap: list[tuple[float, int, int]] = [
-        (-1.0, h, degs[h]) for h in range(n) if degs[h] >= 1
-    ]
-    heapq.heapify(ratio_heap)
-
-    def max_ratio() -> float:
-        while ratio_heap and ratio_heap[0][2] != t[ratio_heap[0][1]]:
-            heapq.heappop(ratio_heap)
-        return -ratio_heap[0][0] if ratio_heap else 0.0
-
-    def insert_edge(j: int, k: int) -> None:
-        g_edges.add((j, k))
-        t[j] -= 1
-        t[k] -= 1
-        tsum_ref[0] -= 2
-        if degs[j] >= 1:
-            heapq.heappush(ratio_heap, (-t[j] / degs[j], j, t[j]))
-        if degs[k] >= 1:
-            heapq.heappush(ratio_heap, (-t[k] / degs[k], k, t[k]))
-
-    tsum_ref = [tsum]
-    fallback_now = False
-    step = 0
-    while step < steps:
-        step += 1
-        while True:
-            j = table.sample(rng)
-            k = table.sample(rng)
-            if j != k:
-                break
-        if j > k:
-            j, k = k, j
-        e = (j, k)
-        lam_jk = ltri[j * n - j * (j + 1) // 2 + (k - j - 1)]
-
+    table = AliasTable(d.degrees)
+    ltri = params.big_lambda.tri
+    for step in range(1, steps + 1):
+        j, k = e = table.sample_pair(rng)
+        lam_jk = ltri[tri_index(n, j, k)]
         if e in g_edges:
             trace.duplicate_hits += 1
             if rng.uniform() < lam_jk:
                 l_edges.add(e)
         else:
-            bit = 0
-            counts: dict[int, int] | None = None
-            if oracle_sub is not None:
-                bit = 1 << tri_index(n, j, k)
-                counts = _missing_edge_counts(oracle_sub, gmask)
-                r = counts.get(bit, 0) / len(oracle_sub) / (degs[j] * degs[k])
-            else:
-                prod = t[j] * t[k]
-                cur_tsum = tsum_ref[0]
-                r = (
-                    prod / (cur_tsum + prod) / (degs[j] * degs[k])
-                    if prod > 0
-                    else 0.0
-                )
-            if r <= 0.0:
-                # candidate can never join G; eta = 0 also covers the
-                # saturated state where the true maximum itself vanishes
-                eta = 0.0
-            else:
-                if denom_mode is EtaDenominatorMode.CERTIFIED_BOUND:
-                    rm = max_ratio()
-                    denom = rm * rm / tsum_ref[0]
-                elif oracle_sub is not None:
-                    denom = max(
-                        c / len(oracle_sub) / _pair_degree_product(n, degs, b)
-                        for b, c in counts.items()
-                    )
-                else:
-                    denom = _exact_max_asymptotic(
-                        n, degs, t, tsum_ref[0], g_edges
-                    )
-                eta = r / denom
-                assert eta <= 1.0 + 1e-9, "denominator must dominate rho"
-            if eta < trace.eta_min:
-                trace.eta_min = eta
+            r = kernel.weight(j, k)
+            # a candidate that can never join G gets eta = 0, which also
+            # covers the saturated state where the true maximum vanishes
+            eta = r / kernel.denominator(denom_mode) if r > 0.0 else 0.0
+            if eta > 1.0 + 1e-9:
+                raise InvariantError(f"eta = {eta} > 1: the denominator must dominate rho")
+            trace.eta_min = min(trace.eta_min, eta)
             if eta < lam_jk:
-                fallback_now = True
-            else:
-                u = rng.uniform()
+                trace.fallback = True
+                trace.fallback_step = step
+                break
+            u = rng.uniform()
+            if u < eta:
+                kernel.insert(j, k)
                 if u < lam_jk:
-                    insert_edge(j, k)
-                    assert e in g_edges
                     l_edges.add(e)
                     trace.insertions_both += 1
-                    if oracle_sub is not None:
-                        gmask |= bit
-                        oracle_sub = [m for m in oracle_sub if m & bit]
-                elif u < eta:
-                    insert_edge(j, k)
-                    trace.rejections_l_only += 1
-                    if oracle_sub is not None:
-                        gmask |= bit
-                        oracle_sub = [m for m in oracle_sub if m & bit]
                 else:
-                    trace.rejections_g += 1
-        if fallback_now:
-            trace.fallback = True
-            trace.fallback_step = step
-            trace.steps_total = step
-            trace.edges_at_step_end = len(g_edges)
-            break
+                    trace.rejections_l_only += 1
+            else:
+                trace.rejections_g += 1
         if step in checkpoint_at:
-            trace.p_m_checkpoints.append((step, tsum_ref[0] / total))
+            trace.p_m_checkpoints.append((step, (total - 2 * len(g_edges)) / total))
 
+    trace.edges_at_step_end = len(g_edges)
     if trace.fallback:
+        trace.steps_total = trace.fallback_step
         # finish the lower graph's candidate stream: the escape step's pair
         # still gets its acceptance coin, then the remaining Poisson steps
         # run with coins alone, so the lower law holds exactly
         if rng.uniform() < lam_jk:
             l_edges.add(e)
-        for _ in range(steps - step):
-            while True:
-                j = table.sample(rng)
-                k = table.sample(rng)
-                if j != k:
-                    break
-            if j > k:
-                j, k = k, j
-            if rng.uniform() < ltri[j * n - j * (j + 1) // 2 + (k - j - 1)]:
-                l_edges.add((j, k))
-        limit = oracle_cap() if cap is None else cap
-        if n <= limit:
-            g = exact_uniform_sample(d, rng, cap=cap)
-        else:
-            trace.approx_g = True
-            g, _ = seq_sample_d(d, SeqSampleMode.ASYMPTOTIC, rng)
+        accept_candidates(table, params.big_lambda, steps - trace.fallback_step, rng, l_edges)
+        g, trace.approx_g = _redraw_upper(d, rng, cap)
         return SimpleGraph(n, frozenset(l_edges)), g, trace
-
-    trace.steps_total = steps
-    trace.edges_at_step_end = len(g_edges)
 
     # completion: extend G to its full degree sequence with the same kernel
     # the standalone sequential sampler uses
-    target_edges = total // 2
-    if oracle_sub is not None:
-        kernel = OracleKernel(n, oracle_sub, gmask)
-        while len(g_edges) < target_edges:
-            e = kernel.insert_step(rng)
-            g_edges.add(e)
-            trace.completion_insertions += 1
-    else:
-        base_edges = frozenset(g_edges)
-        base_t = list(t)
-        while len(g_edges) < target_edges:
-            kernel2 = AsymptoticKernel(degs, g_edges, t)
-            stuck = False
-            while len(g_edges) < target_edges:
-                if kernel2.insert_step(rng) is None:
-                    stuck = True
-                    break
-                trace.completion_insertions += 1
-            if stuck:
-                # dead end: restart the completion from the step-loop state
-                trace.completion_restarts += 1
-                trace.completion_insertions -= len(g_edges) - len(base_edges)
-                g_edges.clear()
-                g_edges.update(base_edges)
-                t = list(base_t)
-
-    g = SimpleGraph(n, frozenset(g_edges))
-    g_l = SimpleGraph(n, frozenset(l_edges))
-    assert l_edges <= g_edges
-    return g_l, g, trace
-
-
-def _missing_edge_counts(sub: list[int], gmask: int) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for mem in sub:
-        rem = mem ^ gmask
-        while rem:
-            low = rem & -rem
-            counts[low] = counts.get(low, 0) + 1
-            rem ^= low
-    return counts
-
-
-def _pair_degree_product(n: int, degs: Sequence[int], bit: int) -> int:
-    j, k = tri_pairs(n)[bit.bit_length() - 1]
-    return degs[j] * degs[k]
-
-
-def _exact_max_asymptotic(
-    n: int, degs: Sequence[int], t: Sequence[int], tsum: int, g_edges: set[Edge]
-) -> float:
-    best = 0.0
-    for j in range(n):
-        tj = t[j]
-        if tj <= 0:
-            continue
-        for k in range(j + 1, n):
-            tk = t[k]
-            if tk <= 0 or (j, k) in g_edges:
-                continue
-            prod = tj * tk
-            val = prod / (tsum + prod) / (degs[j] * degs[k])
-            if val > best:
-                best = val
-    if best <= 0.0:
-        raise ValueError("no eligible pair")
-    return best
+    trace.steps_total = steps
+    trace.completion_restarts = kernel.complete(rng)
+    trace.completion_insertions = len(kernel.edges) - trace.edges_at_step_end
+    if not l_edges <= kernel.edges:
+        raise InvariantError("lower graph is not a subgraph of the upper graph")
+    return SimpleGraph(n, frozenset(l_edges)), SimpleGraph(n, frozenset(kernel.edges)), trace

@@ -111,6 +111,16 @@ class AliasTable:
             return i
         return self.alias[i]
 
+    def sample_pair(self, rng: RandomSource) -> tuple[int, int]:
+        """Distinct indices (j, k), j < k, with probability exactly proportional
+        to w_j w_k: two independent draws, redrawn while equal.  Needs at
+        least two positive weights."""
+        while True:
+            j = self.sample(rng)
+            k = self.sample(rng)
+            if j != k:
+                return (j, k) if j < k else (k, j)
+
     def exact_probability(self, i: int) -> float:
         """Reconstruct P(sample() == i) from the table itself (for validation)."""
         p = self.prob[i]

@@ -12,9 +12,11 @@ The insertion kernels are shared with the coupling engine.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from itertools import starmap
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,11 +28,12 @@ from .graphs import (
     SimpleGraph,
     SymmetricProbMatrix,
     is_graphical,
+    remaining_degrees,
     tri_index,
     tri_pairs,
     tri_size,
 )
-from .oracle import enumerate_graphs, graph_of_mask
+from .oracle import enumerate_graphs, mask_of_edges
 from .randomness import AliasTable, RandomSource, sample_poisson
 
 __all__ = [
@@ -47,6 +50,15 @@ __all__ = [
 class SeqSampleMode(Enum):
     EXACT_ORACLE = "exact"
     ASYMPTOTIC = "asymptotic"
+
+
+class EtaDenominatorMode(Enum):
+    EXACT_MAX = "exact-max"
+    CERTIFIED_BOUND = "certified-bound"
+
+
+class InvariantError(RuntimeError):
+    """A run broke an invariant its construction guarantees (a program fault)."""
 
 
 @dataclass
@@ -66,21 +78,12 @@ def sample_weighted_edge(
     rng: RandomSource,
     table: AliasTable | None = None,
 ) -> Edge:
-    """Unordered pair {j,k} drawn with probability proportional to d_j d_k.
-
-    Two endpoints are drawn independently proportional to degree and equal
-    pairs are rejected; the induced law on unordered pairs is exactly the
-    normalized product-weight distribution.
-    """
+    """Unordered pair {j,k} drawn with probability proportional to d_j d_k."""
     d = DegreeSequence.of(d)
     _require_two_positive(d)
     if table is None:
         table = AliasTable(d.degrees)
-    while True:
-        j = table.sample(rng)
-        k = table.sample(rng)
-        if j != k:
-            return (j, k) if j < k else (k, j)
+    return table.sample_pair(rng)
 
 
 def sample_gnw(w: SymmetricProbMatrix, rng: RandomSource) -> SimpleGraph:
@@ -89,6 +92,22 @@ def sample_gnw(w: SymmetricProbMatrix, rng: RandomSource) -> SimpleGraph:
     hits = np.nonzero(u < w.tri)[0]
     pairs = tri_pairs(w.n)
     return SimpleGraph(w.n, frozenset(pairs[i] for i in hits.tolist()))
+
+
+def accept_candidates(
+    table: AliasTable,
+    big_lambda: SymmetricProbMatrix,
+    steps: int,
+    rng: RandomSource,
+    edges: set[Edge],
+) -> None:
+    """Draw `steps` pairs proportional to d_j d_k; add each to `edges` w.p. Lambda_jk."""
+    n = big_lambda.n
+    ltri = big_lambda.tri
+    for _ in range(steps):
+        j, k = table.sample_pair(rng)
+        if rng.uniform() < ltri[tri_index(n, j, k)]:
+            edges.add((j, k))
 
 
 def seq_approx_p(
@@ -111,25 +130,18 @@ def seq_approx_p(
         raise ValueError("Lambda dimension does not match degree sequence")
     _require_two_positive(d)
     steps = sample_poisson(lam, rng)
-    table = AliasTable(d.degrees)
-    n = d.n
-    ltri = big_lambda.tri
     edges: set[Edge] = set()
-    for _ in range(steps):
-        while True:
-            j = table.sample(rng)
-            k = table.sample(rng)
-            if j != k:
-                break
-        if j > k:
-            j, k = k, j
-        if rng.uniform() < ltri[j * n - j * (j + 1) // 2 + (k - j - 1)]:
-            edges.add((j, k))
-    return SimpleGraph(n, frozenset(edges))
+    accept_candidates(AliasTable(d.degrees), big_lambda, steps, rng, edges)
+    return SimpleGraph(d.n, frozenset(edges))
 
 
 # ---------------------------------------------------------------------------
-# Insertion kernels (shared with the coupling engine)
+# Insertion kernels, shared with the coupling engine.  A kernel owns a partial
+# graph G (`edges`, and `history` in insertion order) under the degrees d:
+#   weight(j, k)       rho_jk = P(jk joins G | G) / (d_j d_k), jk a non-edge
+#   denominator(mode)  a bound on rho over all non-edges (EtaDenominatorMode)
+#   insert(j, k)       add jk to G
+#   complete(rng)      extend G to degrees d; returns the dead-end restarts
 # ---------------------------------------------------------------------------
 
 
@@ -145,9 +157,6 @@ class StubList:
             for _ in range(th):
                 self.slots[h].append(len(self.stubs))
                 self.stubs.append(h)
-
-    def __len__(self) -> int:
-        return len(self.stubs)
 
     def draw(self, rng: RandomSource) -> int:
         return self.stubs[int(rng.uniform() * len(self.stubs))]
@@ -167,23 +176,75 @@ class StubList:
 class AsymptoticKernel:
     """Sequential insertion with closed-form remaining-degree weights.
 
-    Each step samples a non-edge jk (t_j, t_k >= 1) with probability
-    proportional to t_j t_k / (||t||_1 + t_j t_k): proposals come from the
-    stub list (product-weight law) and are thinned with the acceptance
+    The weight of non-edge jk is t_j t_k / (||t||_1 + t_j t_k) / (d_j d_k),
+    with t the remaining degrees.  Each `insert_step` samples a non-edge jk
+    (t_j, t_k >= 1) with probability proportional to
+    t_j t_k / (||t||_1 + t_j t_k): proposals come from the stub list
+    (product-weight law) and are thinned with the acceptance
     (||t||_1 + 1) / (||t||_1 + t_j t_k), which is a constant-numerator
     renormalization of the target-to-proposal ratio, so proportionality is
     exact.  Acceptance stays above 1/2 whenever t_j t_k <= ||t||_1.
+
+    The stub list is built from t on the first `insert_step`, and the lazy
+    max-heap over t_h/d_h on the first certified-bound query; `insert` keeps
+    whichever exists current.
     """
 
-    __slots__ = ("d", "t", "tsum", "edges", "stubs", "dmax")
+    __slots__ = ("d", "t", "tsum", "edges", "history", "stubs", "heap", "dmax")
 
     def __init__(self, d: Sequence[int], edges: set[Edge], t: list[int]):
         self.d = d
         self.t = t
         self.tsum = sum(t)
         self.edges = edges
-        self.stubs = StubList(t)
+        self.history: list[Edge] = []
+        self.stubs: StubList | None = None
+        # entries (-t_h/d_h, h, t_h) carry the t value they were pushed with,
+        # so stale ones can be discarded
+        self.heap: list[tuple[float, int, int]] | None = None
         self.dmax = max(d)
+
+    def weight(self, j: int, k: int) -> float:
+        prod = self.t[j] * self.t[k]
+        return prod / (self.tsum + prod) / (self.d[j] * self.d[k]) if prod > 0 else 0.0
+
+    def denominator(self, mode: EtaDenominatorMode) -> float:
+        """EXACT_MAX: the largest weight over non-edges; CERTIFIED_BOUND:
+        (max_h t_h/d_h)^2 / ||t||_1 (see `coupling.eta_denominator`).  Either
+        is 0.0 when no non-edge has positive weight."""
+        if mode is EtaDenominatorMode.CERTIFIED_BOUND:
+            rmax = self._max_ratio()
+            return rmax * rmax / self.tsum if self.tsum > 0 else 0.0
+        n = len(self.d)
+        pairs = ((j, k) for j in range(n) for k in range(j + 1, n) if (j, k) not in self.edges)
+        return max((self.weight(j, k) for j, k in pairs), default=0.0)
+
+    def _max_ratio(self) -> float:
+        t, d = self.t, self.d
+        if self.heap is None:
+            self.heap = [(-t[h] / d[h], h, t[h]) for h in range(len(d)) if d[h] >= 1]
+            heapq.heapify(self.heap)
+        heap = self.heap
+        while heap and heap[0][2] != t[heap[0][1]]:
+            heapq.heappop(heap)
+        return -heap[0][0] if heap else 0.0
+
+    def insert(self, j: int, k: int) -> None:
+        # j, k in either order: the order of the two stub removals shapes
+        # the stub list, and with it every later draw
+        e = (j, k) if j < k else (k, j)
+        self.edges.add(e)
+        self.history.append(e)
+        t = self.t
+        t[j] -= 1
+        t[k] -= 1
+        self.tsum -= 2
+        if self.stubs is not None:
+            self.stubs.remove_one(j)
+            self.stubs.remove_one(k)
+        if self.heap is not None:
+            heapq.heappush(self.heap, (-t[j] / self.d[j], j, t[j]))
+            heapq.heappush(self.heap, (-t[k] / self.d[k], k, t[k]))
 
     def eligible_pair_exists(self) -> bool:
         pos = [h for h, v in enumerate(self.t) if v > 0]
@@ -204,6 +265,8 @@ class AsymptoticKernel:
         """One accepted insertion, or None when no eligible pair remains."""
         if self.tsum < 2:
             return None
+        if self.stubs is None:
+            self.stubs = StubList(self.t)
         attempts = 0
         while True:
             attempts += 1
@@ -220,48 +283,93 @@ class AsymptoticKernel:
                 continue
             prod = self.t[j] * self.t[k]
             if rng.uniform() * (self.tsum + prod) < self.tsum + 1:
-                self.edges.add(e)
-                self.t[j] -= 1
-                self.t[k] -= 1
-                self.tsum -= 2
-                self.stubs.remove_one(j)
-                self.stubs.remove_one(k)
+                self.insert(j, k)
                 return e
+
+    def complete(self, rng: RandomSource) -> int:
+        """Insert until every degree is met.  A run that paints itself into a
+        corner (no weight-positive pair left, degrees unsaturated) restarts
+        from the state `complete` began in; returns the number of restarts."""
+        base_edges = set(self.edges)
+        base_t = list(self.t)
+        base_len = len(self.history)
+        # a restart rewinds t, which the lazy heap cannot follow
+        self.heap = None
+        restarts = 0
+        while self.tsum > 0:
+            if self.insert_step(rng) is None:
+                restarts += 1
+                self.edges.clear()
+                self.edges.update(base_edges)
+                self.t[:] = base_t
+                self.tsum = sum(base_t)
+                del self.history[base_len:]
+                self.stubs = None
+        return restarts
 
 
 class OracleKernel:
     """Sequential insertion with exact conditional probabilities.
 
     Keeps the sub-family of enumerated graphs containing the current state;
-    the weight of candidate edge jk is the number of those graphs that also
-    contain jk.
+    the weight of candidate edge jk is the fraction of those graphs that also
+    contain jk, over d_j d_k.  Candidate counts are cached until the next
+    insert.
     """
 
-    __slots__ = ("n", "pairs", "sub", "gmask")
+    __slots__ = ("d", "n", "pairs", "sub", "gmask", "edges", "history", "_counts")
 
-    def __init__(self, n: int, masks: Sequence[int], gmask: int = 0):
-        self.n = n
-        self.pairs = tri_pairs(n)
-        self.gmask = gmask
-        self.sub = [m for m in masks if m & gmask == gmask]
+    def __init__(self, d: Sequence[int], masks: Sequence[int], edges: Iterable[Edge]):
+        self.d = d
+        self.n = len(d)
+        self.pairs = tri_pairs(self.n)
+        self.edges = set(edges)
+        self.history: list[Edge] = []
+        self.gmask = mask_of_edges(self.n, self.edges)
+        self.sub = [m for m in masks if m & self.gmask == self.gmask]
+        if not self.sub:
+            raise ValueError("conditioning event is empty")
+        self._counts: dict[int, int] | None = None
 
     def candidate_counts(self) -> dict[int, int]:
         """bit -> number of compatible members containing that missing edge."""
-        counts: dict[int, int] = {}
-        g = self.gmask
-        for mem in self.sub:
-            rem = mem ^ g
-            while rem:
-                low = rem & -rem
-                counts[low] = counts.get(low, 0) + 1
-                rem ^= low
-        return counts
+        if self._counts is None:
+            counts: dict[int, int] = {}
+            g = self.gmask
+            for mem in self.sub:
+                rem = mem ^ g
+                while rem:
+                    low = rem & -rem
+                    counts[low] = counts.get(low, 0) + 1
+                    rem ^= low
+            self._counts = counts
+        return self._counts
 
-    def conditional(self, bit: int) -> float:
-        if not self.sub:
-            raise ValueError("conditioning event is empty")
-        hit = sum(1 for mem in self.sub if mem & bit)
-        return hit / len(self.sub)
+    def weight(self, j: int, k: int) -> float:
+        bit = 1 << tri_index(self.n, j, k)
+        return self._weight(bit, self.candidate_counts().get(bit, 0))
+
+    def denominator(self, mode: EtaDenominatorMode) -> float:
+        """The largest weight over non-edges, or 0.0.  Exact weights have no
+        closed-form bound, so every mode gets the exact maximum."""
+        return max(starmap(self._weight, self.candidate_counts().items()), default=0.0)
+
+    def _weight(self, bit: int, count: int) -> float:
+        """Weight of the pair at `bit`, which `count` sub-family members contain."""
+        j, k = self.pairs[bit.bit_length() - 1]
+        return count / len(self.sub) / (self.d[j] * self.d[k])
+
+    def insert(self, j: int, k: int) -> None:
+        i = tri_index(self.n, j, k)
+        e, bit = self.pairs[i], 1 << i
+        self.edges.add(e)
+        self.history.append(e)
+        self.gmask |= bit
+        g = self.gmask
+        self.sub = [m for m in self.sub if m & bit]
+        self._counts = None
+        if not self.sub or any(m & g != g for m in self.sub):
+            raise InvariantError(f"inserting ({j},{k}) left the enumerated sub-family")
 
     def insert_step(self, rng: RandomSource) -> Edge:
         counts = self.candidate_counts()
@@ -278,14 +386,30 @@ class OracleKernel:
                 break
         if chosen < 0:
             chosen = max(counts)
-        self.apply(chosen)
-        return self.pairs[chosen.bit_length() - 1]
+        e = self.pairs[chosen.bit_length() - 1]
+        self.insert(*e)
+        return e
 
-    def apply(self, bit: int) -> None:
-        self.gmask |= bit
-        g = self.gmask
-        self.sub = [m for m in self.sub if m & bit]
-        assert all(m & g == g for m in self.sub)
+    def complete(self, rng: RandomSource) -> int:
+        """Insert until G is a family member; exact weights never dead-end."""
+        while self.candidate_counts():
+            self.insert_step(rng)
+        return 0
+
+
+def make_kernel(
+    d: DegreeSequence,
+    mode: SeqSampleMode,
+    state: SimpleGraph,
+    cap: int | None = None,
+) -> AsymptoticKernel | OracleKernel:
+    """The insertion kernel for `mode`, holding the partial graph `state`."""
+    if mode is SeqSampleMode.EXACT_ORACLE:
+        return OracleKernel(d.degrees, enumerate_graphs(d, cap=cap).masks, state.edges)
+    if mode is SeqSampleMode.ASYMPTOTIC:
+        t, _ = remaining_degrees(d, state)
+        return AsymptoticKernel(d.degrees, set(state.edges), list(t.degrees))
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def seq_sample_d(
@@ -317,41 +441,10 @@ def seq_sample_d(
     for m in want:
         if not 0 <= m <= m_total:
             raise ValueError(f"checkpoint {m} outside [0, {m_total}]")
-    want_set = set(want)
-
-    if mode is SeqSampleMode.EXACT_ORACLE:
-        fam = enumerate_graphs(d, cap=cap)
-        if not fam.masks:
-            raise NonGraphicalError(f"{d.degrees} is not graphical")
-        kernel = OracleKernel(d.n, fam.masks)
-        snaps: dict[int, SimpleGraph] = {}
-        if 0 in want_set:
-            snaps[0] = SimpleGraph.empty(d.n)
-        for step in range(1, m_total + 1):
-            kernel.insert_step(rng)
-            if step in want_set:
-                snaps[step] = graph_of_mask(d.n, kernel.gmask, kernel.pairs)
-        final = graph_of_mask(d.n, kernel.gmask, kernel.pairs)
-        return final, [snaps[m] for m in want]
-
-    if mode is not SeqSampleMode.ASYMPTOTIC:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    while True:
-        edges: set[Edge] = set()
-        kernel2 = AsymptoticKernel(d.degrees, edges, list(d.degrees))
-        snaps = {}
-        if 0 in want_set:
-            snaps[0] = SimpleGraph.empty(d.n)
-        stuck = False
-        for step in range(1, m_total + 1):
-            if kernel2.insert_step(rng) is None:
-                stuck = True
-                break
-            if step in want_set:
-                snaps[step] = SimpleGraph(d.n, frozenset(edges))
-        if not stuck:
-            final = SimpleGraph(d.n, frozenset(edges))
-            return final, [snaps[m] for m in want]
-        if diagnostics is not None:
-            diagnostics.restarts += 1
+    kernel = make_kernel(d, mode, SimpleGraph.empty(d.n), cap=cap)
+    restarts = kernel.complete(rng)
+    if diagnostics is not None:
+        diagnostics.restarts += restarts
+    order = kernel.history
+    final = SimpleGraph(d.n, frozenset(kernel.edges))
+    return final, [SimpleGraph(d.n, frozenset(order[:m])) for m in want]

@@ -60,7 +60,7 @@ def indicator_matrix(samples: Sequence[SimpleGraph]) -> np.ndarray:
         if g.n != n:
             raise ValueError("samples mix different vertex counts")
         for j, k in g.edges:
-            out[i, j * n - j * (j + 1) // 2 + (k - j - 1)] = 1.0
+            out[i, tri_index(n, j, k)] = 1.0
     return out
 
 

@@ -137,6 +137,33 @@ class TestConfigFile:
         assert code == 1
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            (["--runs", "0"], None),  # was a ZeroDivisionError traceback
+            (["--runs", "-2"], None),  # was exit 0 with fallback_fraction -0.0
+            ([], {"runs": "3"}),  # was a TypeError traceback
+            ([], {"runs": True}),
+            ([], {"seed": -1}),
+            ([], {"checkpoints": [1, -2]}),
+            (["--checkpoints", "1,x"], None),
+        ],
+        ids=["runs-0", "runs-negative", "runs-string", "runs-bool", "seed-negative",
+             "checkpoint-negative", "checkpoint-not-int"],
+    )
+    def test_bad_value_exits_1_with_one_line(self, tmp_path, capsys, flags, config):
+        args = ["couple", "--degrees", "regular(6,2)", "--out", str(tmp_path / "o")] + flags
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            args += ["--config", str(cfg)]
+        assert run(args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "o").exists()
+
+
 class TestVerifySuite:
     def test_exit_code_5_on_failure(self, tmp_path, monkeypatch):
         monkeypatch.setattr(

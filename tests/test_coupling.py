@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from math import expm1, sqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import degseq
 from degseq import (
     CouplingParams,
     EtaDenominatorMode,
@@ -264,6 +269,33 @@ class TestRunCoupling:
                 (3, 3, 1, 1), params, SeqSampleMode.ASYMPTOTIC,
                 EtaDenominatorMode.CERTIFIED_BOUND, RandomSource(29),
             )
+
+
+class TestRunInvariants:
+    def test_denominator_below_rho_raises_under_python_O(self):
+        # the check must not be an assert, which python -O strips
+        code = """
+import sys
+from degseq import EtaDenominatorMode, RandomSource, SeqSampleMode, default_params, run_coupling
+from degseq.samplers import AsymptoticKernel, InvariantError
+
+assert sys.flags.optimize == 1
+exact = AsymptoticKernel.denominator
+AsymptoticKernel.denominator = lambda self, mode: exact(self, mode) / 2
+d = (2, 2, 2, 2)
+try:
+    run_coupling(d, default_params(d, zeta=0.1, zeta_prime=0.1), SeqSampleMode.ASYMPTOTIC,
+                 EtaDenominatorMode.CERTIFIED_BOUND, RandomSource(0))
+except InvariantError as exc:
+    print("raised:", exc)
+"""
+        src = str(Path(degseq.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("raised: eta = ")
 
 
 class TestIndSample:
