@@ -4,7 +4,9 @@
 Runs the coupled construction on regular sequences d = ceil(log(n)^2) at a
 range of sizes, optionally sweeping the zeta slack, and reports the fraction
 of runs that hit the escape branch plus trace diagnostics.  Writes one CSV
-row per (n, zeta) cell.
+row per (n, zeta) cell, with the cell's wall time and the process's peak
+resident set size so far (cells run in the order given, so list sizes in
+ascending order to read each cell's own peak).
 
 Example:
     python scripts/fallback_trend.py --sizes 500,1000,2000 --runs 20 \
@@ -14,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import resource
 import sys
+import time
 from math import ceil, log
 
 from degseq import (
@@ -29,6 +33,7 @@ from degseq.deggen import regular_sequence
 
 
 def run_cell(n: int, zeta: float | None, runs: int, seed: int) -> dict:
+    start = time.perf_counter()
     deg = ceil(log(n) ** 2)
     gen = regular_sequence(n, deg)
     params = default_params(gen.degrees, zeta=zeta)
@@ -65,6 +70,9 @@ def run_cell(n: int, zeta: float | None, runs: int, seed: int) -> dict:
             sum(fallback_pm) / len(fallback_pm) if fallback_pm else ""
         ),
         "containment_violations": len(violations),
+        "wall_s": round(time.perf_counter() - start, 2),
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
 
 
@@ -90,7 +98,9 @@ def main() -> int:
                 f"n={row['n']:5d} d={row['degree']:3d} zeta={row['zeta']:.3f} "
                 f"fallback={row['fallback_fraction']:.2f} "
                 f"mean eta_min={row['mean_eta_min']:.3f} "
-                f"violations={row['containment_violations']}"
+                f"mean p_m at escape={row['mean_fallback_p_m']} "
+                f"violations={row['containment_violations']} "
+                f"wall={row['wall_s']}s peak_rss={row['peak_rss_mb']}MB"
             )
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))

@@ -60,6 +60,8 @@ EXIT_ORACLE_CAP = 3
 EXIT_IO = 4
 EXIT_VERIFY_FAILED = 5
 
+W_KINDS = ("p", "chung-lu", "fc-p")
+
 
 @dataclass
 class ExperimentConfig:
@@ -91,6 +93,20 @@ class ExperimentConfig:
             raise ValueError(f"checkpoints must be integers >= 0, got {self.checkpoints!r}")
         SeqSampleMode(self.mode)
         EtaDenominatorMode(self.denom)
+        if not isinstance(self.out, str):
+            raise ValueError(f"out must be a string, got {self.out!r}")
+        if self.degrees is not None and not isinstance(self.degrees, str):
+            raise ValueError(f"degrees must be a string or null, got {self.degrees!r}")
+        for name in ("xi", "zeta", "zeta_prime", "lam"):
+            value = getattr(self, name)
+            if value is not None and not _is_number(value):
+                raise ValueError(f"{name} must be a number or null, got {value!r}")
+        if not _is_number(self.c_mult):
+            raise ValueError(f"c_mult must be a number, got {self.c_mult!r}")
+        if not isinstance(self.save_graphs, bool):
+            raise ValueError(f"save_graphs must be true or false, got {self.save_graphs!r}")
+        if self.w_kind not in W_KINDS:
+            raise ValueError(f"w_kind must be one of {', '.join(W_KINDS)}, got {self.w_kind!r}")
 
     @staticmethod
     def from_sources(kind: str, config_path: str | None, flags: dict) -> "ExperimentConfig":
@@ -111,6 +127,10 @@ class ExperimentConfig:
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def resolve_degrees(config: ExperimentConfig) -> tuple[DegreeSequence, str, bool]:
@@ -300,9 +320,7 @@ def _w_matrix(config: ExperimentConfig, d: DegreeSequence) -> SymmetricProbMatri
         return p_matrix(d)
     if config.w_kind == "chung-lu":
         return chung_lu_matrix(d.degrees)
-    if config.w_kind == "fc-p":
-        return f_c_transform(p_matrix(d), 1.0)
-    raise ValueError(f"unknown w_kind {config.w_kind!r}")
+    return f_c_transform(p_matrix(d), 1.0)
 
 
 def _write_marginals_csv(path: Path, report) -> None:
@@ -342,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--zeta-prime", type=float, default=None)
         p.add_argument("--c-mult", type=float, default=None)
         p.add_argument("--lam", type=float, default=None)
-        p.add_argument("--w-kind", choices=("p", "chung-lu", "fc-p"), default=None)
+        p.add_argument("--w-kind", choices=W_KINDS, default=None)
         p.add_argument("--save-graphs", action="store_true", default=None)
     return parser
 

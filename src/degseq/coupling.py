@@ -15,12 +15,11 @@ from dataclasses import asdict, dataclass, field
 from math import log, sqrt
 from typing import Sequence
 
-import numpy as np
-
 from .graphs import (
     DegreeSequence,
     Edge,
     NonGraphicalError,
+    ProductLambda,
     SimpleGraph,
     SymmetricProbMatrix,
     degree_stats,
@@ -29,7 +28,6 @@ from .graphs import (
     q_matrix,
     f_c_transform,
     hadamard,
-    tri_index,
 )
 from .oracle import exact_uniform_sample, oracle_cap
 from .randomness import AliasTable, RandomSource, sample_poisson
@@ -65,24 +63,15 @@ class CouplingParams:
     zeta: float
     zeta_prime: float
     lam: float
-    big_lambda: SymmetricProbMatrix
+    big_lambda: SymmetricProbMatrix | ProductLambda
     regime_warning: bool = False
 
 
 def lambda_matrix(d: DegreeSequence | Sequence[int], zeta: float) -> SymmetricProbMatrix:
-    """Acceptance matrix with entries (1 - zeta) * ||d||_1 / (||d||_1 + d_j d_k)."""
-    d = DegreeSequence.of(d)
-    if not 0.0 <= zeta <= 1.0:
-        raise ValueError("zeta must lie in [0, 1]")
-    vec = np.asarray(d.degrees, dtype=float)
-    total = vec.sum()
-    iu = np.triu_indices(d.n, k=1)
-    prod = vec[iu[0]] * vec[iu[1]]
-    if total <= 0:
-        tri = np.zeros_like(prod)
-    else:
-        tri = (1.0 - zeta) * total / (total + prod)
-    return SymmetricProbMatrix(d.n, tri)
+    """Acceptance matrix with entries (1 - zeta) * ||d||_1 / (||d||_1 + d_j d_k),
+    stored dense; `default_params` holds the same entries in closed form."""
+    lam = ProductLambda(d, zeta)
+    return SymmetricProbMatrix(lam.n, lam.tri)
 
 
 def default_params(
@@ -142,7 +131,7 @@ def default_params(
         zeta=zeta,
         zeta_prime=zeta_prime,
         lam=lam,
-        big_lambda=lambda_matrix(d, zeta),
+        big_lambda=ProductLambda(d, zeta),
         regime_warning=warning,
     )
 
@@ -234,20 +223,17 @@ def ind_sample(
     its closed-form independent-edge law.  No containment relation holds.
     """
     d = DegreeSequence.of(d)
-    g, _ = _redraw_upper(d, rng, cap)
+    g, _ = _redraw_upper(d, rng, oracle_cap() if cap is None else cap)
     w = f_c_transform(hadamard(params.big_lambda, q_matrix(d)), params.lam)
     g_l = sample_gnw(w, rng)
     return g_l, g
 
 
-def _redraw_upper(
-    d: DegreeSequence, rng: RandomSource, cap: int | None
-) -> tuple[SimpleGraph, bool]:
+def _redraw_upper(d: DegreeSequence, rng: RandomSource, cap: int) -> tuple[SimpleGraph, bool]:
     """G from its own law, and whether that law is only approximate: exact
     from the enumeration oracle when n is within the cap, otherwise the
     asymptotic sequential sampler."""
-    limit = oracle_cap() if cap is None else cap
-    if d.n <= limit:
+    if d.n <= cap:
         return exact_uniform_sample(d, rng, cap=cap), False
     g, _ = seq_sample_d(d, SeqSampleMode.ASYMPTOTIC, rng)
     return g, True
@@ -309,14 +295,15 @@ def run_coupling(
         else {int(s) for s in p_m_checkpoint_steps}
     )
 
+    cap = oracle_cap() if cap is None else cap
     kernel = make_kernel(d, prob_mode, SimpleGraph.empty(n), cap=cap)
     g_edges = kernel.edges
     l_edges: set[Edge] = set()
     table = AliasTable(d.degrees)
-    ltri = params.big_lambda.tri
+    lam_of = params.big_lambda.entry
     for step in range(1, steps + 1):
         j, k = e = table.sample_pair(rng)
-        lam_jk = ltri[tri_index(n, j, k)]
+        lam_jk = lam_of(j, k)
         if e in g_edges:
             trace.duplicate_hits += 1
             if rng.uniform() < lam_jk:

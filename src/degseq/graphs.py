@@ -268,9 +268,11 @@ class SymmetricProbMatrix:
         j, k = jk
         if j == k:
             return 0.0
-        if j > k:
-            j, k = k, j
-        return float(self.tri[tri_index(self.n, j, k)])
+        return float(self.entry(*normalize_edge(j, k)))
+
+    def entry(self, j: int, k: int) -> float:
+        """Entry (j, k) for j < k, read from storage."""
+        return self.tri[tri_index(self.n, j, k)]
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.n))
@@ -280,6 +282,48 @@ class SymmetricProbMatrix:
 
     def max_entry(self) -> float:
         return float(self.tri.max()) if self.tri.size else 0.0
+
+
+class ProductLambda:
+    """The coupling's acceptance matrix Lambda in closed form, from O(n) numbers.
+
+    Entry (j, k) is (1 - zeta) ||d||_1 / (||d||_1 + d_j d_k).  `entry`
+    computes it on each read with the same operations, in the same order, as
+    `tri`, so the two agree bit for bit.  `tri` builds the dense triangle on
+    every access and keeps nothing, for callers that need all entries at once.
+    """
+
+    __slots__ = ("n", "d", "total", "num")
+
+    def __init__(self, d: DegreeSequence | Sequence[int], zeta: float):
+        d = DegreeSequence.of(d)
+        if not 0.0 <= zeta <= 1.0:
+            raise ValueError("zeta must lie in [0, 1]")
+        self.n = d.n
+        self.d = tuple(float(x) for x in d.degrees)
+        total = float(d.total)
+        self.num = (1.0 - zeta) * total
+        # with every degree 0 the numerator is 0, and a unit denominator
+        # makes every entry 0.0
+        self.total = total if total > 0 else 1.0
+
+    def __getitem__(self, jk: tuple[int, int]) -> float:
+        j, k = jk
+        if j == k:
+            return 0.0
+        return self.entry(*normalize_edge(j, k))
+
+    def entry(self, j: int, k: int) -> float:
+        """Entry (j, k) for j < k."""
+        if not 0 <= j < k < self.n:
+            raise ValueError(f"pair ({j},{k}) invalid for n={self.n}")
+        return self.num / (self.total + self.d[j] * self.d[k])
+
+    @property
+    def tri(self) -> np.ndarray:
+        vec = np.asarray(self.d)
+        iu = np.triu_indices(self.n, k=1)
+        return self.num / (self.total + vec[iu[0]] * vec[iu[1]])
 
 
 def p_matrix(d: DegreeSequence | Sequence[int]) -> SymmetricProbMatrix:

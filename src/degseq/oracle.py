@@ -165,9 +165,9 @@ def raw_scan_masks(d: DegreeSequence | Sequence[int]) -> list[int]:
 
 
 @lru_cache(maxsize=256)
-def _cached_family(degrees: tuple[int, ...], cap: int | None) -> GraphFamily:
+def _cached_family(degrees: tuple[int, ...]) -> GraphFamily:
+    """The whole family; the caller has already checked the vertex cap."""
     n = len(degrees)
-    _check_cap(n, cap)
     masks = _backtrack_masks(n, degrees, 0, 0, DEFAULT_FAMILY_CAP)
     masks.sort()
     return GraphFamily(n, degrees, tuple(masks), tuple(tri_pairs(n)))
@@ -192,7 +192,7 @@ def enumerate_graphs(
     if forced_mask & forbidden_mask:
         raise ValueError("forced and forbidden edge sets overlap")
     if not forced_mask and not forbidden_mask:
-        return _cached_family(d.degrees, cap)
+        return _cached_family(d.degrees)
     masks = _backtrack_masks(d.n, d.degrees, forced_mask, forbidden_mask, family_cap)
     masks.sort()
     return GraphFamily(d.n, d.degrees, tuple(masks), tuple(tri_pairs(d.n)))

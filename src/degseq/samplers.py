@@ -25,6 +25,7 @@ from .graphs import (
     DegreeSequence,
     Edge,
     NonGraphicalError,
+    ProductLambda,
     SimpleGraph,
     SymmetricProbMatrix,
     is_graphical,
@@ -96,24 +97,23 @@ def sample_gnw(w: SymmetricProbMatrix, rng: RandomSource) -> SimpleGraph:
 
 def accept_candidates(
     table: AliasTable,
-    big_lambda: SymmetricProbMatrix,
+    big_lambda: SymmetricProbMatrix | ProductLambda,
     steps: int,
     rng: RandomSource,
     edges: set[Edge],
 ) -> None:
     """Draw `steps` pairs proportional to d_j d_k; add each to `edges` w.p. Lambda_jk."""
-    n = big_lambda.n
-    ltri = big_lambda.tri
+    lam_of = big_lambda.entry
     for _ in range(steps):
         j, k = table.sample_pair(rng)
-        if rng.uniform() < ltri[tri_index(n, j, k)]:
+        if rng.uniform() < lam_of(j, k):
             edges.add((j, k))
 
 
 def seq_approx_p(
     d: DegreeSequence | Sequence[int],
     lam: float,
-    big_lambda: SymmetricProbMatrix,
+    big_lambda: SymmetricProbMatrix | ProductLambda,
     rng: RandomSource,
 ) -> SimpleGraph:
     """Poissonized sequential sampler.

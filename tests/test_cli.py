@@ -148,9 +148,15 @@ class TestConfigValidation:
             ([], {"seed": -1}),
             ([], {"checkpoints": [1, -2]}),
             (["--checkpoints", "1,x"], None),
+            ([], {"zeta": "0.5"}),  # was a TypeError traceback
+            ([], {"save_graphs": "no"}),  # was truthy: edge files were written
+            ([], {"c_mult": None}),
+            ([], {"lam": True}),
+            ([], {"w_kind": "gnp"}),
         ],
         ids=["runs-0", "runs-negative", "runs-string", "runs-bool", "seed-negative",
-             "checkpoint-negative", "checkpoint-not-int"],
+             "checkpoint-negative", "checkpoint-not-int", "zeta-string", "save-graphs-string",
+             "c-mult-null", "lam-bool", "w-kind-unknown"],
     )
     def test_bad_value_exits_1_with_one_line(self, tmp_path, capsys, flags, config):
         args = ["couple", "--degrees", "regular(6,2)", "--out", str(tmp_path / "o")] + flags
@@ -162,6 +168,18 @@ class TestConfigValidation:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "config", [{"degrees": 5}, {"degrees": "regular(6,2)", "out": 5}], ids=["degrees", "out"]
+    )
+    def test_non_string_path_exits_1(self, tmp_path, capsys, monkeypatch, config):
+        # each was a TypeError traceback; only the config file sets them
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps(config))
+        assert run(["couple", "--config", "cfg.json"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 class TestVerifySuite:

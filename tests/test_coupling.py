@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from math import expm1, sqrt
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import degseq
@@ -26,7 +28,8 @@ from degseq import (
     rho,
     run_coupling,
 )
-from degseq.graphs import tri_pairs
+from degseq.deggen import regular_sequence
+from degseq.graphs import ProductLambda, tri_index, tri_pairs
 from degseq.stats import chi_square_gof, empirical_marginals
 
 D4 = (2, 2, 2, 2)
@@ -65,6 +68,70 @@ class TestDefaultParams:
         params = default_params(D4, zeta=0.25, zeta_prime=0.5)
         assert params.lam == pytest.approx(0.5 * 8 / 2)
         assert params.big_lambda[(0, 1)] == pytest.approx(0.75 * 8 / 12)
+
+
+@st.composite
+def graphical_degrees(draw, max_n=30):
+    """Degree vector of a random simple graph on 2..max_n vertices."""
+    n = draw(st.integers(2, max_n))
+    pairs = tri_pairs(n)
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    deg = [0] * n
+    for (j, k), on in zip(pairs, present):
+        if on:
+            deg[j] += 1
+            deg[k] += 1
+    return tuple(deg)
+
+
+class TestProductLambda:
+    @given(graphical_degrees(), st.floats(0.0, 1.0))
+    @example((0, 0, 0), 0.25)  # ||d||_1 = 0
+    @example((2, 2, 2), 1.0)
+    def test_entries_equal_dense_bit_for_bit(self, degrees, zeta):
+        n = len(degrees)
+        vec = np.asarray(degrees, dtype=float)
+        total = vec.sum()
+        iu = np.triu_indices(n, k=1)
+        # the dense construction the closed form replaced, as a reference
+        if total <= 0:
+            ref = np.zeros(len(iu[0]))
+        else:
+            ref = (1.0 - zeta) * total / (total + vec[iu[0]] * vec[iu[1]])
+        dense = lambda_matrix(degrees, zeta)
+        assert np.array_equal(dense.tri, ref)
+        forms = [ProductLambda(degrees, zeta)]
+        if zeta < 1.0 and min(degrees) >= 1:
+            forms.append(default_params(degrees, zeta=zeta).big_lambda)
+        for lam in forms:
+            assert lam.n == n
+            assert np.array_equal(lam.tri, dense.tri)
+            for j, k in tri_pairs(n):
+                expect = dense.tri[tri_index(n, j, k)]
+                assert lam.entry(j, k) == expect
+                assert lam[(k, j)] == expect
+                assert dense.entry(j, k) == dense[(j, k)] == dense[(k, j)] == expect
+            assert lam[(0, 0)] == dense[(0, 0)] == 0.0
+
+    def test_entry_rejects_invalid_pair(self):
+        lam = ProductLambda(D4, 0.1)
+        for j, k in [(1, 0), (0, 4), (-1, 2)]:
+            with pytest.raises(ValueError):
+                lam.entry(j, k)
+        with pytest.raises(ValueError):
+            ProductLambda(D4, 1.5)
+
+    def test_default_params_memory_is_linear(self):
+        d = regular_sequence(4000, 69).degrees
+        tracemalloc.start()
+        try:
+            params = default_params(d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert params.big_lambda.n == 4000
+        # the dense triangle alone would take 8 * 4000 * 3999 / 2 bytes (64 MB)
+        assert peak < 4_000_000
 
 
 class TestRho:
@@ -269,6 +336,27 @@ class TestRunCoupling:
                 (3, 3, 1, 1), params, SeqSampleMode.ASYMPTOTIC,
                 EtaDenominatorMode.CERTIFIED_BOUND, RandomSource(29),
             )
+
+    def test_oracle_cap_read_once_per_run(self, monkeypatch):
+        calls = []
+
+        def counting_cap():
+            calls.append(1)
+            return 10
+
+        monkeypatch.setattr(degseq.oracle, "oracle_cap", counting_cap)
+        monkeypatch.setattr(degseq.coupling, "oracle_cap", counting_cap)
+        params = params_d4()
+        escaped = 0
+        for i in range(5):
+            *_, tr = run_coupling(
+                D4, params, SeqSampleMode.EXACT_ORACLE, EtaDenominatorMode.EXACT_MAX,
+                RandomSource(5, i),
+            )
+            escaped += tr.fallback
+        # escapes redraw G from the oracle, which must reuse the resolved cap
+        assert escaped >= 1
+        assert len(calls) == 5
 
 
 class TestRunInvariants:
