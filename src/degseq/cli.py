@@ -62,6 +62,12 @@ EXIT_VERIFY_FAILED = 5
 
 W_KINDS = ("p", "chung-lu", "fc-p")
 
+# fields only some commands read; giving a command one it does not read is an error
+_SCHEDULE = ("xi", "zeta", "zeta_prime", "c_mult")
+COMMAND_FIELDS = {"couple": _SCHEDULE, "seq-approx-p": _SCHEDULE + ("lam",),
+                  "sample-gnd": ("checkpoints", "xi"), "sample-gnw": ("w_kind",),
+                  "oracle": (), "verify-suite": ()}
+
 
 @dataclass
 class ExperimentConfig:
@@ -122,7 +128,12 @@ class ExperimentConfig:
             if val is not None:
                 values[key] = val
         values["kind"] = kind
-        return ExperimentConfig(**values)
+        config = ExperimentConfig(**values)
+        optional = set().union(*COMMAND_FIELDS.values())
+        unread = sorted((optional - set(COMMAND_FIELDS.get(kind, ()))) & set(values))
+        if unread:
+            raise ValueError(f"{kind} does not read {', '.join(unread)}")
+        return config
 
 
 def _is_int(value) -> bool:

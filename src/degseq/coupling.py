@@ -300,13 +300,13 @@ def run_coupling(
     g_edges = kernel.edges
     l_edges: set[Edge] = set()
     table = AliasTable(d.degrees)
-    lam_of = params.big_lambda.entry
+    sample_pair, uniform, lam_of = table.sample_pair, rng.uniform, params.big_lambda.entry
     for step in range(1, steps + 1):
-        j, k = e = table.sample_pair(rng)
+        j, k = e = sample_pair(rng)
         lam_jk = lam_of(j, k)
         if e in g_edges:
             trace.duplicate_hits += 1
-            if rng.uniform() < lam_jk:
+            if uniform() < lam_jk:
                 l_edges.add(e)
         else:
             r = kernel.weight(j, k)
@@ -320,7 +320,7 @@ def run_coupling(
                 trace.fallback = True
                 trace.fallback_step = step
                 break
-            u = rng.uniform()
+            u = uniform()
             if u < eta:
                 kernel.insert(j, k)
                 if u < lam_jk:
@@ -339,7 +339,7 @@ def run_coupling(
         # finish the lower graph's candidate stream: the escape step's pair
         # still gets its acceptance coin, then the remaining Poisson steps
         # run with coins alone, so the lower law holds exactly
-        if rng.uniform() < lam_jk:
+        if uniform() < lam_jk:
             l_edges.add(e)
         accept_candidates(table, params.big_lambda, steps - trace.fallback_step, rng, l_edges)
         g, trace.approx_g = _redraw_upper(d, rng, cap)

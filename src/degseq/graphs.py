@@ -169,9 +169,6 @@ class SimpleGraph:
     def is_subgraph_of(self, other: SimpleGraph) -> bool:
         return self.n == other.n and self.edges <= other.edges
 
-    def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
-
 
 def remaining_degrees(
     d: DegreeSequence | Sequence[int], h: SimpleGraph
@@ -246,10 +243,6 @@ class SymmetricProbMatrix:
     @staticmethod
     def full(n: int, value: float) -> SymmetricProbMatrix:
         return SymmetricProbMatrix(n, np.full(tri_size(n), float(value)))
-
-    @staticmethod
-    def from_tri(n: int, tri: np.ndarray) -> SymmetricProbMatrix:
-        return SymmetricProbMatrix(n, np.asarray(tri, dtype=float).copy())
 
     @staticmethod
     def from_dense(mat: np.ndarray) -> SymmetricProbMatrix:

@@ -1,9 +1,11 @@
 """Seeded randomness primitives shared by all samplers.
 
 A RandomSource is a (seed, stream) pair over PCG64; identical pairs replay
-identical draw sequences on every platform.  Uniforms are served from an
-internal block buffer, which changes nothing about the stream order but keeps
-per-draw overhead low in the tight sampling loops.
+identical draw sequences on every platform.  Uniforms are served from a block
+of Python floats, filled lazily: 64 on the first draw, then doubling up to
+8192.  PCG64 doubles do not depend on how they are blocked, so the stream is
+the same whatever the block sizes.  Hot loops bind `rng.uniform` to a local
+but never read the block, so a subclass overriding `uniform` sees every draw.
 """
 from __future__ import annotations
 
@@ -11,7 +13,8 @@ from math import exp, floor, lgamma, log, sqrt
 
 import numpy as np
 
-_BUF = 8192
+_FIRST_BLOCK = 64
+_MAX_BLOCK = 8192
 
 
 class RandomSource:
@@ -24,41 +27,28 @@ class RandomSource:
         self.stream = int(stream)
         ss = np.random.SeedSequence((self.seed & 0xFFFFFFFFFFFFFFFF, self.stream))
         self._gen = np.random.Generator(np.random.PCG64(ss))
-        self._buf = self._gen.random(_BUF)
+        self._buf: list[float] = []
         self._pos = 0
-
-    def spawn(self, stream: int) -> "RandomSource":
-        """Independent source with the same seed and a different stream id."""
-        return RandomSource(self.seed, stream)
 
     def uniform(self) -> float:
         """One double in [0, 1)."""
-        if self._pos == _BUF:
-            self._buf = self._gen.random(_BUF)
-            self._pos = 0
-        u = self._buf[self._pos]
-        self._pos += 1
-        return u
+        pos = self._pos
+        buf = self._buf
+        if pos == len(buf):
+            size = min(max(2 * len(buf), _FIRST_BLOCK), _MAX_BLOCK)
+            buf = self._buf = self._gen.random(size).tolist()
+            pos = 0
+        self._pos = pos + 1
+        return buf[pos]
 
     def uniforms(self, k: int) -> np.ndarray:
-        """k doubles in [0, 1); large blocks bypass the buffer."""
-        if k >= _BUF:
-            left = self._buf[self._pos :].copy()
-            self._pos = _BUF
-            rest = self._gen.random(k - left.size)
-            return np.concatenate([left, rest])
-        out = np.empty(k)
-        filled = 0
-        while filled < k:
-            avail = _BUF - self._pos
-            take = min(avail, k - filled)
-            out[filled : filled + take] = self._buf[self._pos : self._pos + take]
-            self._pos += take
-            filled += take
-            if self._pos == _BUF:
-                self._buf = self._gen.random(_BUF)
-                self._pos = 0
-        return out
+        """k doubles in [0, 1): the rest of the block, then fresh draws."""
+        pos = self._pos
+        head = self._buf[pos : pos + k]
+        self._pos = pos + len(head)
+        if len(head) == k:
+            return np.array(head, dtype=float)
+        return np.concatenate([head, self._gen.random(k - len(head))])
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n)."""
@@ -113,11 +103,16 @@ class AliasTable:
 
     def sample_pair(self, rng: RandomSource) -> tuple[int, int]:
         """Distinct indices (j, k), j < k, with probability exactly proportional
-        to w_j w_k: two independent draws, redrawn while equal.  Needs at
-        least two positive weights."""
+        to w_j w_k: two independent draws (each as `sample`), redrawn while
+        equal.  Needs at least two positive weights."""
+        uniform, size, prob, alias = rng.uniform, self.size, self.prob, self.alias
         while True:
-            j = self.sample(rng)
-            k = self.sample(rng)
+            j = int(uniform() * size)
+            if uniform() >= prob[j]:
+                j = alias[j]
+            k = int(uniform() * size)
+            if uniform() >= prob[k]:
+                k = alias[k]
             if j != k:
                 return (j, k) if j < k else (k, j)
 

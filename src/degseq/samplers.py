@@ -103,11 +103,11 @@ def accept_candidates(
     edges: set[Edge],
 ) -> None:
     """Draw `steps` pairs proportional to d_j d_k; add each to `edges` w.p. Lambda_jk."""
-    lam_of = big_lambda.entry
+    sample_pair, uniform, lam_of, add = table.sample_pair, rng.uniform, big_lambda.entry, edges.add
     for _ in range(steps):
-        j, k = table.sample_pair(rng)
-        if rng.uniform() < lam_of(j, k):
-            edges.add((j, k))
+        j, k = e = sample_pair(rng)
+        if uniform() < lam_of(j, k):
+            add(e)
 
 
 def seq_approx_p(
@@ -152,14 +152,10 @@ class StubList:
 
     def __init__(self, t: Sequence[int]):
         self.stubs: list[int] = []
-        self.slots: list[list[int]] = [[] for _ in range(len(t))]
+        self.slots: list[list[int]] = []
         for h, th in enumerate(t):
-            for _ in range(th):
-                self.slots[h].append(len(self.stubs))
-                self.stubs.append(h)
-
-    def draw(self, rng: RandomSource) -> int:
-        return self.stubs[int(rng.uniform() * len(self.stubs))]
+            self.slots.append(list(range(len(self.stubs), len(self.stubs) + th)))
+            self.stubs.extend([h] * th)
 
     def remove_one(self, h: int) -> None:
         idx = self.slots[h].pop()
@@ -267,6 +263,9 @@ class AsymptoticKernel:
             return None
         if self.stubs is None:
             self.stubs = StubList(self.t)
+        # the stub list, t and tsum stay fixed until the insert that ends the loop
+        stubs, uniform, t, tsum = self.stubs.stubs, rng.uniform, self.t, self.tsum
+        edges, size = self.edges, len(stubs)
         attempts = 0
         while True:
             attempts += 1
@@ -274,15 +273,14 @@ class AsymptoticKernel:
                 if not self.eligible_pair_exists():
                     return None
                 attempts = 0
-            j = self.stubs.draw(rng)
-            k = self.stubs.draw(rng)
+            j = stubs[int(uniform() * size)]
+            k = stubs[int(uniform() * size)]
             if j == k:
                 continue
             e = (j, k) if j < k else (k, j)
-            if e in self.edges:
+            if e in edges:
                 continue
-            prod = self.t[j] * self.t[k]
-            if rng.uniform() * (self.tsum + prod) < self.tsum + 1:
+            if uniform() * (tsum + t[j] * t[k]) < tsum + 1:
                 self.insert(j, k)
                 return e
 

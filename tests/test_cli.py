@@ -181,6 +181,44 @@ class TestConfigValidation:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
+    @pytest.mark.parametrize(
+        "command, flags, config",
+        [
+            ("couple", ["--lam", "3"], None),
+            ("couple", ["--w-kind", "p"], None),
+            ("couple", ["--checkpoints", "1,2"], None),
+            ("sample-gnw", ["--zeta", "0.3"], None),
+            ("sample-gnw", [], {"xi": 0.2}),
+            ("seq-approx-p", [], {"w_kind": "p"}),
+            ("sample-gnd", ["--c-mult", "2"], None),
+            ("oracle", ["--xi", "0.1"], None),
+            ("oracle", [], {"checkpoints": []}),
+        ],
+        ids=["couple-lam", "couple-w-kind", "couple-checkpoints", "gnw-zeta", "gnw-xi-config",
+             "approx-p-w-kind-config", "gnd-c-mult", "oracle-xi", "oracle-checkpoints-config"],
+    )
+    def test_unread_field_exits_1(self, tmp_path, capsys, command, flags, config):
+        # each exited 0 as if the value had been applied
+        args = [command, "--degrees", "regular(4,2)", "--out", str(tmp_path / "o")] + flags
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            args += ["--config", str(cfg)]
+        assert run(args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command", ["couple", "oracle", "sample-gnd", "sample-gnw", "seq-approx-p", "verify-suite"]
+    )
+    def test_shared_flags_valid_for_every_command(self, tmp_path, monkeypatch, command):
+        monkeypatch.setattr(cli, "run_battery", lambda: [CriterionResult("stub", True, 0.0, "ok")])
+        args = [command, "--degrees", "regular(4,2)", "--out", str(tmp_path / "o"),
+                "--mode", "exact", "--denom", "exact-max", "--runs", "2", "--seed", "3",
+                "--save-graphs"]
+        assert run(args) == 0
+
 
 class TestVerifySuite:
     def test_exit_code_5_on_failure(self, tmp_path, monkeypatch):

@@ -46,6 +46,13 @@ CASES = {
          "--seed", "1", "--runs", "6"],
         "5c919881c728f019807dfd46e66ac893359c86ac3cbb99f4f218d53c014337ac",
     ),
+    # powerlaw draws its degrees through `uniforms(150)`, and each replica's
+    # `uniforms(11175)` is larger than a full block; vertex ids reach three
+    # digits, where string order and numeric order differ
+    "sample-gnw-powerlaw": (
+        ["sample-gnw", "--degrees", "powerlaw(150,2.5,2,20)", "--seed", "7", "--runs", "3"],
+        "470cd61f4a1c242c57e9a26ac10f7547ce124c3ad939cafdaac08eb5b3ce634b",
+    ),
     "seq-approx-p": (
         ["seq-approx-p", "--degrees", "regular(10,3)", "--seed", "2", "--runs", "5"],
         "85557d3d2c0b20512ea0f20482d4a149b67cb47856a4723315510ae846add640",

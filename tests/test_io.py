@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degseq import DegreeSequence, SimpleGraph, enumerate_graphs, q_matrix
 from degseq.io import (
@@ -28,6 +30,23 @@ def test_edge_list_roundtrip(tmp_path):
     write_edge_list(path, g)
     assert path.read_text() == "0 2\n1 3\n"
     assert read_edge_list(path, 4) == g
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(2, 120))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    return SimpleGraph.from_edges(n, draw(st.lists(pair, max_size=300)))
+
+
+@given(graphs())
+@settings(max_examples=80, deadline=None)
+def test_edge_list_sorted_numerically(tmp_path_factory, g):
+    # from n = 11 on, "10 2" sorts before "2 3" as a string but after it as a pair
+    path = tmp_path_factory.mktemp("edges") / "g.txt"
+    write_edge_list(path, g)
+    assert path.read_text() == "".join(f"{j} {k}\n" for j, k in sorted(g.edges))
+    assert read_edge_list(path, g.n) == g
 
 
 def test_matrix_csv_roundtrip(tmp_path):

@@ -2,11 +2,16 @@ from math import exp, factorial, sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degseq import AliasTable, RandomSource, sample_poisson
 from degseq.stats import pearson_chi_square
+
+# sizes that end a block, cross one, and outgrow the largest; runs of single
+# draws long enough to refill and grow the block
+BLOCK_SIZES = [0, 1, 64, 8191, 8192, 8193, 20_000]
+DRAW_RUNS = [1, 63, 64, 65, 300, 5000]
 
 
 class TestRandomSource:
@@ -25,6 +30,43 @@ class TestRandomSource:
         big = rng.uniforms(10_000)
         assert big.shape == (10_000,)
         assert np.all((big >= 0.0) & (big < 1.0))
+
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.integers(0, 1000),
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("uniform"), st.sampled_from(DRAW_RUNS)),
+                st.tuples(st.just("uniforms"), st.sampled_from(BLOCK_SIZES)),
+                st.tuples(st.just("below"), st.integers(1, 10**6)),
+            ),
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_interleaving_replays_one_generator_block(self, seed, stream, calls):
+        # block boundaries and block growth must not show in the stream
+        rng = RandomSource(seed, stream)
+        got: list[float] = []
+        below_at: list[tuple[int, int]] = []
+        for name, arg in calls:
+            if name == "uniform":
+                got.extend(rng.uniform() for _ in range(arg))
+            elif name == "uniforms":
+                got.extend(rng.uniforms(arg).tolist())
+            else:
+                below_at.append((len(got), arg))
+                got.append(rng.below(arg))
+        ss = np.random.SeedSequence((seed, stream))
+        ref = np.random.Generator(np.random.PCG64(ss)).random(len(got)).tolist()
+        for i, n in below_at:
+            ref[i] = int(ref[i] * n)
+        assert got == ref
+
+    def test_uniform_is_a_python_float(self):
+        rng = RandomSource(5)
+        assert type(rng.uniform()) is float
+        assert all(type(rng.uniform()) is float for _ in range(10_000))
 
     def test_below_in_range(self):
         rng = RandomSource(4)
