@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from enum import Enum
-from itertools import starmap
+from itertools import chain, repeat, starmap
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -145,48 +145,28 @@ def seq_approx_p(
 # ---------------------------------------------------------------------------
 
 
-class StubList:
-    """Multiset of vertex stubs: O(1) draw proportional to t, O(deg) removal."""
-
-    __slots__ = ("stubs", "slots")
-
-    def __init__(self, t: Sequence[int]):
-        self.stubs: list[int] = []
-        self.slots: list[list[int]] = []
-        for h, th in enumerate(t):
-            self.slots.append(list(range(len(self.stubs), len(self.stubs) + th)))
-            self.stubs.extend([h] * th)
-
-    def remove_one(self, h: int) -> None:
-        idx = self.slots[h].pop()
-        last = len(self.stubs) - 1
-        g = self.stubs[last]
-        if idx != last:
-            self.stubs[idx] = g
-            sl = self.slots[g]
-            sl.remove(last)
-            sl.append(idx)
-        self.stubs.pop()
-
-
 class AsymptoticKernel:
     """Sequential insertion with closed-form remaining-degree weights.
 
     The weight of non-edge jk is t_j t_k / (||t||_1 + t_j t_k) / (d_j d_k),
     with t the remaining degrees.  Each `insert_step` samples a non-edge jk
     (t_j, t_k >= 1) with probability proportional to
-    t_j t_k / (||t||_1 + t_j t_k): proposals come from the stub list
-    (product-weight law) and are thinned with the acceptance
-    (||t||_1 + 1) / (||t||_1 + t_j t_k), which is a constant-numerator
-    renormalization of the target-to-proposal ratio, so proportionality is
-    exact.  Acceptance stays above 1/2 whenever t_j t_k <= ||t||_1.
+    t_j t_k / (||t||_1 + t_j t_k), in phases (Bayati, Kim & Saberi 2010):
+    proposals are two uniform draws from a stub list built from t_R, the
+    remaining degrees at the last rebuild, and one uniform accepts a pair
+    with probability (t_j/t_R[j]) (t_k/t_R[k]) (||t||_1 + 1) / (||t||_1 +
+    t_j t_k).  The first two factors thin the proposal to the product law
+    t_j t_k; the last is a constant-numerator renormalization of the target
+    to that law, so proportionality is exact.  Nothing is removed from the
+    stub list: it is rebuilt when ||t||_1 falls below 3/4 of its value at
+    the last rebuild, so on average at least 9/16 of proposals survive it.
 
-    The stub list is built from t on the first `insert_step`, and the lazy
-    max-heap over t_h/d_h on the first certified-bound query; `insert` keeps
-    whichever exists current.
+    The stub list is built on the first `insert_step`, and the lazy max-heap
+    over t_h/d_h on the first certified-bound query, which `insert` keeps
+    current.
     """
 
-    __slots__ = ("d", "t", "tsum", "edges", "history", "stubs", "heap", "dmax")
+    __slots__ = ("d", "t", "tsum", "edges", "history", "stubs", "t_r", "tsum_r", "heap", "dmax")
 
     def __init__(self, d: Sequence[int], edges: set[Edge], t: list[int]):
         self.d = d
@@ -194,7 +174,9 @@ class AsymptoticKernel:
         self.tsum = sum(t)
         self.edges = edges
         self.history: list[Edge] = []
-        self.stubs: StubList | None = None
+        self.stubs: list[int] | None = None
+        self.t_r: list[int] = []
+        self.tsum_r = 0
         # entries (-t_h/d_h, h, t_h) carry the t value they were pushed with,
         # so stale ones can be discarded
         self.heap: list[tuple[float, int, int]] | None = None
@@ -226,8 +208,6 @@ class AsymptoticKernel:
         return -heap[0][0] if heap else 0.0
 
     def insert(self, j: int, k: int) -> None:
-        # j, k in either order: the order of the two stub removals shapes
-        # the stub list, and with it every later draw
         e = (j, k) if j < k else (k, j)
         self.edges.add(e)
         self.history.append(e)
@@ -235,9 +215,6 @@ class AsymptoticKernel:
         t[j] -= 1
         t[k] -= 1
         self.tsum -= 2
-        if self.stubs is not None:
-            self.stubs.remove_one(j)
-            self.stubs.remove_one(k)
         if self.heap is not None:
             heapq.heappush(self.heap, (-t[j] / self.d[j], j, t[j]))
             heapq.heappush(self.heap, (-t[k] / self.d[k], k, t[k]))
@@ -261,10 +238,14 @@ class AsymptoticKernel:
         """One accepted insertion, or None when no eligible pair remains."""
         if self.tsum < 2:
             return None
-        if self.stubs is None:
-            self.stubs = StubList(self.t)
-        # the stub list, t and tsum stay fixed until the insert that ends the loop
-        stubs, uniform, t, tsum = self.stubs.stubs, rng.uniform, self.t, self.tsum
+        if self.stubs is None or 4 * self.tsum < 3 * self.tsum_r:
+            # drop the old list first; one int object per vertex, shared by its stubs
+            self.stubs = None
+            self.t_r = list(self.t)
+            self.tsum_r = self.tsum
+            self.stubs = list(chain.from_iterable(map(repeat, range(len(self.t_r)), self.t_r)))
+        # the stub list, t_R, t and tsum stay fixed until the insert that ends the loop
+        stubs, t_r, uniform, t, tsum = self.stubs, self.t_r, rng.uniform, self.t, self.tsum
         edges, size = self.edges, len(stubs)
         attempts = 0
         while True:
@@ -275,12 +256,14 @@ class AsymptoticKernel:
                 attempts = 0
             j = stubs[int(uniform() * size)]
             k = stubs[int(uniform() * size)]
-            if j == k:
+            tj, tk = t[j], t[k]
+            if j == k or not tj or not tk:
                 continue
             e = (j, k) if j < k else (k, j)
             if e in edges:
                 continue
-            if uniform() * (tsum + t[j] * t[k]) < tsum + 1:
+            prod = tj * tk
+            if uniform() * t_r[j] * t_r[k] * (tsum + prod) < prod * (tsum + 1):
                 self.insert(j, k)
                 return e
 

@@ -1,9 +1,11 @@
 """Byte-identity guard: fixed-seed CLI runs must write the same files, byte for byte.
 
 Each case runs `degseq.cli.main` and hashes every output file except
-`metadata.json` (its wall time varies).  The digests were recorded from the
-implementation with the inlined coupling loop; a refactor that changes the
-order of random draws, a weight, or a file format changes a digest.
+`metadata.json` (its wall time varies).  The exact-mode, sample-gnw and
+seq-approx-p digests were recorded from the implementation with the inlined
+coupling loop; the asymptotic ones from the kernel with phased, thinned
+proposals.  A refactor that changes the order of random draws, a weight, or
+a file format changes a digest.
 """
 import hashlib
 import json
@@ -13,23 +15,23 @@ import pytest
 import degseq.cli as cli
 
 CASES = {
-    # n = 30 > oracle cap: escapes redraw G with the asymptotic sampler;
-    # run 0 completes after a dead-end restart
+    # n = 30 > oracle cap: escapes redraw G with the asymptotic sampler
     "couple-asymptotic-certified": (
         ["couple", "--degrees", "regular(30,4)", "--mode", "asymptotic",
          "--denom", "certified-bound", "--zeta", "0.7", "--seed", "3", "--runs", "8"],
-        "8c4bd4c18b11bcf860ccc668b05c6d59aea4c0d2373e7f21ae8cfd5101ebae83",
+        "766beef0ecd76070003d4e98ad5be02a1e8385f13310f30d8bb8658dd10e6a0d",
     ),
     # n = 7 <= oracle cap: the escape redraws G exactly from the family
     "couple-asymptotic-certified-small": (
         ["couple", "--degrees", "regular(7,2)", "--mode", "asymptotic",
          "--denom", "certified-bound", "--seed", "3", "--runs", "8"],
-        "85619b1453094721dbacff02b38edac961bd8859a76e1a16bf93c68f6e60116e",
+        "6c09947ada5c44b3035f6f349bdb3c1bf0163b7ecc0860871c60b35199e05f39",
     ),
+    # run 6 completes after a dead-end restart
     "couple-asymptotic-exact-max": (
         ["couple", "--degrees", "regular(12,3)", "--mode", "asymptotic",
          "--denom", "exact-max", "--zeta", "0.7", "--seed", "3", "--runs", "8"],
-        "9752294c4528627917cbfd6c2b76349512adf531087383e789a68aaf01cc1491",
+        "afce48586dc5f2471100cf7e9035182937603c7a45799abe7100ae81c741ff64",
     ),
     "couple-exact": (
         ["couple", "--degrees", "regular(6,2)", "--mode", "exact",
@@ -44,7 +46,13 @@ CASES = {
     "sample-gnd-asymptotic": (
         ["sample-gnd", "--degrees", "regular(16,5)", "--mode", "asymptotic",
          "--seed", "1", "--runs", "6"],
-        "5c919881c728f019807dfd46e66ac893359c86ac3cbb99f4f218d53c014337ac",
+        "64c6aa6114b7eabc5a15ff0d641cb1b62ef33aaed6362f6d73147226c5fd116c",
+    ),
+    # asymptotic snapshots from the insertion history; 2 dead-end restarts
+    "sample-gnd-asymptotic-checkpoints": (
+        ["sample-gnd", "--degrees", "regular(16,5)", "--mode", "asymptotic",
+         "--checkpoints", "10,30", "--seed", "2", "--runs", "6"],
+        "8d465658d33646506142181380dae809d75dc84c3dd2355d6069804c0ccd79ff",
     ),
     # powerlaw draws its degrees through `uniforms(150)`, and each replica's
     # `uniforms(11175)` is larger than a full block; vertex ids reach three
@@ -84,6 +92,10 @@ def test_cases_cover_escape_completion_and_restart(tmp_path):
     run_case(CASES["couple-asymptotic-certified"][0], out)
     records = traces(out)
     assert any(r["fallback"] and r["approx_g"] for r in records)
+
+    out = tmp_path / "restart"
+    run_case(CASES["couple-asymptotic-exact-max"][0], out)
+    records = traces(out)
     assert any(not r["fallback"] and r["completion_restarts"] > 0 for r in records)
 
     out = tmp_path / "small"
@@ -99,5 +111,5 @@ def test_cases_cover_escape_completion_and_restart(tmp_path):
     assert any(not r["fallback"] for r in records)
 
     out = tmp_path / "gnd"
-    run_case(CASES["sample-gnd-asymptotic"][0], out)
+    run_case(CASES["sample-gnd-asymptotic-checkpoints"][0], out)
     assert json.loads((out / "metadata.json").read_text())["restarts"] > 0

@@ -1,6 +1,9 @@
+import tracemalloc
 from math import expm1, sqrt
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from degseq import (
     DegenerateSequenceError,
@@ -19,7 +22,15 @@ from degseq import (
     seq_sample_d,
 )
 from degseq.graphs import SymmetricProbMatrix
-from degseq.stats import empirical_marginals, indicator_matrix, pairwise_covariance
+from degseq.samplers import AsymptoticKernel
+from degseq.stats import (
+    THRESHOLDS,
+    empirical_marginals,
+    indicator_matrix,
+    pairwise_covariance,
+    pearson_chi_square,
+)
+from test_coupling import graphical_degrees
 
 Z_BAND = 4.5
 
@@ -190,6 +201,12 @@ class TestSeqSampleD:
             assert g.degree_vector() == d
         assert diag.restarts > 0
 
+    @given(graphical_degrees(max_n=12), st.integers(0, 2**32 - 1))
+    def test_asymptotic_meets_every_degree(self, degrees, seed):
+        # dense small sequences rebuild the stub list and dead-end often
+        g, _ = seq_sample_d(degrees, SeqSampleMode.ASYMPTOTIC, RandomSource(seed))
+        assert g.degree_vector() == degrees
+
     def test_deterministic(self):
         a, _ = seq_sample_d((2, 2, 2, 2), SeqSampleMode.ASYMPTOTIC, RandomSource(16, 8))
         b, _ = seq_sample_d((2, 2, 2, 2), SeqSampleMode.ASYMPTOTIC, RandomSource(16, 8))
@@ -198,3 +215,74 @@ class TestSeqSampleD:
     def test_bad_checkpoint_rejected(self):
         with pytest.raises(ValueError):
             seq_sample_d((1, 1), SeqSampleMode.ASYMPTOTIC, RandomSource(4), checkpoints=(2,))
+
+
+class TestAsymptoticStepLaw:
+    """The pair one `insert_step` accepts follows t_j t_k / (||t||_1 + t_j t_k)
+    over the eligible non-edges, whatever the kernel's proposal structure."""
+
+    D = (3, 3, 3, 3, 2, 2, 2, 2)
+    DRAWS = 20_000
+
+    def _state(self, fixed_inserts):
+        # the first insert_step builds the proposal structure from t; the
+        # fixed insertions after it lower t below what that structure saw
+        kernel = AsymptoticKernel(self.D, set(), list(self.D))
+        kernel.insert_step(RandomSource(61))
+        for _ in range(fixed_inserts):
+            t = kernel.t
+            j, k = next(
+                (j, k)
+                for j in range(len(t))
+                for k in range(j + 1, len(t))
+                if t[j] > 0 and t[k] > 0 and (j, k) not in kernel.edges
+            )
+            kernel.insert(j, k)
+        return kernel
+
+    def _check(self, fixed_inserts, seed):
+        base = self._state(fixed_inserts)
+        deg = [0] * len(self.D)
+        for j, k in base.edges:
+            deg[j] += 1
+            deg[k] += 1
+        t = [dh - gh for dh, gh in zip(self.D, deg)]
+        assert base.t == t
+        tsum = sum(t)
+        law = {
+            (j, k): t[j] * t[k] / (tsum + t[j] * t[k])
+            for j in range(len(t))
+            for k in range(j + 1, len(t))
+            if t[j] > 0 and t[k] > 0 and (j, k) not in base.edges
+        }
+        norm = sum(law.values())
+        pairs = sorted(law)
+        index = {e: i for i, e in enumerate(pairs)}
+        counts = [0] * len(pairs)
+        for s in range(self.DRAWS):
+            kernel = self._state(fixed_inserts)
+            counts[index[kernel.insert_step(RandomSource(seed, s))]] += 1
+        report = pearson_chi_square(counts, [law[e] / norm for e in pairs])
+        assert report.p_value > THRESHOLDS.p_min, report
+        return tsum
+
+    def test_law_while_thinning(self):
+        # one fixed insertion after the build: ||t||_1 = 16 of 18 at the build
+        assert self._check(1, 62) == 16
+
+    def test_law_after_rebuild(self):
+        # three fixed insertions: ||t||_1 = 12 of 18, so the step rebuilds
+        assert self._check(3, 63) == 12
+
+
+def test_stub_list_shares_vertex_ints():
+    # 850k stubs are one list of pointers (about 7 MB); a fresh int per
+    # stub, as np.repeat(...).tolist() makes, would add about 24 MB
+    d = [85] * 10_000
+    tracemalloc.start()
+    try:
+        AsymptoticKernel(d, set(), list(d)).insert_step(RandomSource(64))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20, peak
