@@ -43,6 +43,7 @@ from .coupling import (
     eta_denominator,
     ind_sample,
     lambda_matrix,
+    lower_law,
     rho,
     run_coupling,
 )

@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 from .coupling import (
     EtaDenominatorMode,
     default_params,
+    lower_law,
     run_coupling,
 )
 from .deggen import powerlaw_sequence, regular_sequence
@@ -22,10 +23,7 @@ from .graphs import (
     DegreeSequence,
     SymmetricProbMatrix,
     degree_stats,
-    f_c_transform,
-    hadamard,
     is_graphical,
-    q_matrix,
     tri_index,
 )
 from .oracle import (
@@ -86,7 +84,7 @@ def criterion_c1() -> CriterionResult:
             seq_approx_p(d, lam, big_lambda, RandomSource(C1_SEED, s))
             for s in range(C1_RUNS)
         ]
-        w_ref = f_c_transform(hadamard(big_lambda, q_matrix(d)), lam)
+        w_ref = lower_law(d, big_lambda, lam)
         marg = empirical_marginals(samples, w_ref)
         cov = pairwise_covariance(samples)
         ok = marg.passed() and cov.passed()
@@ -181,7 +179,7 @@ def criterion_c4() -> CriterionResult:
                 fallbacks += 1
             else:
                 kept_pairs.append((g_l, g))
-        w_ref = f_c_transform(hadamard(params.big_lambda, q_matrix(degrees)), params.lam)
+        w_ref = lower_law(degrees, params.big_lambda, params.lam)
         marg = empirical_marginals(lowers, w_ref)           # includes fallback runs
         gof = chi_square_gof(uppers, law)
         contained, violations = subgraph_check(kept_pairs)

@@ -25,6 +25,7 @@ from .acceptance import run_battery
 from .coupling import (
     EtaDenominatorMode,
     default_params,
+    lower_law,
     run_coupling,
 )
 from .deggen import GeneratedSequence, parse_generator_spec
@@ -35,10 +36,8 @@ from .graphs import (
     chung_lu_matrix,
     degree_stats,
     f_c_transform,
-    hadamard,
     is_graphical,
     p_matrix,
-    q_matrix,
 )
 from .io import (
     read_degree_file,
@@ -266,7 +265,7 @@ def run_experiment(config: ExperimentConfig) -> int:
     elif config.kind == "seq-approx-p":
         params = _schedule(config, d)
         lam = config.lam if config.lam is not None else params.lam
-        w_ref = f_c_transform(hadamard(params.big_lambda, q_matrix(d)), lam)
+        w_ref = lower_law(d, params.big_lambda, lam)
         samples = []
         for i in range(config.runs):
             g = seq_approx_p(d, lam, params.big_lambda, RandomSource(config.seed, i))

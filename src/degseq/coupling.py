@@ -47,6 +47,7 @@ __all__ = [
     "CouplingTrace",
     "default_params",
     "lambda_matrix",
+    "lower_law",
     "rho",
     "eta_denominator",
     "run_coupling",
@@ -72,6 +73,15 @@ def lambda_matrix(d: DegreeSequence | Sequence[int], zeta: float) -> SymmetricPr
     stored dense; `default_params` holds the same entries in closed form."""
     lam = ProductLambda(d, zeta)
     return SymmetricProbMatrix(lam.n, lam.tri)
+
+
+def lower_law(
+    d: DegreeSequence | Sequence[int],
+    big_lambda: SymmetricProbMatrix | ProductLambda,
+    lam: float,
+) -> SymmetricProbMatrix:
+    """The lower graph's independent-edge law: entries 1 - exp(-lam * Lambda_jk * Q_jk)."""
+    return f_c_transform(hadamard(big_lambda, q_matrix(d)), lam)
 
 
 def default_params(
@@ -224,8 +234,7 @@ def ind_sample(
     """
     d = DegreeSequence.of(d)
     g, _ = _redraw_upper(d, rng, oracle_cap() if cap is None else cap)
-    w = f_c_transform(hadamard(params.big_lambda, q_matrix(d)), params.lam)
-    g_l = sample_gnw(w, rng)
+    g_l = sample_gnw(lower_law(d, params.big_lambda, params.lam), rng)
     return g_l, g
 
 

@@ -9,8 +9,12 @@ Trace files: one JSON object per line.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .graphs import DegreeSequence, SimpleGraph, SymmetricProbMatrix, tri_pairs
 from .oracle import GraphFamily
@@ -46,10 +50,26 @@ def write_edge_list(path: str | Path, g: SimpleGraph) -> None:
 
 
 def _edge_block(g: SimpleGraph) -> str:
-    # j*n + k orders edges as the (j, k) tuples do and sorts much faster
-    n = g.n
-    keys = sorted([j * n + k for j, k in g.edges])
-    return "".join([f"{x // n} {x % n}\n" for x in keys])
+    # j*n + k orders edges as the (j, k) tuples do
+    n, m = g.n, len(g.edges)
+    flat = np.fromiter(chain.from_iterable(g.edges), np.int64, 2 * m)
+    keys = np.sort(flat[0::2] * n + flat[1::2])
+    heads, tails = _vertex_labels(n)
+    lines = np.empty((m, 2), dtype=object)
+    lines[:, 0] = heads[keys // n]
+    lines[:, 1] = tails[keys % n]
+    return "".join(lines.ravel().tolist())
+
+
+@lru_cache(maxsize=8)
+def _vertex_labels(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each vertex's label as the first ("j ") and the second ("k\n") field
+    of an edge line, in read-only object arrays indexed by vertex."""
+    heads = np.array([f"{v} " for v in range(n)], dtype=object)
+    tails = np.array([f"{v}\n" for v in range(n)], dtype=object)
+    heads.setflags(write=False)
+    tails.setflags(write=False)
+    return heads, tails
 
 
 def write_matrix_csv(path: str | Path, m: SymmetricProbMatrix) -> None:
@@ -85,7 +105,17 @@ def read_matrix_csv(path: str | Path) -> SymmetricProbMatrix:
 
 
 def write_family(path: str | Path, fam: GraphFamily) -> None:
-    blocks = [_edge_block(member) for member in fam.members]
+    # bit i of a mask is pair i of the row-major order, so reading the bits
+    # from low to high gives each member's edges sorted
+    lines = [f"{j} {k}\n" for j, k in fam.pairs or tri_pairs(fam.n)]
+    blocks = []
+    for mask in fam.masks:
+        block = []
+        while mask:
+            low = mask & -mask
+            block.append(lines[low.bit_length() - 1])
+            mask ^= low
+        blocks.append("".join(block))
     Path(path).write_text("\n".join(blocks))
 
 

@@ -149,8 +149,8 @@ class AsymptoticKernel:
     """Sequential insertion with closed-form remaining-degree weights.
 
     The weight of non-edge jk is t_j t_k / (||t||_1 + t_j t_k) / (d_j d_k),
-    with t the remaining degrees.  Each `insert_step` samples a non-edge jk
-    (t_j, t_k >= 1) with probability proportional to
+    with t the remaining degrees.  Each accepted insertion samples a non-edge
+    jk (t_j, t_k >= 1) with probability proportional to
     t_j t_k / (||t||_1 + t_j t_k), in phases (Bayati, Kim & Saberi 2010):
     proposals are two uniform draws from a stub list built from t_R, the
     remaining degrees at the last rebuild, and one uniform accepts a pair
@@ -161,9 +161,12 @@ class AsymptoticKernel:
     stub list: it is rebuilt when ||t||_1 falls below 3/4 of its value at
     the last rebuild, so on average at least 9/16 of proposals survive it.
 
-    The stub list is built on the first `insert_step`, and the lazy max-heap
-    over t_h/d_h on the first certified-bound query, which `insert` keeps
-    current.
+    `complete` makes all of its insertions in one frame, one `insert_step`
+    call per attempt; a plain `insert_step` makes one.  The stub list is
+    built by the first of them.  The max-heap over t_h/d_h is built on the
+    first certified-bound query and refreshed only when queried: `insert`
+    never touches it, and since t only falls between restarts, a stale top
+    entry overstates its ratio and is replaced by its current one.
     """
 
     __slots__ = ("d", "t", "tsum", "edges", "history", "stubs", "t_r", "tsum_r", "heap", "dmax")
@@ -177,8 +180,8 @@ class AsymptoticKernel:
         self.stubs: list[int] | None = None
         self.t_r: list[int] = []
         self.tsum_r = 0
-        # entries (-t_h/d_h, h, t_h) carry the t value they were pushed with,
-        # so stale ones can be discarded
+        # entries (-t_h/d_h, h, t_h) carry the t value they were made with,
+        # so stale ones can be told apart
         self.heap: list[tuple[float, int, int]] | None = None
         self.dmax = max(d)
 
@@ -198,14 +201,16 @@ class AsymptoticKernel:
         return max((self.weight(j, k) for j, k in pairs), default=0.0)
 
     def _max_ratio(self) -> float:
-        t, d = self.t, self.d
-        if self.heap is None:
-            self.heap = [(-t[h] / d[h], h, t[h]) for h in range(len(d)) if d[h] >= 1]
-            heapq.heapify(self.heap)
-        heap = self.heap
-        while heap and heap[0][2] != t[heap[0][1]]:
-            heapq.heappop(heap)
-        return -heap[0][0] if heap else 0.0
+        t, d, heap = self.t, self.d, self.heap
+        if heap is None:
+            heap = self.heap = [(-t[h] / d[h], h, t[h]) for h in range(len(d)) if d[h] >= 1]
+            heapq.heapify(heap)
+        if not heap:
+            return 0.0
+        while heap[0][2] != t[heap[0][1]]:
+            h = heap[0][1]
+            heapq.heapreplace(heap, (-t[h] / d[h], h, t[h]))
+        return -heap[0][0]
 
     def insert(self, j: int, k: int) -> None:
         e = (j, k) if j < k else (k, j)
@@ -215,9 +220,6 @@ class AsymptoticKernel:
         t[j] -= 1
         t[k] -= 1
         self.tsum -= 2
-        if self.heap is not None:
-            heapq.heappush(self.heap, (-t[j] / self.d[j], j, t[j]))
-            heapq.heappush(self.heap, (-t[k] / self.d[k], k, t[k]))
 
     def eligible_pair_exists(self) -> bool:
         pos = [h for h, v in enumerate(self.t) if v > 0]
@@ -234,38 +236,47 @@ class AsymptoticKernel:
                     return True
         return False
 
-    def insert_step(self, rng: RandomSource, attempt_cap: int = 512) -> Edge | None:
-        """One accepted insertion, or None when no eligible pair remains."""
-        if self.tsum < 2:
-            return None
-        if self.stubs is None or 4 * self.tsum < 3 * self.tsum_r:
-            # drop the old list first; one int object per vertex, shared by its stubs
-            self.stubs = None
-            self.t_r = list(self.t)
-            self.tsum_r = self.tsum
-            self.stubs = list(chain.from_iterable(map(repeat, range(len(self.t_r)), self.t_r)))
-        # the stub list, t_R, t and tsum stay fixed until the insert that ends the loop
-        stubs, t_r, uniform, t, tsum = self.stubs, self.t_r, rng.uniform, self.t, self.tsum
-        edges, size = self.edges, len(stubs)
-        attempts = 0
-        while True:
-            attempts += 1
-            if attempts > attempt_cap:
-                if not self.eligible_pair_exists():
-                    return None
-                attempts = 0
-            j = stubs[int(uniform() * size)]
-            k = stubs[int(uniform() * size)]
-            tj, tk = t[j], t[k]
-            if j == k or not tj or not tk:
-                continue
-            e = (j, k) if j < k else (k, j)
-            if e in edges:
-                continue
-            prod = tj * tk
-            if uniform() * t_r[j] * t_r[k] * (tsum + prod) < prod * (tsum + 1):
-                self.insert(j, k)
-                return e
+    def insert_step(self, rng: RandomSource, attempt_cap: int = 512, count: int = 1) -> Edge | None:
+        """`count` accepted insertions in one frame; the last edge inserted,
+        or None as soon as no eligible pair remains."""
+        t, edges, uniform, append = self.t, self.edges, rng.uniform, self.history.append
+        stubs, t_r, tsum, tsum_r = self.stubs, self.t_r, self.tsum, self.tsum_r
+        size = 0 if stubs is None else len(stubs)
+        e = None
+        for _ in range(count):
+            if tsum < 2:
+                return None
+            if stubs is None or 4 * tsum < 3 * tsum_r:
+                # drop the old list first; one int object per vertex, shared by its stubs
+                stubs = self.stubs = None
+                t_r = self.t_r = list(t)
+                tsum_r = self.tsum_r = tsum
+                stubs = self.stubs = list(chain.from_iterable(map(repeat, range(len(t_r)), t_r)))
+                size = len(stubs)
+            attempts = 0
+            while True:
+                attempts += 1
+                if attempts > attempt_cap:
+                    if not self.eligible_pair_exists():
+                        return None
+                    attempts = 0
+                j = stubs[int(uniform() * size)]
+                k = stubs[int(uniform() * size)]
+                tj, tk = t[j], t[k]
+                if j == k or not tj or not tk:
+                    continue
+                e = (j, k) if j < k else (k, j)
+                if e in edges:
+                    continue
+                prod = tj * tk
+                if uniform() * t_r[j] * t_r[k] * (tsum + prod) < prod * (tsum + 1):
+                    break
+            edges.add(e)
+            append(e)
+            t[j] = tj - 1
+            t[k] = tk - 1
+            self.tsum = tsum = tsum - 2
+        return e
 
     def complete(self, rng: RandomSource) -> int:
         """Insert until every degree is met.  A run that paints itself into a
@@ -274,11 +285,11 @@ class AsymptoticKernel:
         base_edges = set(self.edges)
         base_t = list(self.t)
         base_len = len(self.history)
-        # a restart rewinds t, which the lazy heap cannot follow
+        # a restart rewinds t, which the query-time heap cannot follow
         self.heap = None
         restarts = 0
         while self.tsum > 0:
-            if self.insert_step(rng) is None:
+            if self.insert_step(rng, count=self.tsum // 2) is None:
                 restarts += 1
                 self.edges.clear()
                 self.edges.update(base_edges)

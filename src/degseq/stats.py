@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy.special import gammaincc
 
-from .coupling import CouplingParams
+from .coupling import CouplingParams, lower_law
 from .graphs import (
     DegreeSequence,
     Edge,
@@ -377,10 +377,8 @@ def compare_w_to_fcp(
     zeta + zeta' + max_degree/||d||_1 alongside.
     """
     d = DegreeSequence.of(d)
-    q = q_matrix(d)
-    p = p_matrix(d)
-    lhs = -np.expm1(-params.lam * params.big_lambda.tri * q.tri)
-    rhs = -np.expm1(-p.tri)
+    lhs = lower_law(d, params.big_lambda, params.lam).tri
+    rhs = -np.expm1(-p_matrix(d).tri)
     mask = rhs > 0
     if not mask.any():
         raise ValueError("degenerate sequence: no positive-probability pair")

@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degseq import DegreeSequence, SimpleGraph, enumerate_graphs, q_matrix
+from degseq import DegreeSequence, RandomSource, SimpleGraph, enumerate_graphs, q_matrix
+from degseq.acceptance import _all_tuples
+from degseq.graphs import tri_size
 from degseq.io import (
+    _edge_block,
     read_degree_file,
     read_edge_list,
     read_family_edge_lists,
@@ -76,6 +79,38 @@ def test_family_roundtrip(tmp_path):
     assert len(blocks) == 3
     back = read_family_edge_lists(path, 4)
     assert back == fam.members
+
+
+def _reference_block(g):
+    # the reference formula: sort the integer keys j*n + k, format one line each
+    n = g.n
+    return "".join(f"{x // n} {x % n}\n" for x in sorted(j * n + k for j, k in g.edges))
+
+
+@pytest.mark.parametrize("n", [2, 9, 10, 11, 99, 100, 101, 1000, 10_000])
+def test_edge_block_matches_reference(n):
+    rng = RandomSource(17, n)
+    size = min(tri_size(n), 3000)
+    edges = {
+        (j, k) if j < k else (k, j)
+        for j, k in ((rng.below(n), rng.below(n)) for _ in range(size))
+        if j != k
+    }
+    for g in (SimpleGraph(n, frozenset(edges)), SimpleGraph.empty(n),
+              SimpleGraph.from_edges(n, [(n - 1, 0)])):
+        assert _edge_block(g) == _reference_block(g)
+
+
+def test_family_matches_member_blocks(tmp_path):
+    path = tmp_path / "family.txt"
+    sequences = [(2,) * 6, (3,) * 8] + [
+        degrees for n in range(1, 7) for degrees in _all_tuples(n, min(3, n - 1))
+    ]
+    for degrees in sequences:
+        fam = enumerate_graphs(degrees)
+        write_family(path, fam)
+        expected = "\n".join(_reference_block(member) for member in fam.members)
+        assert path.read_text() == expected, degrees
 
 
 def test_trace_ndjson(tmp_path):

@@ -2,7 +2,7 @@ import tracemalloc
 from math import expm1, sqrt
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degseq import (
@@ -22,7 +22,7 @@ from degseq import (
     seq_sample_d,
 )
 from degseq.graphs import SymmetricProbMatrix
-from degseq.samplers import AsymptoticKernel
+from degseq.samplers import AsymptoticKernel, EtaDenominatorMode
 from degseq.stats import (
     THRESHOLDS,
     empirical_marginals,
@@ -286,3 +286,54 @@ def test_stub_list_shares_vertex_ints():
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2**20, peak
+
+
+class TestAsymptoticKernelFrames:
+    """The query-time heap and the one-frame completion change no number."""
+
+    @given(graphical_degrees(), st.lists(st.booleans(), max_size=80), st.data())
+    @settings(deadline=None)
+    def test_heap_max_matches_full_scan(self, degrees, by_step, data):
+        kernel = AsymptoticKernel(degrees, set(), list(degrees))
+        rng = RandomSource(data.draw(st.integers(0, 2**32 - 1)))
+        n = len(degrees)
+        for step in by_step:
+            t = kernel.t
+            open_pairs = [
+                (j, k)
+                for j in range(n)
+                for k in range(j + 1, n)
+                if t[j] > 0 and t[k] > 0 and (j, k) not in kernel.edges
+            ]
+            if not open_pairs:
+                break
+            if step:
+                if kernel.insert_step(rng) is None:
+                    break
+            else:
+                kernel.insert(*data.draw(st.sampled_from(open_pairs)))
+            tsum = sum(t)
+            rmax = max((t[h] / degrees[h] for h in range(n) if degrees[h] >= 1), default=0.0)
+            bound = kernel.denominator(EtaDenominatorMode.CERTIFIED_BOUND)
+            assert bound == (rmax * rmax / tsum if tsum > 0 else 0.0)
+            for j in range(n):
+                for k in range(j + 1, n):
+                    if (j, k) not in kernel.edges:
+                        assert bound >= kernel.weight(j, k)
+
+    def test_single_steps_replay_complete(self):
+        # regular(16,5) at seed 1 completes without a restart; the golden
+        # case sample-gnd-asymptotic-checkpoints covers two restarts
+        d = [5] * 16
+        stepped = AsymptoticKernel(d, set(), list(d))
+        rng_stepped = RandomSource(1)
+        while stepped.insert_step(rng_stepped) is not None:
+            pass
+        framed = AsymptoticKernel(d, set(), list(d))
+        rng_framed = RandomSource(1)
+        assert framed.complete(rng_framed) == 0
+        assert stepped.history == framed.history
+        assert stepped.edges == framed.edges
+        assert stepped.t == framed.t == [0] * 16
+        assert stepped.tsum == framed.tsum == 0
+        assert rng_stepped.uniform() == rng_framed.uniform()
