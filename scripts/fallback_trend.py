@@ -3,7 +3,8 @@
 
 Runs the coupled construction on regular sequences d = ceil(log(n)^2) at a
 range of sizes, optionally sweeping the zeta slack, and reports the fraction
-of runs that hit the escape branch plus trace diagnostics.  Writes one CSV
+of runs that hit the escape branch plus trace diagnostics (among them the
+escape step as a fraction of the Poisson steps).  Writes one CSV
 row per (n, zeta) cell, with the cell's wall time and the process's peak
 resident set size so far (cells run in the order given, so list sizes in
 ascending order to read each cell's own peak).
@@ -40,6 +41,7 @@ def run_cell(n: int, zeta: float | None, runs: int, seed: int) -> dict:
     fallbacks = 0
     eta_mins = []
     fallback_pm = []
+    step_fracs = []
     pairs = []
     for run in range(runs):
         g_l, g, tr = run_coupling(
@@ -54,6 +56,7 @@ def run_cell(n: int, zeta: float | None, runs: int, seed: int) -> dict:
             fallbacks += 1
             total = sum(gen.degrees.degrees)
             fallback_pm.append(1.0 - 2.0 * tr.edges_at_step_end / total)
+            step_fracs.append(tr.fallback_step / tr.poisson_steps)
         else:
             pairs.append((g_l, g))
     _, violations = subgraph_check(pairs)
@@ -68,6 +71,9 @@ def run_cell(n: int, zeta: float | None, runs: int, seed: int) -> dict:
         "mean_eta_min": sum(eta_mins) / len(eta_mins),
         "mean_fallback_p_m": (
             sum(fallback_pm) / len(fallback_pm) if fallback_pm else ""
+        ),
+        "mean_escape_step_frac": (
+            sum(step_fracs) / len(step_fracs) if step_fracs else ""
         ),
         "containment_violations": len(violations),
         "wall_s": round(time.perf_counter() - start, 2),
@@ -99,6 +105,7 @@ def main() -> int:
                 f"fallback={row['fallback_fraction']:.2f} "
                 f"mean eta_min={row['mean_eta_min']:.3f} "
                 f"mean p_m at escape={row['mean_fallback_p_m']} "
+                f"mean escape step fraction={row['mean_escape_step_frac']} "
                 f"violations={row['containment_violations']} "
                 f"wall={row['wall_s']}s peak_rss={row['peak_rss_mb']}MB"
             )

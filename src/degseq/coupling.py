@@ -17,7 +17,6 @@ from typing import Sequence
 
 from .graphs import (
     DegreeSequence,
-    Edge,
     NonGraphicalError,
     ProductLambda,
     SimpleGraph,
@@ -306,12 +305,14 @@ def run_coupling(
 
     cap = oracle_cap() if cap is None else cap
     kernel = make_kernel(d, prob_mode, SimpleGraph.empty(n), cap=cap)
+    # both graphs hold edge keys j*n + k
     g_edges = kernel.edges
-    l_edges: set[Edge] = set()
+    l_edges: set[int] = set()
     table = AliasTable(d.degrees)
     sample_pair, uniform, lam_of = table.sample_pair, rng.uniform, params.big_lambda.entry
     for step in range(1, steps + 1):
-        j, k = e = sample_pair(rng)
+        j, k = sample_pair(rng)
+        e = j * n + k
         lam_jk = lam_of(j, k)
         if e in g_edges:
             trace.duplicate_hits += 1
@@ -351,6 +352,8 @@ def run_coupling(
         if uniform() < lam_jk:
             l_edges.add(e)
         accept_candidates(table, params.big_lambda, steps - trace.fallback_step, rng, l_edges)
+        # G is redrawn from scratch: free the step loop's partial G first
+        del kernel, g_edges
         g, trace.approx_g = _redraw_upper(d, rng, cap)
         return SimpleGraph(n, frozenset(l_edges)), g, trace
 

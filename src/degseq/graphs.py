@@ -5,6 +5,7 @@ All objects are immutable after construction and safe to share across threads.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
@@ -132,17 +133,58 @@ def normalize_edge(j: int, k: int) -> Edge:
     return (j, k) if j < k else (k, j)
 
 
+def edge_key(n: int, j: int, k: int) -> int:
+    """The key j*n + k of the edge {j, k} on n vertices, with j, k in either order."""
+    j, k = normalize_edge(j, k)
+    if not 0 <= j < k < n:
+        raise ValueError(f"edge ({j},{k}) invalid for n={n}")
+    return j * n + k
+
+
+# up to this n, keys are checked by a subset test against every valid key,
+# which costs less than numpy's per-call overhead on the small graphs of
+# the oracle and the battery
+_KEY_TABLE_MAX_N = 64
+
+
+@lru_cache(maxsize=_KEY_TABLE_MAX_N + 1)
+def _valid_keys(n: int) -> frozenset[int]:
+    return frozenset(j * n + k for j in range(n) for k in range(j + 1, n))
+
+
 @dataclass(frozen=True)
 class SimpleGraph:
-    """Labeled simple graph: vertex set {0..n-1}, edge set of (j, k) with j < k."""
+    """Labeled simple graph on the vertices {0..n-1}.
+
+    Each edge {j, k}, j < k, is held as the integer key j*n + k; keys sort
+    as the (j, k) pairs do.  `from_edges`, `has_edge` and `pairs` speak in
+    pairs.  Keys may be any integer type; anything else is rejected.
+    """
 
     n: int
-    edges: frozenset[Edge]
+    edges: frozenset[int]
 
     def __post_init__(self) -> None:
-        for j, k in self.edges:
-            if not (0 <= j < k < self.n):
-                raise ValueError(f"edge ({j},{k}) invalid for n={self.n}")
+        # C-level passes over the keys, with no Python loop per edge
+        edges, n = self.edges, self.n
+        if not edges:
+            return
+        try:
+            if n <= _KEY_TABLE_MAX_N:
+                # operator.index raises TypeError on a non-integer key
+                sum(map(operator.index, edges))
+                if edges <= _valid_keys(n):
+                    return
+                keys = np.fromiter(edges, np.int64, len(edges))
+            else:
+                keys = np.fromiter(map(operator.index, edges), np.int64, len(edges))
+        except (TypeError, OverflowError):
+            raise ValueError(f"edge keys must be integers in [0, {n}^2)") from None
+        j, k = np.divmod(keys, max(n, 1))
+        bad = (keys < 0) | (j >= k)
+        if bad.any():
+            key = int(keys[bad.argmax()])
+            raise ValueError(f"edge key {key} is not j*n + k with 0 <= j < k < n={n}")
 
     @staticmethod
     def empty(n: int) -> SimpleGraph:
@@ -150,21 +192,27 @@ class SimpleGraph:
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> SimpleGraph:
-        return SimpleGraph(n, frozenset(normalize_edge(j, k) for j, k in edges))
+        return SimpleGraph(n, frozenset(edge_key(n, j, k) for j, k in edges))
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
 
     def has_edge(self, j: int, k: int) -> bool:
-        return normalize_edge(j, k) in self.edges
+        return edge_key(self.n, j, k) in self.edges
+
+    def key_array(self) -> np.ndarray:
+        """The edge keys as an int64 array, in set order."""
+        return np.fromiter(self.edges, np.int64, len(self.edges))
+
+    def pairs(self) -> list[Edge]:
+        """The edges as (j, k) pairs, j < k, in ascending order."""
+        j, k = np.divmod(np.sort(self.key_array()), self.n)
+        return list(zip(j.tolist(), k.tolist()))
 
     def degree_vector(self) -> tuple[int, ...]:
-        deg = [0] * self.n
-        for j, k in self.edges:
-            deg[j] += 1
-            deg[k] += 1
-        return tuple(deg)
+        j, k = np.divmod(self.key_array(), self.n)
+        return tuple(np.bincount(np.concatenate((j, k)), minlength=self.n).tolist())
 
     def is_subgraph_of(self, other: SimpleGraph) -> bool:
         return self.n == other.n and self.edges <= other.edges
@@ -208,6 +256,19 @@ def tri_index(n: int, j: int, k: int) -> int:
     if not (0 <= j < k < n):
         raise ValueError(f"pair ({j},{k}) invalid for n={n}")
     return j * n - j * (j + 1) // 2 + (k - j - 1)
+
+
+def key_to_tri(n: int, key: np.ndarray) -> np.ndarray:
+    """Flat indices, in the order of `tri_index`, of valid edge keys j*n + k."""
+    j = key // n
+    return key - (j + 1) * (j + 2) // 2
+
+
+def tri_to_key(n: int, idx: np.ndarray) -> np.ndarray:
+    """Edge keys j*n + k of the pairs at flat indices `idx` (the inverse of `key_to_tri`)."""
+    rows = np.arange(max(n - 1, 0), dtype=np.int64)
+    j = np.searchsorted(rows * n - rows * (rows + 1) // 2, idx, side="right") - 1
+    return idx + (j + 1) * (j + 2) // 2
 
 
 @lru_cache(maxsize=64)

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graphs import DegreeSequence, SimpleGraph, SymmetricProbMatrix, tri_pairs
+from .graphs import DegreeSequence, SimpleGraph, SymmetricProbMatrix, edge_key, tri_pairs
 from .oracle import GraphFamily
 
 
@@ -35,14 +34,16 @@ def write_degree_file(path: str | Path, d: DegreeSequence | Sequence[int]) -> No
 
 
 def read_edge_list(path: str | Path, n: int) -> SimpleGraph:
-    edges = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        j, k = line.split()
-        edges.append((int(j), int(k)))
-    return SimpleGraph.from_edges(n, edges)
+    return SimpleGraph(n, frozenset(_edge_keys(Path(path).read_text().splitlines(), n)))
+
+
+def _edge_keys(lines: Iterable[str], n: int) -> Iterator[int]:
+    """The key of the edge on each non-blank "j k" line, taken in either order."""
+    for line in lines:
+        fields = line.split()
+        if fields:
+            j, k = fields
+            yield edge_key(n, int(j), int(k))
 
 
 def write_edge_list(path: str | Path, g: SimpleGraph) -> None:
@@ -50,12 +51,11 @@ def write_edge_list(path: str | Path, g: SimpleGraph) -> None:
 
 
 def _edge_block(g: SimpleGraph) -> str:
-    # j*n + k orders edges as the (j, k) tuples do
-    n, m = g.n, len(g.edges)
-    flat = np.fromiter(chain.from_iterable(g.edges), np.int64, 2 * m)
-    keys = np.sort(flat[0::2] * n + flat[1::2])
+    # keys j*n + k order edges as the (j, k) pairs do
+    n = g.n
+    keys = np.sort(g.key_array())
     heads, tails = _vertex_labels(n)
-    lines = np.empty((m, 2), dtype=object)
+    lines = np.empty((len(keys), 2), dtype=object)
     lines[:, 0] = heads[keys // n]
     lines[:, 1] = tails[keys % n]
     return "".join(lines.ravel().tolist())
@@ -80,8 +80,6 @@ def write_matrix_csv(path: str | Path, m: SymmetricProbMatrix) -> None:
 
 
 def read_matrix_csv(path: str | Path) -> SymmetricProbMatrix:
-    import numpy as np
-
     rows = Path(path).read_text().splitlines()
     if not rows or rows[0].strip() != "i,j,value":
         raise ValueError("expected header 'i,j,value'")
@@ -107,7 +105,7 @@ def read_matrix_csv(path: str | Path) -> SymmetricProbMatrix:
 def write_family(path: str | Path, fam: GraphFamily) -> None:
     # bit i of a mask is pair i of the row-major order, so reading the bits
     # from low to high gives each member's edges sorted
-    lines = [f"{j} {k}\n" for j, k in fam.pairs or tri_pairs(fam.n)]
+    lines = [f"{j} {k}\n" for j, k in tri_pairs(fam.n)]
     blocks = []
     for mask in fam.masks:
         block = []
@@ -120,18 +118,16 @@ def write_family(path: str | Path, fam: GraphFamily) -> None:
 
 
 def read_family_edge_lists(path: str | Path, n: int) -> list[SimpleGraph]:
+    # each blank line ends a block; the text after the last one is a block too
     graphs = []
-    current: list[tuple[int, int]] = []
-    text = Path(path).read_text()
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            graphs.append(SimpleGraph.from_edges(n, current))
-            current = []
-            continue
-        j, k = line.split()
-        current.append((int(j), int(k)))
-    graphs.append(SimpleGraph.from_edges(n, current))
+    block: list[str] = []
+    for line in Path(path).read_text().splitlines():
+        if line.strip():
+            block.append(line)
+        else:
+            graphs.append(SimpleGraph(n, frozenset(_edge_keys(block, n))))
+            block = []
+    graphs.append(SimpleGraph(n, frozenset(_edge_keys(block, n))))
     return graphs
 
 

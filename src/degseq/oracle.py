@@ -8,7 +8,7 @@ Integer counting is the source of truth; probabilities are derived doubles.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -18,10 +18,10 @@ import numpy as np
 
 from .graphs import (
     DegreeSequence,
-    Edge,
     NonGraphicalError,
     SimpleGraph,
     SymmetricProbMatrix,
+    edge_key,
     normalize_edge,
     tri_index,
     tri_pairs,
@@ -51,20 +51,21 @@ def _check_cap(n: int, cap: int | None) -> None:
         raise OracleCapError(f"n={n} exceeds enumeration cap {limit}")
 
 
-def mask_of_edges(n: int, edges: Iterable[tuple[int, int]]) -> int:
+def mask_of_edges(n: int, keys: Iterable[int]) -> int:
+    """The bitmask of a set of edge keys j*n + k."""
     mask = 0
-    for j, k in edges:
-        j, k = normalize_edge(j, k)
-        mask |= 1 << tri_index(n, j, k)
+    for key in keys:
+        mask |= 1 << tri_index(n, *divmod(key, n))
     return mask
 
 
-def graph_of_mask(n: int, mask: int, pairs: Sequence[Edge] | None = None) -> SimpleGraph:
-    pairs = pairs if pairs is not None else tri_pairs(n)
+def graph_of_mask(n: int, mask: int) -> SimpleGraph:
+    pairs = tri_pairs(n)
     edges = []
     while mask:
         low = mask & -mask
-        edges.append(pairs[low.bit_length() - 1])
+        j, k = pairs[low.bit_length() - 1]
+        edges.append(j * n + k)
         mask ^= low
     return SimpleGraph(n, frozenset(edges))
 
@@ -76,19 +77,16 @@ class GraphFamily:
     n: int
     degrees: tuple[int, ...]
     masks: tuple[int, ...]
-    pairs: tuple[Edge, ...] = field(repr=False, default=())
 
     def __len__(self) -> int:
         return len(self.masks)
 
     @property
     def members(self) -> list[SimpleGraph]:
-        pairs = self.pairs or tuple(tri_pairs(self.n))
-        return [graph_of_mask(self.n, m, pairs) for m in self.masks]
+        return [graph_of_mask(self.n, m) for m in self.masks]
 
     def member(self, i: int) -> SimpleGraph:
-        pairs = self.pairs or tuple(tri_pairs(self.n))
-        return graph_of_mask(self.n, self.masks[i], pairs)
+        return graph_of_mask(self.n, self.masks[i])
 
 
 def _backtrack_masks(
@@ -170,7 +168,7 @@ def _cached_family(degrees: tuple[int, ...]) -> GraphFamily:
     n = len(degrees)
     masks = _backtrack_masks(n, degrees, 0, 0, DEFAULT_FAMILY_CAP)
     masks.sort()
-    return GraphFamily(n, degrees, tuple(masks), tuple(tri_pairs(n)))
+    return GraphFamily(n, degrees, tuple(masks))
 
 
 def enumerate_graphs(
@@ -187,15 +185,15 @@ def enumerate_graphs(
     """
     d = DegreeSequence.of(d)
     _check_cap(d.n, cap)
-    forced_mask = mask_of_edges(d.n, forced)
-    forbidden_mask = mask_of_edges(d.n, forbidden)
+    forced_mask = mask_of_edges(d.n, (edge_key(d.n, j, k) for j, k in forced))
+    forbidden_mask = mask_of_edges(d.n, (edge_key(d.n, j, k) for j, k in forbidden))
     if forced_mask & forbidden_mask:
         raise ValueError("forced and forbidden edge sets overlap")
     if not forced_mask and not forbidden_mask:
         return _cached_family(d.degrees)
     masks = _backtrack_masks(d.n, d.degrees, forced_mask, forbidden_mask, family_cap)
     masks.sort()
-    return GraphFamily(d.n, d.degrees, tuple(masks), tuple(tri_pairs(d.n)))
+    return GraphFamily(d.n, d.degrees, tuple(masks))
 
 
 def exact_edge_marginals(
@@ -230,6 +228,8 @@ def exact_conditional_edge_prob(
 ) -> float:
     """P(jk present | graph contains h), over uniform graphs with degrees d."""
     d = DegreeSequence.of(d)
+    if h.n != d.n:
+        raise ValueError(f"graph on {h.n} vertices vs sequence of length {d.n}")
     j, k = normalize_edge(*jk)
     if h.has_edge(j, k):
         raise ValueError(f"edge ({j},{k}) already in the conditioning graph")
@@ -288,8 +288,7 @@ def exact_subgraph_law(
                 sm |= 1 << b
             counts[sm] = counts.get(sm, 0) + 1
     denom = len(fam) * comb(edges_per_member, m)
-    pairs = fam.pairs or tuple(tri_pairs(d.n))
     return {
-        graph_of_mask(d.n, mask, pairs): cnt / denom
+        graph_of_mask(d.n, mask): cnt / denom
         for mask, cnt in sorted(counts.items())
     }

@@ -33,6 +33,7 @@ from .graphs import (
     tri_index,
     tri_pairs,
     tri_size,
+    tri_to_key,
 )
 from .oracle import enumerate_graphs, mask_of_edges
 from .randomness import AliasTable, RandomSource, sample_poisson
@@ -90,9 +91,8 @@ def sample_weighted_edge(
 def sample_gnw(w: SymmetricProbMatrix, rng: RandomSource) -> SimpleGraph:
     """Include each pair (j,k) independently with probability W_{jk}."""
     u = rng.uniforms(tri_size(w.n))
-    hits = np.nonzero(u < w.tri)[0]
-    pairs = tri_pairs(w.n)
-    return SimpleGraph(w.n, frozenset(pairs[i] for i in hits.tolist()))
+    hits = np.flatnonzero(u < w.tri)
+    return SimpleGraph(w.n, frozenset(tri_to_key(w.n, hits).tolist()))
 
 
 def accept_candidates(
@@ -100,14 +100,16 @@ def accept_candidates(
     big_lambda: SymmetricProbMatrix | ProductLambda,
     steps: int,
     rng: RandomSource,
-    edges: set[Edge],
+    edges: set[int],
 ) -> None:
-    """Draw `steps` pairs proportional to d_j d_k; add each to `edges` w.p. Lambda_jk."""
+    """Draw `steps` pairs proportional to d_j d_k; add each to the key set
+    `edges` w.p. Lambda_jk."""
     sample_pair, uniform, lam_of, add = table.sample_pair, rng.uniform, big_lambda.entry, edges.add
+    n = big_lambda.n
     for _ in range(steps):
-        j, k = e = sample_pair(rng)
+        j, k = sample_pair(rng)
         if uniform() < lam_of(j, k):
-            add(e)
+            add(j * n + k)
 
 
 def seq_approx_p(
@@ -130,14 +132,15 @@ def seq_approx_p(
         raise ValueError("Lambda dimension does not match degree sequence")
     _require_two_positive(d)
     steps = sample_poisson(lam, rng)
-    edges: set[Edge] = set()
+    edges: set[int] = set()
     accept_candidates(AliasTable(d.degrees), big_lambda, steps, rng, edges)
     return SimpleGraph(d.n, frozenset(edges))
 
 
 # ---------------------------------------------------------------------------
 # Insertion kernels, shared with the coupling engine.  A kernel owns a partial
-# graph G (`edges`, and `history` in insertion order) under the degrees d:
+# graph G (`edges`, and `history` in insertion order, both of edge keys
+# j*n + k) under the degrees d:
 #   weight(j, k)       rho_jk = P(jk joins G | G) / (d_j d_k), jk a non-edge
 #   denominator(mode)  a bound on rho over all non-edges (EtaDenominatorMode)
 #   insert(j, k)       add jk to G
@@ -169,14 +172,15 @@ class AsymptoticKernel:
     entry overstates its ratio and is replaced by its current one.
     """
 
-    __slots__ = ("d", "t", "tsum", "edges", "history", "stubs", "t_r", "tsum_r", "heap", "dmax")
+    __slots__ = ("d", "n", "t", "tsum", "edges", "history", "stubs", "t_r", "tsum_r", "heap", "dmax")
 
-    def __init__(self, d: Sequence[int], edges: set[Edge], t: list[int]):
+    def __init__(self, d: Sequence[int], edges: set[int], t: list[int]):
         self.d = d
+        self.n = len(d)
         self.t = t
         self.tsum = sum(t)
         self.edges = edges
-        self.history: list[Edge] = []
+        self.history: list[int] = []
         self.stubs: list[int] | None = None
         self.t_r: list[int] = []
         self.tsum_r = 0
@@ -196,8 +200,8 @@ class AsymptoticKernel:
         if mode is EtaDenominatorMode.CERTIFIED_BOUND:
             rmax = self._max_ratio()
             return rmax * rmax / self.tsum if self.tsum > 0 else 0.0
-        n = len(self.d)
-        pairs = ((j, k) for j in range(n) for k in range(j + 1, n) if (j, k) not in self.edges)
+        n, edges = self.n, self.edges
+        pairs = ((j, k) for j in range(n) for k in range(j + 1, n) if j * n + k not in edges)
         return max((self.weight(j, k) for j, k in pairs), default=0.0)
 
     def _max_ratio(self) -> float:
@@ -213,7 +217,7 @@ class AsymptoticKernel:
         return -heap[0][0]
 
     def insert(self, j: int, k: int) -> None:
-        e = (j, k) if j < k else (k, j)
+        e = j * self.n + k if j < k else k * self.n + j
         self.edges.add(e)
         self.history.append(e)
         t = self.t
@@ -229,17 +233,17 @@ class AsymptoticKernel:
         # so a large positive set always contains a non-adjacent pair
         if len(pos) > self.dmax:
             return True
+        n, edges = self.n, self.edges
         for a in range(len(pos)):
             for b in range(a + 1, len(pos)):
-                e = (pos[a], pos[b])
-                if e not in self.edges:
+                if pos[a] * n + pos[b] not in edges:
                     return True
         return False
 
-    def insert_step(self, rng: RandomSource, attempt_cap: int = 512, count: int = 1) -> Edge | None:
-        """`count` accepted insertions in one frame; the last edge inserted,
-        or None as soon as no eligible pair remains."""
-        t, edges, uniform, append = self.t, self.edges, rng.uniform, self.history.append
+    def insert_step(self, rng: RandomSource, attempt_cap: int = 512, count: int = 1) -> int | None:
+        """`count` accepted insertions in one frame; the key of the last edge
+        inserted, or None as soon as no eligible pair remains."""
+        n, t, edges, uniform, append = self.n, self.t, self.edges, rng.uniform, self.history.append
         stubs, t_r, tsum, tsum_r = self.stubs, self.t_r, self.tsum, self.tsum_r
         size = 0 if stubs is None else len(stubs)
         e = None
@@ -265,7 +269,7 @@ class AsymptoticKernel:
                 tj, tk = t[j], t[k]
                 if j == k or not tj or not tk:
                     continue
-                e = (j, k) if j < k else (k, j)
+                e = j * n + k if j < k else k * n + j
                 if e in edges:
                     continue
                 prod = tj * tk
@@ -282,7 +286,6 @@ class AsymptoticKernel:
         """Insert until every degree is met.  A run that paints itself into a
         corner (no weight-positive pair left, degrees unsaturated) restarts
         from the state `complete` began in; returns the number of restarts."""
-        base_edges = set(self.edges)
         base_t = list(self.t)
         base_len = len(self.history)
         # a restart rewinds t, which the query-time heap cannot follow
@@ -291,8 +294,7 @@ class AsymptoticKernel:
         while self.tsum > 0:
             if self.insert_step(rng, count=self.tsum // 2) is None:
                 restarts += 1
-                self.edges.clear()
-                self.edges.update(base_edges)
+                self.edges.difference_update(self.history[base_len:])
                 self.t[:] = base_t
                 self.tsum = sum(base_t)
                 del self.history[base_len:]
@@ -311,12 +313,12 @@ class OracleKernel:
 
     __slots__ = ("d", "n", "pairs", "sub", "gmask", "edges", "history", "_counts")
 
-    def __init__(self, d: Sequence[int], masks: Sequence[int], edges: Iterable[Edge]):
+    def __init__(self, d: Sequence[int], masks: Sequence[int], edges: Iterable[int]):
         self.d = d
         self.n = len(d)
         self.pairs = tri_pairs(self.n)
         self.edges = set(edges)
-        self.history: list[Edge] = []
+        self.history: list[int] = []
         self.gmask = mask_of_edges(self.n, self.edges)
         self.sub = [m for m in masks if m & self.gmask == self.gmask]
         if not self.sub:
@@ -353,7 +355,7 @@ class OracleKernel:
 
     def insert(self, j: int, k: int) -> None:
         i = tri_index(self.n, j, k)
-        e, bit = self.pairs[i], 1 << i
+        e, bit = j * self.n + k, 1 << i
         self.edges.add(e)
         self.history.append(e)
         self.gmask |= bit
@@ -363,7 +365,7 @@ class OracleKernel:
         if not self.sub or any(m & g != g for m in self.sub):
             raise InvariantError(f"inserting ({j},{k}) left the enumerated sub-family")
 
-    def insert_step(self, rng: RandomSource) -> Edge:
+    def insert_step(self, rng: RandomSource) -> int:
         counts = self.candidate_counts()
         if not counts:
             raise RuntimeError("no insertable edge; state is already saturated")
@@ -378,9 +380,9 @@ class OracleKernel:
                 break
         if chosen < 0:
             chosen = max(counts)
-        e = self.pairs[chosen.bit_length() - 1]
-        self.insert(*e)
-        return e
+        j, k = self.pairs[chosen.bit_length() - 1]
+        self.insert(j, k)
+        return j * self.n + k
 
     def complete(self, rng: RandomSource) -> int:
         """Insert until G is a family member; exact weights never dead-end."""
@@ -396,6 +398,8 @@ def make_kernel(
     cap: int | None = None,
 ) -> AsymptoticKernel | OracleKernel:
     """The insertion kernel for `mode`, holding the partial graph `state`."""
+    if state.n != d.n:
+        raise ValueError(f"graph on {state.n} vertices vs sequence of length {d.n}")
     if mode is SeqSampleMode.EXACT_ORACLE:
         return OracleKernel(d.degrees, enumerate_graphs(d, cap=cap).masks, state.edges)
     if mode is SeqSampleMode.ASYMPTOTIC:

@@ -6,7 +6,8 @@ given fixed seeds upstream; nothing here draws randomness.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from math import sqrt
 from typing import Iterable, Mapping, Sequence
 
@@ -21,8 +22,7 @@ from .graphs import (
     SymmetricProbMatrix,
     degree_stats,
     p_matrix,
-    q_matrix,
-    tri_index,
+    key_to_tri,
     tri_pairs,
     tri_size,
 )
@@ -55,12 +55,12 @@ def indicator_matrix(samples: Sequence[SimpleGraph]) -> np.ndarray:
     if not samples:
         raise ValueError("no samples")
     n = samples[0].n
+    if any(g.n != n for g in samples):
+        raise ValueError("samples mix different vertex counts")
+    sizes = [len(g.edges) for g in samples]
+    keys = np.fromiter(chain.from_iterable(g.edges for g in samples), np.int64, sum(sizes))
     out = np.zeros((len(samples), tri_size(n)), dtype=np.float64)
-    for i, g in enumerate(samples):
-        if g.n != n:
-            raise ValueError("samples mix different vertex counts")
-        for j, k in g.edges:
-            out[i, tri_index(n, j, k)] = 1.0
+    out[np.repeat(np.arange(len(samples)), sizes), key_to_tri(n, keys)] = 1.0
     return out
 
 
@@ -206,6 +206,7 @@ def chi_square_gof(
     A sample outside the support of the law is an error: it is itself a
     correctness failure of the sampler under test.
     """
+    # edge keys sort as their (j, k) pairs do, so graphs order by their pair lists
     keys = sorted(law, key=lambda g: tuple(sorted(g.edges)))
     index = {g: i for i, g in enumerate(keys)}
     counts = [0] * len(keys)
@@ -213,7 +214,7 @@ def chi_square_gof(
         i = index.get(g)
         if i is None or law[keys[i]] <= 0.0:
             raise ValueError(
-                f"sample with edges {sorted(g.edges)} lies outside the reference support"
+                f"sample with edges {g.pairs()} lies outside the reference support"
             )
         counts[i] += 1
     return pearson_chi_square(counts, [law[g] for g in keys])
@@ -277,7 +278,8 @@ def subgraph_check(
             raise ValueError(f"pair {i}: vertex counts differ")
         extra = lo.edges - hi.edges
         if extra:
-            violations.append((i, min(extra)))
+            # the smallest key is the smallest (j, k) pair
+            violations.append((i, divmod(min(extra), lo.n)))
         else:
             contained += 1
     return contained, violations

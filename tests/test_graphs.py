@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import degseq
 
 from degseq import (
     DegenerateSequenceError,
@@ -19,7 +25,17 @@ from degseq import (
     q_matrix,
     remaining_degrees,
 )
-from degseq.graphs import SymmetricProbMatrix, tri_index, tri_pairs
+from degseq.graphs import (
+    SymmetricProbMatrix,
+    key_to_tri,
+    tri_index,
+    tri_pairs,
+    tri_size,
+    tri_to_key,
+)
+from degseq.io import read_edge_list, write_edge_list
+from degseq.oracle import graph_of_mask, mask_of_edges
+from degseq.stats import subgraph_check
 
 
 def brute_force_realizable(degrees):
@@ -279,3 +295,114 @@ class TestSimpleGraph:
             assert idx not in seen
             seen.add(idx)
         assert seen == set(range(comb(n, 2)))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 12, 65, 300])
+    def test_tri_keys_match_pairs(self, n):
+        keys = tri_to_key(n, np.arange(tri_size(n)))
+        assert keys.tolist() == [j * n + k for j, k in tri_pairs(n)]
+        assert key_to_tri(n, keys).tolist() == list(range(tri_size(n)))
+
+
+# (n, bad key): the n <= 64 and n > 64 validation paths, each with every kind of bad key
+BAD_KEYS = [
+    (n, key)
+    for n in (5, 100)
+    for key in (
+        2 * n + 2,  # self-loop {2, 2}
+        3 * n + 1,  # j = 3 > k = 1
+        n * n,  # >= n^2
+        n * n + n - 1,
+        -1,  # negative
+        -n - 1,
+        2**80,  # beyond int64
+        1.5,  # not an integer
+        1.0,
+        "1",
+        None,
+    )
+]
+
+
+class TestKeyValidation:
+    @pytest.mark.parametrize("n,key", BAD_KEYS)
+    def test_bad_key_rejected(self, n, key):
+        with pytest.raises(ValueError):
+            SimpleGraph(n, frozenset({key}))
+        # among valid keys too
+        with pytest.raises(ValueError):
+            SimpleGraph(n, frozenset({n + 2, 2 * n + 3, key}))
+
+    def test_any_key_rejected_without_vertices(self):
+        for n in (0, 1):
+            with pytest.raises(ValueError):
+                SimpleGraph(n, frozenset({0}))
+
+    def test_valid_keys_accepted(self):
+        for n in (5, 100):
+            g = SimpleGraph(n, frozenset({1, n - 1, (n - 2) * n + n - 1}))
+            assert g.pairs() == [(0, 1), (0, n - 1), (n - 2, n - 1)]
+
+    def test_rejected_under_python_O(self):
+        # the checks must not be asserts, which python -O strips
+        code = f"""
+import sys
+from degseq import SimpleGraph
+
+assert sys.flags.optimize == 1
+for n, key in {BAD_KEYS!r}:
+    try:
+        SimpleGraph(n, frozenset({{key}}))
+    except ValueError:
+        continue
+    sys.exit(f"accepted key {{key!r}} for n={{n}}")
+print("all rejected")
+"""
+        src = str(Path(degseq.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "all rejected\n"
+
+
+@st.composite
+def key_graphs(draw, max_n=12):
+    n = draw(st.integers(2, max_n))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    return n, draw(st.lists(pair, max_size=40))
+
+
+class TestKeyRoundTrips:
+    @given(key_graphs())
+    def test_from_edges_and_pairs(self, case):
+        n, raw = case
+        g = SimpleGraph.from_edges(n, raw)
+        assert g.pairs() == sorted({(min(p), max(p)) for p in raw})
+        assert SimpleGraph.from_edges(n, g.pairs()) == g
+        assert all(g.has_edge(k, j) for j, k in raw)
+
+    @given(key_graphs())
+    @settings(deadline=None)
+    def test_edge_file(self, tmp_path_factory, case):
+        g = SimpleGraph.from_edges(*case)
+        path = tmp_path_factory.mktemp("keys") / "g.edges"
+        write_edge_list(path, g)
+        assert read_edge_list(path, g.n) == g
+
+    @given(st.integers(2, 12).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, 2 ** (n * (n - 1) // 2) - 1))))
+    def test_mask(self, case):
+        n, mask = case
+        g = graph_of_mask(n, mask)
+        assert mask_of_edges(n, g.edges) == mask
+        assert g.num_edges == bin(mask).count("1")
+
+    @given(key_graphs(), st.data())
+    def test_witness_is_smallest_pair(self, case, data):
+        n, raw = case
+        lo = SimpleGraph.from_edges(n, raw)
+        hi = SimpleGraph.from_edges(n, data.draw(st.lists(st.sampled_from(raw or [(0, 1)]))))
+        extra = set(lo.pairs()) - set(hi.pairs())
+        _, violations = subgraph_check([(lo, hi)])
+        assert violations == ([(0, min(extra))] if extra else [])

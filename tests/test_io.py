@@ -48,7 +48,7 @@ def test_edge_list_sorted_numerically(tmp_path_factory, g):
     # from n = 11 on, "10 2" sorts before "2 3" as a string but after it as a pair
     path = tmp_path_factory.mktemp("edges") / "g.txt"
     write_edge_list(path, g)
-    assert path.read_text() == "".join(f"{j} {k}\n" for j, k in sorted(g.edges))
+    assert path.read_text() == "".join(f"{j} {k}\n" for j, k in g.pairs())
     assert read_edge_list(path, g.n) == g
 
 
@@ -84,7 +84,7 @@ def test_family_roundtrip(tmp_path):
 def _reference_block(g):
     # the reference formula: sort the integer keys j*n + k, format one line each
     n = g.n
-    return "".join(f"{x // n} {x % n}\n" for x in sorted(j * n + k for j, k in g.edges))
+    return "".join(f"{x // n} {x % n}\n" for x in sorted(g.edges))
 
 
 @pytest.mark.parametrize("n", [2, 9, 10, 11, 99, 100, 101, 1000, 10_000])
@@ -96,7 +96,7 @@ def test_edge_block_matches_reference(n):
         for j, k in ((rng.below(n), rng.below(n)) for _ in range(size))
         if j != k
     }
-    for g in (SimpleGraph(n, frozenset(edges)), SimpleGraph.empty(n),
+    for g in (SimpleGraph.from_edges(n, edges), SimpleGraph.empty(n),
               SimpleGraph.from_edges(n, [(n - 1, 0)])):
         assert _edge_block(g) == _reference_block(g)
 
@@ -122,3 +122,30 @@ def test_trace_ndjson(tmp_path):
     assert len(lines) == 2
     assert json.loads(lines[0]) == {"a": 2, "b": 1}
     assert lines[0].index('"a"') < lines[0].index('"b"')  # sorted keys
+
+
+@pytest.mark.parametrize("text,message", [
+    ("0 1 2\n", "too many values to unpack"),
+    ("0\n", "not enough values to unpack"),
+    ("a b\n", "invalid literal for int"),
+    ("1.5 2\n", "invalid literal for int"),
+    ("0 1\n1 1\n", "self-loop at vertex 1"),
+    ("0 9\n", r"edge \(0,9\) invalid for n=4"),
+    ("2 -1\n", r"edge \(-1,2\) invalid for n=4"),
+])
+def test_readers_reject_bad_lines(tmp_path, text, message):
+    path = tmp_path / "bad.edges"
+    path.write_text(text)
+    for read in (read_edge_list, read_family_edge_lists):
+        with pytest.raises(ValueError, match=message):
+            read(path, 4)
+
+
+def test_readers_accept_loose_lines(tmp_path):
+    # reversed pairs, duplicates, padding and whitespace-only separators
+    path = tmp_path / "loose.edges"
+    path.write_text("  2 0 \n0 2\n \t\n3 1")
+    assert read_edge_list(path, 4) == SimpleGraph.from_edges(4, [(0, 2), (1, 3)])
+    assert read_family_edge_lists(path, 4) == [
+        SimpleGraph.from_edges(4, [(0, 2)]), SimpleGraph.from_edges(4, [(1, 3)])
+    ]
