@@ -353,13 +353,11 @@ ALL_CRITERIA: Sequence[Callable[[], CriterionResult]] = (
 )
 
 
-def run_battery(
-    criteria: Sequence[Callable[[], CriterionResult]] = ALL_CRITERIA,
-    emit: Callable[[str], None] = print,
-) -> list[CriterionResult]:
+def run_battery() -> list[CriterionResult]:
+    """Run every criterion in order, printing each result line as it ends."""
     results = []
-    for fn in criteria:
+    for fn in ALL_CRITERIA:
         result = fn()
-        emit(result.line())
+        print(result.line())
         results.append(result)
     return results

@@ -118,6 +118,8 @@ class ExperimentConfig:
         values: dict = {"kind": kind}
         if config_path:
             raw = json.loads(Path(config_path).read_text())
+            if not isinstance(raw, dict):
+                raise ValueError("config file must hold a JSON object")
             known = {f.name for f in dataclasses.fields(ExperimentConfig)}
             unknown = set(raw) - known
             if unknown:
@@ -244,7 +246,7 @@ def run_experiment(config: ExperimentConfig) -> int:
             xi = config.xi if config.xi is not None else 0.2
             report = degree_concentration_check(d, checkpoint_records, xi)
             (out / "concentration.json").write_text(
-                json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+                json.dumps(dataclasses.asdict(report), sort_keys=True, indent=2) + "\n"
             )
 
     elif config.kind == "sample-gnw":

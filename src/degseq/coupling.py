@@ -150,7 +150,6 @@ def rho(
     state: SimpleGraph,
     jk: tuple[int, int],
     mode: SeqSampleMode,
-    cap: int | None = None,
 ) -> float:
     """Per-candidate acceptance weight: P(jk joins | state) / (d_j d_k)."""
     d = DegreeSequence.of(d)
@@ -159,7 +158,7 @@ def rho(
         raise ValueError(f"({j},{k}) already present in the state")
     if d[j] < 1 or d[k] < 1:
         raise ValueError("weight undefined for zero-degree endpoints")
-    return make_kernel(d, mode, state, cap=cap).weight(j, k)
+    return make_kernel(d, mode, state).weight(j, k)
 
 
 def eta_denominator(
@@ -167,7 +166,6 @@ def eta_denominator(
     state: SimpleGraph,
     denom_mode: EtaDenominatorMode,
     prob_mode: SeqSampleMode,
-    cap: int | None = None,
 ) -> float:
     """Normalizer for the per-step acceptance ratio.
 
@@ -178,7 +176,7 @@ def eta_denominator(
     """
     d = DegreeSequence.of(d)
     _require_compatible(denom_mode, prob_mode)
-    bound = make_kernel(d, prob_mode, state, cap=cap).denominator(denom_mode)
+    bound = make_kernel(d, prob_mode, state).denominator(denom_mode)
     if bound <= 0.0:
         raise ValueError("no eligible pair")
     return bound
@@ -223,7 +221,6 @@ def ind_sample(
     d: DegreeSequence | Sequence[int],
     params: CouplingParams,
     rng: RandomSource,
-    cap: int | None = None,
 ) -> tuple[SimpleGraph, SimpleGraph]:
     """Independent pair (G_L, G): the escape branch of the coupling.
 
@@ -232,7 +229,7 @@ def ind_sample(
     its closed-form independent-edge law.  No containment relation holds.
     """
     d = DegreeSequence.of(d)
-    g, _ = _redraw_upper(d, rng, oracle_cap() if cap is None else cap)
+    g, _ = _redraw_upper(d, rng, oracle_cap())
     g_l = sample_gnw(lower_law(d, params.big_lambda, params.lam), rng)
     return g_l, g
 
@@ -259,8 +256,6 @@ def run_coupling(
     prob_mode: SeqSampleMode,
     denom_mode: EtaDenominatorMode,
     rng: RandomSource,
-    p_m_checkpoint_steps: Sequence[int] | None = None,
-    cap: int | None = None,
 ) -> tuple[SimpleGraph, SimpleGraph, CouplingTrace]:
     """Coupled sequential construction of (G_L, G).
 
@@ -297,13 +292,9 @@ def run_coupling(
 
     steps = sample_poisson(params.lam, rng)
     trace.poisson_steps = steps
-    checkpoint_at = (
-        set(_auto_checkpoints(steps))
-        if p_m_checkpoint_steps is None
-        else {int(s) for s in p_m_checkpoint_steps}
-    )
+    checkpoint_at = set(_auto_checkpoints(steps))
 
-    cap = oracle_cap() if cap is None else cap
+    cap = oracle_cap()
     kernel = make_kernel(d, prob_mode, SimpleGraph.empty(n), cap=cap)
     # both graphs hold edge keys j*n + k
     g_edges = kernel.edges

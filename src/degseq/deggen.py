@@ -17,6 +17,8 @@ from .graphs import DegreeSequence
 from .randomness import RandomSource
 
 _SPEC_RE = re.compile(r"^\s*([a-z-]+)\s*\(([^)]*)\)\s*$")
+# the fewest and the most arguments each generator kind takes
+_ARITY = {"regular": (2, 2), "powerlaw": (4, 4), "perturbed-regular": (3, 4)}
 
 
 @dataclass(frozen=True)
@@ -115,6 +117,12 @@ def parse_generator_spec(spec: str, seed: int) -> GeneratedSequence:
         raise ValueError(f"unrecognized generator spec: {spec!r}")
     kind, raw_args = m.group(1), m.group(2)
     args = [a.strip() for a in raw_args.split(",")] if raw_args.strip() else []
+    if kind not in _ARITY:
+        raise ValueError(f"unknown generator kind: {kind!r}")
+    lo, hi = _ARITY[kind]
+    if not lo <= len(args) <= hi:
+        takes = str(lo) if lo == hi else f"{lo} or {hi}"
+        raise ValueError(f"{kind} takes {takes} arguments, got {len(args)} in {spec!r}")
     if kind == "regular":
         n, d = (int(a) for a in args)
         return regular_sequence(n, d)
@@ -123,9 +131,7 @@ def parse_generator_spec(spec: str, seed: int) -> GeneratedSequence:
         exponent = float(args[1])
         d_min, d_max = int(args[2]), int(args[3])
         return powerlaw_sequence(n, exponent, d_min, d_max, RandomSource(seed, stream=0))
-    if kind == "perturbed-regular":
-        n, d = int(args[0]), int(args[1])
-        fraction = float(args[2])
-        use_seed = int(args[3]) if len(args) > 3 else seed
-        return perturbed_regular_sequence(n, d, fraction, RandomSource(use_seed, stream=0))
-    raise ValueError(f"unknown generator kind: {kind!r}")
+    n, d = int(args[0]), int(args[1])
+    fraction = float(args[2])
+    use_seed = int(args[3]) if len(args) > 3 else seed
+    return perturbed_regular_sequence(n, d, fraction, RandomSource(use_seed, stream=0))

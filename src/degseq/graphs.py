@@ -293,7 +293,8 @@ class SymmetricProbMatrix:
             raise ValueError(
                 f"storage length {self.tri.shape} does not match n={self.n}"
             )
-        if self.tri.size and (self.tri.min() < 0.0 or self.tri.max() > 1.0):
+        # phrased so that a NaN entry, which fails every comparison, is rejected
+        if self.tri.size and not (self.tri.min() >= 0.0 and self.tri.max() <= 1.0):
             raise ValueError("entries must lie in [0, 1]")
         self.tri.setflags(write=False)
 
@@ -304,19 +305,6 @@ class SymmetricProbMatrix:
     @staticmethod
     def full(n: int, value: float) -> SymmetricProbMatrix:
         return SymmetricProbMatrix(n, np.full(tri_size(n), float(value)))
-
-    @staticmethod
-    def from_dense(mat: np.ndarray) -> SymmetricProbMatrix:
-        mat = np.asarray(mat, dtype=float)
-        n = mat.shape[0]
-        if mat.shape != (n, n):
-            raise ValueError("matrix must be square")
-        if not np.allclose(mat, mat.T):
-            raise ValueError("matrix must be symmetric")
-        if np.any(np.diag(mat) != 0.0):
-            raise ValueError("diagonal must be zero")
-        iu = np.triu_indices(n, k=1)
-        return SymmetricProbMatrix(n, mat[iu].copy())
 
     def __getitem__(self, jk: tuple[int, int]) -> float:
         j, k = jk

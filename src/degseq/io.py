@@ -15,7 +15,15 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graphs import DegreeSequence, SimpleGraph, SymmetricProbMatrix, edge_key, tri_pairs
+from .graphs import (
+    DegreeSequence,
+    SimpleGraph,
+    SymmetricProbMatrix,
+    edge_key,
+    tri_index,
+    tri_pairs,
+    tri_size,
+)
 from .oracle import GraphFamily
 
 
@@ -91,15 +99,14 @@ def read_matrix_csv(path: str | Path) -> SymmetricProbMatrix:
             continue
         i, j, value = line.split(",")
         i, j = int(i), int(j)
-        if not i < j:
+        if not 0 <= i < j:
             raise ValueError("matrix files carry the strict upper triangle only")
         entries[(i, j)] = float(value)
         n = max(n, j + 1)
-    dense = np.zeros((n, n))
+    tri = np.zeros(tri_size(n))
     for (i, j), v in entries.items():
-        dense[i, j] = v
-        dense[j, i] = v
-    return SymmetricProbMatrix.from_dense(dense)
+        tri[tri_index(n, i, j)] = v
+    return SymmetricProbMatrix(n, tri)
 
 
 def write_family(path: str | Path, fam: GraphFamily) -> None:

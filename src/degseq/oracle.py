@@ -21,7 +21,6 @@ from .graphs import (
     NonGraphicalError,
     SimpleGraph,
     SymmetricProbMatrix,
-    edge_key,
     normalize_edge,
     tri_index,
     tri_pairs,
@@ -85,17 +84,8 @@ class GraphFamily:
     def members(self) -> list[SimpleGraph]:
         return [graph_of_mask(self.n, m) for m in self.masks]
 
-    def member(self, i: int) -> SimpleGraph:
-        return graph_of_mask(self.n, self.masks[i])
 
-
-def _backtrack_masks(
-    n: int,
-    degrees: Sequence[int],
-    forced_mask: int,
-    forbidden_mask: int,
-    family_cap: int,
-) -> list[int]:
+def _backtrack_masks(n: int, degrees: Sequence[int]) -> list[int]:
     """Enumerate edge bitmasks realizing `degrees` via pairwise backtracking.
 
     Pairs are decided in lexicographic order with degree-feasibility pruning:
@@ -110,27 +100,24 @@ def _backtrack_masks(
     out: list[int] = []
 
     def rec(idx: int, mask: int) -> None:
-        if len(out) > family_cap:
-            raise OracleCapError(f"family exceeds cap {family_cap}")
+        if len(out) > DEFAULT_FAMILY_CAP:
+            raise OracleCapError(f"family exceeds cap {DEFAULT_FAMILY_CAP}")
         if idx == npairs:
             if all(r == 0 for r in remaining):
                 out.append(mask)
             return
         j, k = pairs[idx]
-        bit = 1 << idx
         capacity[j] -= 1
         capacity[k] -= 1
-        must_take = bool(forced_mask & bit)
-        may_take = not (forbidden_mask & bit) and remaining[j] > 0 and remaining[k] > 0
         # exclude branch first so masks come out roughly ascending; final
-        # ordering is enforced by a sort in enumerate_graphs.
-        if not must_take and remaining[j] <= capacity[j] and remaining[k] <= capacity[k]:
+        # ordering is enforced by a sort in _cached_family.
+        if remaining[j] <= capacity[j] and remaining[k] <= capacity[k]:
             rec(idx + 1, mask)
-        if may_take:
+        if remaining[j] > 0 and remaining[k] > 0:
             remaining[j] -= 1
             remaining[k] -= 1
             if remaining[j] <= capacity[j] and remaining[k] <= capacity[k]:
-                rec(idx + 1, mask | bit)
+                rec(idx + 1, mask | 1 << idx)
             remaining[j] += 1
             remaining[k] += 1
         capacity[j] += 1
@@ -166,42 +153,25 @@ def raw_scan_masks(d: DegreeSequence | Sequence[int]) -> list[int]:
 def _cached_family(degrees: tuple[int, ...]) -> GraphFamily:
     """The whole family; the caller has already checked the vertex cap."""
     n = len(degrees)
-    masks = _backtrack_masks(n, degrees, 0, 0, DEFAULT_FAMILY_CAP)
+    masks = _backtrack_masks(n, degrees)
     masks.sort()
     return GraphFamily(n, degrees, tuple(masks))
 
 
-def enumerate_graphs(
-    d: DegreeSequence | Sequence[int],
-    forced: Iterable[tuple[int, int]] = (),
-    forbidden: Iterable[tuple[int, int]] = (),
-    cap: int | None = None,
-    family_cap: int = DEFAULT_FAMILY_CAP,
-) -> GraphFamily:
-    """All graphs with degree sequence d containing `forced` and avoiding `forbidden`.
+def enumerate_graphs(d: DegreeSequence | Sequence[int], cap: int | None = None) -> GraphFamily:
+    """All graphs with degree sequence d, in ascending bitmask order.
 
-    Infeasible constraints yield an empty family (not an error).  Members are
-    returned in ascending bitmask order, which is deterministic.
+    A non-graphical sequence yields an empty family (not an error).
     """
     d = DegreeSequence.of(d)
     _check_cap(d.n, cap)
-    forced_mask = mask_of_edges(d.n, (edge_key(d.n, j, k) for j, k in forced))
-    forbidden_mask = mask_of_edges(d.n, (edge_key(d.n, j, k) for j, k in forbidden))
-    if forced_mask & forbidden_mask:
-        raise ValueError("forced and forbidden edge sets overlap")
-    if not forced_mask and not forbidden_mask:
-        return _cached_family(d.degrees)
-    masks = _backtrack_masks(d.n, d.degrees, forced_mask, forbidden_mask, family_cap)
-    masks.sort()
-    return GraphFamily(d.n, d.degrees, tuple(masks))
+    return _cached_family(d.degrees)
 
 
-def exact_edge_marginals(
-    d: DegreeSequence | Sequence[int], cap: int | None = None
-) -> SymmetricProbMatrix:
+def exact_edge_marginals(d: DegreeSequence | Sequence[int]) -> SymmetricProbMatrix:
     """Entry (j,k) = fraction of the family containing edge jk."""
     d = DegreeSequence.of(d)
-    fam = enumerate_graphs(d, cap=cap)
+    fam = enumerate_graphs(d)
     if not fam.masks:
         raise NonGraphicalError(f"no graph realizes {d.degrees}; marginals undefined")
     counts = edge_counts(fam)
@@ -224,7 +194,6 @@ def exact_conditional_edge_prob(
     d: DegreeSequence | Sequence[int],
     h: SimpleGraph,
     jk: tuple[int, int],
-    cap: int | None = None,
 ) -> float:
     """P(jk present | graph contains h), over uniform graphs with degrees d."""
     d = DegreeSequence.of(d)
@@ -233,7 +202,7 @@ def exact_conditional_edge_prob(
     j, k = normalize_edge(*jk)
     if h.has_edge(j, k):
         raise ValueError(f"edge ({j},{k}) already in the conditioning graph")
-    fam = enumerate_graphs(d, cap=cap)
+    fam = enumerate_graphs(d)
     hmask = mask_of_edges(d.n, h.edges)
     bit = 1 << tri_index(d.n, j, k)
     total = 0
@@ -256,19 +225,17 @@ def exact_uniform_sample(
     fam = enumerate_graphs(d, cap=cap)
     if not fam.masks:
         raise NonGraphicalError(f"no graph realizes {d.degrees}")
-    return fam.member(rng.below(len(fam)))
+    return graph_of_mask(d.n, fam.masks[rng.below(len(fam))])
 
 
-def exact_subgraph_law(
-    d: DegreeSequence | Sequence[int], m: int, cap: int | None = None
-) -> dict[SimpleGraph, float]:
+def exact_subgraph_law(d: DegreeSequence | Sequence[int], m: int) -> dict[SimpleGraph, float]:
     """Exact law of (uniform family member, then uniform m-edge subgraph).
 
     Aggregated over all (member, subset) pairs with integer counts; masses
     are exact up to one final float division.
     """
     d = DegreeSequence.of(d)
-    fam = enumerate_graphs(d, cap=cap)
+    fam = enumerate_graphs(d)
     if not fam.masks:
         raise NonGraphicalError(f"no graph realizes {d.degrees}")
     edges_per_member = d.total // 2

@@ -75,17 +75,11 @@ def _require_two_positive(d: DegreeSequence) -> None:
         raise DegenerateSequenceError("need at least two positive degrees")
 
 
-def sample_weighted_edge(
-    d: DegreeSequence | Sequence[int],
-    rng: RandomSource,
-    table: AliasTable | None = None,
-) -> Edge:
+def sample_weighted_edge(d: DegreeSequence | Sequence[int], rng: RandomSource) -> Edge:
     """Unordered pair {j,k} drawn with probability proportional to d_j d_k."""
     d = DegreeSequence.of(d)
     _require_two_positive(d)
-    if table is None:
-        table = AliasTable(d.degrees)
-    return table.sample_pair(rng)
+    return AliasTable(d.degrees).sample_pair(rng)
 
 
 def sample_gnw(w: SymmetricProbMatrix, rng: RandomSource) -> SimpleGraph:
@@ -96,7 +90,7 @@ def sample_gnw(w: SymmetricProbMatrix, rng: RandomSource) -> SimpleGraph:
 
 
 def accept_candidates(
-    table: AliasTable,
+    alias: AliasTable,
     big_lambda: SymmetricProbMatrix | ProductLambda,
     steps: int,
     rng: RandomSource,
@@ -104,7 +98,7 @@ def accept_candidates(
 ) -> None:
     """Draw `steps` pairs proportional to d_j d_k; add each to the key set
     `edges` w.p. Lambda_jk."""
-    sample_pair, uniform, lam_of, add = table.sample_pair, rng.uniform, big_lambda.entry, edges.add
+    sample_pair, uniform, lam_of, add = alias.sample_pair, rng.uniform, big_lambda.entry, edges.add
     n = big_lambda.n
     for _ in range(steps):
         j, k = sample_pair(rng)
@@ -240,9 +234,10 @@ class AsymptoticKernel:
                     return True
         return False
 
-    def insert_step(self, rng: RandomSource, attempt_cap: int = 512, count: int = 1) -> int | None:
+    def insert_step(self, rng: RandomSource, count: int = 1) -> int | None:
         """`count` accepted insertions in one frame; the key of the last edge
-        inserted, or None as soon as no eligible pair remains."""
+        inserted, or None as soon as no eligible pair remains (checked once
+        512 proposals in a row have failed)."""
         n, t, edges, uniform, append = self.n, self.t, self.edges, rng.uniform, self.history.append
         stubs, t_r, tsum, tsum_r = self.stubs, self.t_r, self.tsum, self.tsum_r
         size = 0 if stubs is None else len(stubs)
@@ -260,7 +255,7 @@ class AsymptoticKernel:
             attempts = 0
             while True:
                 attempts += 1
-                if attempts > attempt_cap:
+                if attempts > 512:
                     if not self.eligible_pair_exists():
                         return None
                     attempts = 0
@@ -414,7 +409,6 @@ def seq_sample_d(
     rng: RandomSource,
     checkpoints: Sequence[int] = (),
     diagnostics: SamplerDiagnostics | None = None,
-    cap: int | None = None,
 ) -> tuple[SimpleGraph, list[SimpleGraph]]:
     """Build a graph with degree sequence d by sequential edge insertion.
 
@@ -437,7 +431,7 @@ def seq_sample_d(
     for m in want:
         if not 0 <= m <= m_total:
             raise ValueError(f"checkpoint {m} outside [0, {m_total}]")
-    kernel = make_kernel(d, mode, SimpleGraph.empty(d.n), cap=cap)
+    kernel = make_kernel(d, mode, SimpleGraph.empty(d.n))
     restarts = kernel.complete(rng)
     if diagnostics is not None:
         diagnostics.restarts += restarts

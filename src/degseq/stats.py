@@ -84,24 +84,8 @@ class MarginalReport:
     n_runs: int
     exact_violations: list[Edge]
 
-    def passed(self, thresholds: VerifyThresholds = THRESHOLDS) -> bool:
-        return not self.exact_violations and self.worst_abs_z < thresholds.z_max
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_runs": self.n_runs,
-            "worst_abs_z": self.worst_abs_z,
-            "exact_violations": [list(e) for e in self.exact_violations],
-            "rows": [
-                {
-                    "edge": list(r.edge),
-                    "frequency": r.frequency,
-                    "reference": r.reference,
-                    "z": r.z,
-                }
-                for r in self.rows
-            ],
-        }
+    def passed(self) -> bool:
+        return not self.exact_violations and self.worst_abs_z < THRESHOLDS.z_max
 
 
 def empirical_marginals(
@@ -149,24 +133,14 @@ class GofReport:
     p_value: float
     n_runs: int
 
-    def passed(self, thresholds: VerifyThresholds = THRESHOLDS) -> bool:
-        return self.p_value > thresholds.p_min
-
-    def to_json_dict(self) -> dict:
-        return {
-            "categories": self.categories,
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "n_runs": self.n_runs,
-        }
+    def passed(self) -> bool:
+        return self.p_value > THRESHOLDS.p_min
 
 
-def pearson_chi_square(
-    observed: Sequence[int], probabilities: Sequence[float], min_expected: float = 5.0
-) -> GofReport:
+def pearson_chi_square(observed: Sequence[int], probabilities: Sequence[float]) -> GofReport:
     """Pearson test of observed counts against category probabilities.
 
-    Categories whose expected count falls below `min_expected` are merged,
+    Categories whose expected count falls below 5 are merged,
     smallest first, to keep the chi-square approximation valid.  The p-value
     comes from the regularized incomplete gamma function.
     """
@@ -184,7 +158,7 @@ def pearson_chi_square(
         # point-mass law: anything in support fits perfectly
         return GofReport(1, 0.0, 1.0, n)
     cells = sorted(zip(probs, obs))
-    while len(cells) > 2 and cells[0][0] * n < min_expected:
+    while len(cells) > 2 and cells[0][0] * n < 5.0:
         p0, o0 = cells.pop(0)
         p1, o1 = cells.pop(0)
         cells.append((p0 + p1, o0 + o1))
@@ -237,9 +211,7 @@ class CovarianceReport:
         return not self.violations
 
 
-def pairwise_covariance(
-    samples: Sequence[SimpleGraph], thresholds: VerifyThresholds = THRESHOLDS
-) -> CovarianceReport:
+def pairwise_covariance(samples: Sequence[SimpleGraph]) -> CovarianceReport:
     """Empirical covariance of edge indicators for every pair of distinct edges.
 
     Bands are sigma * sqrt(p_e p_f (1-p_e)(1-p_f) / n): the null standard
@@ -252,7 +224,7 @@ def pairwise_covariance(
     p = x.mean(axis=0)
     cov = (x.T @ x) / n_runs - np.outer(p, p)
     var = p * (1.0 - p)
-    band = thresholds.sigma * np.sqrt(np.outer(var, var) / n_runs)
+    band = THRESHOLDS.sigma * np.sqrt(np.outer(var, var) / n_runs)
     pairs = tri_pairs(samples[0].n)
     violations = []
     for a in range(n_pairs):
@@ -302,20 +274,6 @@ class ConcentrationReport:
     def worst_fraction(self) -> float:
         return max((b.violating_fraction for b in self.bands), default=0.0)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "xi": self.xi,
-            "bands": [
-                {
-                    "m": b.m,
-                    "p_m": b.p_m,
-                    "violating_fraction": b.violating_fraction,
-                    "worst_rel_dev": b.worst_rel_dev,
-                }
-                for b in self.bands
-            ],
-        }
-
 
 def degree_concentration_check(
     d: DegreeSequence | Sequence[int],
@@ -360,13 +318,6 @@ class WComparisonReport:
     max_rel_error: float
     mean_rel_error: float
     driver: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "max_rel_error": self.max_rel_error,
-            "mean_rel_error": self.mean_rel_error,
-            "driver": self.driver,
-        }
 
 
 def compare_w_to_fcp(

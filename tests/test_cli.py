@@ -16,6 +16,29 @@ def read_meta(out):
     return json.loads((Path(out) / "metadata.json").read_text())
 
 
+class TestGeneratorSpec:
+    @pytest.mark.parametrize(
+        "spec, code",
+        [
+            # too few were IndexError tracebacks; too many ran, ignoring the extra
+            ("powerlaw(100)", 1),
+            ("perturbed-regular(10)", 1),
+            ("regular(10)", 1),
+            ("powerlaw(100,2.5,2,20,9)", 1),
+            ("perturbed-regular(10,3,0.5,1,2)", 1),
+            ("regular(10,3,1)", 1),
+            ("powerlaw(100,2.5,2,20)", 0),
+            ("perturbed-regular(10,3,0.5)", 0),
+            ("perturbed-regular(10,3,0.5,7)", 0),
+        ],
+    )
+    def test_argument_count(self, tmp_path, capsys, spec, code):
+        assert run(["sample-gnd", "--degrees", spec, "--out", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err.splitlines()
+        if code:
+            assert len(err) == 1 and err[0].startswith("error: ") and "arguments" in err[0]
+
+
 class TestOracleCommand:
     def test_writes_family_and_marginals(self, tmp_path):
         out = tmp_path / "o"
@@ -138,6 +161,21 @@ class TestConfigFile:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "text", ["null", "5", '"ab"', "[]"], ids=["null", "number", "string", "list"]
+    )
+    def test_config_not_an_object_exits_1(self, tmp_path, capsys, text):
+        # null and 5 were TypeError tracebacks, "ab" reported unknown keys 'a'
+        # and 'b', and [] ran as if there were no config
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        args = ["couple", "--degrees", "regular(6,2)", "--config", str(cfg),
+                "--out", str(tmp_path / "o")]
+        assert run(args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: config file must hold a JSON object"]
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "flags, config",
         [

@@ -28,6 +28,7 @@ from degseq import (
     rho,
     run_coupling,
 )
+from degseq.coupling import _auto_checkpoints
 from degseq.deggen import regular_sequence
 from degseq.graphs import ProductLambda, tri_index, tri_pairs
 from degseq.stats import chi_square_gof, empirical_marginals
@@ -271,13 +272,21 @@ class TestRunCoupling:
 
     def test_p_m_checkpoints_recorded(self):
         params = params_d4()
-        _, _, tr = run_coupling(
-            D4, params, SeqSampleMode.EXACT_ORACLE, EtaDenominatorMode.EXACT_MAX,
-            RandomSource(24, 5), p_m_checkpoint_steps=(1, 2),
-        )
-        for step, p_m in tr.p_m_checkpoints:
-            assert step in (1, 2)
-            assert 0.0 <= p_m <= 1.0
+        escaped = completed = 0
+        for s in range(40):
+            _, _, tr = run_coupling(
+                D4, params, SeqSampleMode.EXACT_ORACLE, EtaDenominatorMode.EXACT_MAX,
+                RandomSource(24, s),
+            )
+            # the loop records p_m at every scheduled step it completed; an
+            # escape ends it at the escape step, which records nothing
+            last = tr.fallback_step - 1 if tr.fallback else tr.poisson_steps
+            expected = [m for m in _auto_checkpoints(tr.poisson_steps) if m <= last]
+            assert [step for step, _ in tr.p_m_checkpoints] == expected
+            assert all(0.0 <= p_m <= 1.0 for _, p_m in tr.p_m_checkpoints)
+            escaped += tr.fallback
+            completed += not tr.fallback and bool(expected)
+        assert escaped and completed  # both branches were exercised
 
     def test_monotone_fallback_in_zeta(self):
         # larger zeta lowers the acceptance matrix, so a replayed stream can

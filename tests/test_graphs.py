@@ -113,6 +113,16 @@ class TestIsGraphical:
         assert is_graphical(d) == brute_force_realizable(d)
 
 
+class TestSymmetricProbMatrix:
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, np.nan], ids=["negative", "above-1", "nan"])
+    def test_rejects_entries_outside_unit_interval(self, bad):
+        with pytest.raises(ValueError, match=r"entries must lie in \[0, 1\]"):
+            SymmetricProbMatrix(3, np.array([0.0, 1.0, bad]))
+
+    def test_accepts_bounds(self):
+        assert SymmetricProbMatrix(3, np.array([0.0, 1.0, 0.5])).max_entry() == 1.0
+
+
 class TestPMatrix:
     def test_regular_triangle(self):
         m = p_matrix((2, 2, 2))

@@ -54,21 +54,32 @@ def test_edge_list_sorted_numerically(tmp_path_factory, g):
 
 def test_matrix_csv_roundtrip(tmp_path):
     path = tmp_path / "m.csv"
-    m = q_matrix((2, 1, 1))
-    write_matrix_csv(path, m)
-    text = path.read_text()
-    assert text.startswith("i,j,value\n")
-    assert len(text.splitlines()) == 4  # header + 3 upper-triangle entries
-    back = read_matrix_csv(path)
-    assert back.n == 3
-    assert np.allclose(back.tri, m.tri)
+    # from n = 11 on, row 10 sorts before row 2 as a string but not as a pair
+    for degrees in [(2, 1, 1), (3, 1, 2, 2, 4, 1, 1, 2, 3, 5, 2)]:
+        m = q_matrix(degrees)
+        write_matrix_csv(path, m)
+        text = path.read_text()
+        assert text.startswith("i,j,value\n")
+        assert len(text.splitlines()) == 1 + tri_size(m.n)  # header + upper triangle
+        back = read_matrix_csv(path)
+        assert back.n == m.n
+        assert np.array_equal(back.tri, m.tri)
+
+
+def test_matrix_csv_rejects_nan(tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("i,j,value\n0,1,nan\n")
+    with pytest.raises(ValueError, match=r"entries must lie in \[0, 1\]"):
+        read_matrix_csv(path)
 
 
 def test_matrix_csv_rejects_lower_triangle(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("i,j,value\n1,0,0.5\n")
-    with pytest.raises(ValueError):
-        read_matrix_csv(path)
+    # a negative row index once wrapped round to another row: -2 to row 0
+    for line in ("1,0,0.5", "-2,1,0.5"):
+        path.write_text(f"i,j,value\n{line}\n")
+        with pytest.raises(ValueError, match="strict upper triangle"):
+            read_matrix_csv(path)
 
 
 def test_family_roundtrip(tmp_path):

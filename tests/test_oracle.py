@@ -15,8 +15,7 @@ from degseq import (
     exact_subgraph_law,
     exact_uniform_sample,
 )
-from degseq.graphs import edge_key
-from degseq.oracle import edge_counts, mask_of_edges, raw_scan_masks
+from degseq.oracle import edge_counts, raw_scan_masks
 
 
 class TestEnumerateGraphs:
@@ -41,27 +40,6 @@ class TestEnumerateGraphs:
 
     def test_non_graphical_empty(self):
         assert len(enumerate_graphs((3, 3, 1, 1))) == 0
-
-    def test_forced_matches_filter(self):
-        constrained = enumerate_graphs((2, 2, 2, 2), forced=[(0, 1)])
-        unconstrained = enumerate_graphs((2, 2, 2, 2))
-        expected = [m for m in unconstrained.masks if m & mask_of_edges(4, [edge_key(4, 0, 1)])]
-        assert list(constrained.masks) == expected
-
-    def test_forbidden_matches_filter(self):
-        constrained = enumerate_graphs((2, 2, 2, 2), forbidden=[(0, 1)])
-        unconstrained = enumerate_graphs((2, 2, 2, 2))
-        bit = mask_of_edges(4, [edge_key(4, 0, 1)])
-        expected = [m for m in unconstrained.masks if not m & bit]
-        assert list(constrained.masks) == expected
-
-    def test_conflicting_constraints_raise(self):
-        with pytest.raises(ValueError):
-            enumerate_graphs((2, 2, 2, 2), forced=[(0, 1)], forbidden=[(0, 1)])
-
-    def test_infeasible_constraints_empty(self):
-        fam = enumerate_graphs((1, 1, 1, 1), forced=[(0, 1), (0, 2)])
-        assert len(fam) == 0
 
     def test_cap_enforced(self):
         with pytest.raises(OracleCapError):
