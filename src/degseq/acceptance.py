@@ -208,7 +208,6 @@ def criterion_c5() -> CriterionResult:
         for n in C5_SIZES:
             deg = ceil(log(n) ** 2)
             gen = regular_sequence(n, deg)
-            assert is_graphical(gen.degrees)
             params = default_params(gen.degrees)
             fb = 0
             pairs = []

@@ -358,8 +358,8 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             help="degree file path or generator spec, e.g. 'regular(2000,50)'",
         )
-        p.add_argument("--mode", choices=("exact", "asymptotic"), default=None)
-        p.add_argument("--denom", choices=("exact-max", "certified-bound"), default=None)
+        p.add_argument("--mode", choices=[m.value for m in SeqSampleMode], default=None)
+        p.add_argument("--denom", choices=[m.value for m in EtaDenominatorMode], default=None)
         p.add_argument(
             "--checkpoints",
             default=None,
@@ -377,21 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    flags = {
-        "seed": args.seed,
-        "runs": args.runs,
-        "out": args.out,
-        "degrees": args.degrees,
-        "mode": args.mode,
-        "denom": args.denom,
-        "xi": args.xi,
-        "zeta": args.zeta,
-        "zeta_prime": args.zeta_prime,
-        "c_mult": args.c_mult,
-        "lam": args.lam,
-        "w_kind": args.w_kind,
-        "save_graphs": args.save_graphs,
-    }
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config", "checkpoints")}
     try:
         if args.checkpoints is not None:
             flags["checkpoints"] = [int(x) for x in args.checkpoints.split(",") if x.strip()]

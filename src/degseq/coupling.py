@@ -17,6 +17,7 @@ from typing import Sequence
 
 from .graphs import (
     DegreeSequence,
+    InvariantError,
     NonGraphicalError,
     ProductLambda,
     SimpleGraph,
@@ -32,7 +33,6 @@ from .oracle import exact_uniform_sample, oracle_cap
 from .randomness import AliasTable, RandomSource, sample_poisson
 from .samplers import (
     EtaDenominatorMode,
-    InvariantError,
     SeqSampleMode,
     accept_candidates,
     make_kernel,

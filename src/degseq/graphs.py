@@ -21,6 +21,10 @@ class DegenerateSequenceError(ValueError):
     """Raised when a sequence has fewer than two positive degrees."""
 
 
+class InvariantError(RuntimeError):
+    """A run broke an invariant its construction guarantees (a program fault)."""
+
+
 # ---------------------------------------------------------------------------
 # Degree sequences
 # ---------------------------------------------------------------------------
@@ -271,6 +275,12 @@ def tri_to_key(n: int, idx: np.ndarray) -> np.ndarray:
     return idx + (j + 1) * (j + 2) // 2
 
 
+def tri_products(vec: np.ndarray) -> np.ndarray:
+    """vec[j] * vec[k] for every pair j < k, in the flat storage order."""
+    j, k = np.triu_indices(len(vec), k=1)
+    return vec[j] * vec[k]
+
+
 @lru_cache(maxsize=64)
 def tri_pairs(n: int) -> tuple[Edge, ...]:
     """All pairs (j, k), j < k, in the flat storage order."""
@@ -363,9 +373,7 @@ class ProductLambda:
 
     @property
     def tri(self) -> np.ndarray:
-        vec = np.asarray(self.d)
-        iu = np.triu_indices(self.n, k=1)
-        return self.num / (self.total + vec[iu[0]] * vec[iu[1]])
+        return self.num / (self.total + tri_products(np.asarray(self.d)))
 
 
 def p_matrix(d: DegreeSequence | Sequence[int]) -> SymmetricProbMatrix:
@@ -375,8 +383,7 @@ def p_matrix(d: DegreeSequence | Sequence[int]) -> SymmetricProbMatrix:
         raise ValueError("need n >= 2")
     vec = np.asarray(d.degrees, dtype=float)
     total = vec.sum()
-    iu = np.triu_indices(d.n, k=1)
-    prod = vec[iu[0]] * vec[iu[1]]
+    prod = tri_products(vec)
     with np.errstate(invalid="ignore"):
         tri = np.where(prod > 0, prod / (total + prod), 0.0)
     return SymmetricProbMatrix(d.n, tri)
@@ -387,9 +394,7 @@ def q_matrix(d: DegreeSequence | Sequence[int]) -> SymmetricProbMatrix:
     d = DegreeSequence.of(d)
     if d.n < 2:
         raise ValueError("need n >= 2")
-    vec = np.asarray(d.degrees, dtype=float)
-    iu = np.triu_indices(d.n, k=1)
-    prod = vec[iu[0]] * vec[iu[1]]
+    prod = tri_products(np.asarray(d.degrees, dtype=float))
     denom = prod.sum()
     if denom <= 0:
         raise DegenerateSequenceError(
@@ -408,8 +413,7 @@ def chung_lu_matrix(w: Sequence[float]) -> SymmetricProbMatrix:
     total = vec.sum()
     if total <= 0:
         raise ValueError("all-zero weight vector")
-    iu = np.triu_indices(vec.size, k=1)
-    tri = np.minimum(vec[iu[0]] * vec[iu[1]] / total, 1.0)
+    tri = np.minimum(tri_products(vec) / total, 1.0)
     return SymmetricProbMatrix(vec.size, tri)
 
 

@@ -24,7 +24,7 @@ from .graphs import (
     tri_pairs,
     tri_size,
 )
-from .oracle import GraphFamily
+from .oracle import GraphFamily, set_bits
 
 
 def read_degree_file(path: str | Path) -> DegreeSequence:
@@ -81,28 +81,29 @@ def _vertex_labels(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_matrix_csv(path: str | Path, m: SymmetricProbMatrix) -> None:
-    lines = ["i,j,value\n"]
-    for idx, (j, k) in enumerate(tri_pairs(m.n)):
-        lines.append(f"{j},{k},{float(m.tri[idx])!r}\n")
-    Path(path).write_text("".join(lines))
+    # the storage order is row-major over j < k, as np.triu_indices lists it
+    j, k = np.triu_indices(m.n, k=1)
+    lines = [f"{a},{b},{v!r}\n" for a, b, v in zip(j.tolist(), k.tolist(), m.tri.tolist())]
+    Path(path).write_text("i,j,value\n" + "".join(lines))
 
 
 def read_matrix_csv(path: str | Path) -> SymmetricProbMatrix:
     rows = Path(path).read_text().splitlines()
     if not rows or rows[0].strip() != "i,j,value":
         raise ValueError("expected header 'i,j,value'")
+    data = [line.split(",") for line in rows[1:] if line.strip()]
     entries: dict[tuple[int, int], float] = {}
     n = 0
-    for line in rows[1:]:
-        line = line.strip()
-        if not line:
-            continue
-        i, j, value = line.split(",")
+    for i, j, value in data:
         i, j = int(i), int(j)
         if not 0 <= i < j:
             raise ValueError("matrix files carry the strict upper triangle only")
         entries[(i, j)] = float(value)
         n = max(n, j + 1)
+    # a file written by write_matrix_csv lists every pair of its n once
+    if not len(data) == len(entries) == tri_size(n):
+        raise ValueError(f"expected each of the {tri_size(n)} pairs of n={n} once, "
+                         f"got {len(data)} rows for {len(entries)} pairs")
     tri = np.zeros(tri_size(n))
     for (i, j), v in entries.items():
         tri[tri_index(n, i, j)] = v
@@ -113,14 +114,7 @@ def write_family(path: str | Path, fam: GraphFamily) -> None:
     # bit i of a mask is pair i of the row-major order, so reading the bits
     # from low to high gives each member's edges sorted
     lines = [f"{j} {k}\n" for j, k in tri_pairs(fam.n)]
-    blocks = []
-    for mask in fam.masks:
-        block = []
-        while mask:
-            low = mask & -mask
-            block.append(lines[low.bit_length() - 1])
-            mask ^= low
-        blocks.append("".join(block))
+    blocks = ("".join(map(lines.__getitem__, set_bits(mask))) for mask in fam.masks)
     Path(path).write_text("\n".join(blocks))
 
 

@@ -10,14 +10,15 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, starmap
 from math import comb
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .graphs import (
     DegreeSequence,
+    InvariantError,
     NonGraphicalError,
     SimpleGraph,
     SymmetricProbMatrix,
@@ -26,6 +27,10 @@ from .graphs import (
     tri_pairs,
     tri_size,
 )
+
+if TYPE_CHECKING:
+    from .randomness import RandomSource
+    from .samplers import EtaDenominatorMode
 
 DEFAULT_CAP = 10
 DEFAULT_FAMILY_CAP = 5_000_000
@@ -41,6 +46,8 @@ def oracle_cap() -> int:
     raw = os.environ.get(CAP_ENV_VAR)
     if raw is None:
         return DEFAULT_CAP
+    if not raw.strip().isdecimal():
+        raise ValueError(f"{CAP_ENV_VAR} must be an integer >= 0, got {raw!r}")
     return int(raw)
 
 
@@ -48,6 +55,30 @@ def _check_cap(n: int, cap: int | None) -> None:
     limit = oracle_cap() if cap is None else cap
     if n > limit:
         raise OracleCapError(f"n={n} exceeds enumeration cap {limit}")
+
+
+def set_bits(mask: int) -> list[int]:
+    """The positions of the set bits of `mask`, from low to high."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits
+
+
+def bit_counts(masks: Iterable[int]) -> dict[int, int]:
+    """Bit position -> the number of `masks` with that bit set."""
+    # one loop rather than set_bits per mask: the exact kernel recounts after every insertion
+    counts: dict[int, int] = {}
+    get = counts.get
+    for mask in masks:
+        while mask:
+            low = mask & -mask
+            i = low.bit_length() - 1
+            counts[i] = get(i, 0) + 1
+            mask ^= low
+    return counts
 
 
 def mask_of_edges(n: int, keys: Iterable[int]) -> int:
@@ -60,13 +91,7 @@ def mask_of_edges(n: int, keys: Iterable[int]) -> int:
 
 def graph_of_mask(n: int, mask: int) -> SimpleGraph:
     pairs = tri_pairs(n)
-    edges = []
-    while mask:
-        low = mask & -mask
-        j, k = pairs[low.bit_length() - 1]
-        edges.append(j * n + k)
-        mask ^= low
-    return SimpleGraph(n, frozenset(edges))
+    return SimpleGraph(n, frozenset(j * n + k for j, k in map(pairs.__getitem__, set_bits(mask))))
 
 
 @dataclass(frozen=True)
@@ -181,12 +206,8 @@ def exact_edge_marginals(d: DegreeSequence | Sequence[int]) -> SymmetricProbMatr
 def edge_counts(fam: GraphFamily) -> np.ndarray:
     """Integer count, per pair slot, of members containing that edge."""
     counts = np.zeros(tri_size(fam.n), dtype=np.int64)
-    for mask in fam.masks:
-        m = mask
-        while m:
-            low = m & -m
-            counts[low.bit_length() - 1] += 1
-            m ^= low
+    bits = bit_counts(fam.masks)
+    counts[list(bits)] = list(bits.values())
     return counts
 
 
@@ -202,19 +223,8 @@ def exact_conditional_edge_prob(
     j, k = normalize_edge(*jk)
     if h.has_edge(j, k):
         raise ValueError(f"edge ({j},{k}) already in the conditioning graph")
-    fam = enumerate_graphs(d)
-    hmask = mask_of_edges(d.n, h.edges)
-    bit = 1 << tri_index(d.n, j, k)
-    total = 0
-    hit = 0
-    for mask in fam.masks:
-        if mask & hmask == hmask:
-            total += 1
-            if mask & bit:
-                hit += 1
-    if total == 0:
-        raise ValueError("conditioning event is empty")
-    return hit / total
+    kernel = OracleKernel(d.degrees, enumerate_graphs(d).masks, h.edges)
+    return kernel.candidate_counts().get(tri_index(d.n, j, k), 0) / len(kernel.sub)
 
 
 def exact_uniform_sample(
@@ -243,13 +253,7 @@ def exact_subgraph_law(d: DegreeSequence | Sequence[int], m: int) -> dict[Simple
         raise ValueError(f"m={m} outside [0, {edges_per_member}]")
     counts: dict[int, int] = {}
     for mask in fam.masks:
-        bits = []
-        mm = mask
-        while mm:
-            low = mm & -mm
-            bits.append(low.bit_length() - 1)
-            mm ^= low
-        for sub in combinations(bits, m):
+        for sub in combinations(set_bits(mask), m):
             sm = 0
             for b in sub:
                 sm |= 1 << b
@@ -259,3 +263,83 @@ def exact_subgraph_law(d: DegreeSequence | Sequence[int], m: int) -> dict[Simple
         graph_of_mask(d.n, mask): cnt / denom
         for mask, cnt in sorted(counts.items())
     }
+
+
+class OracleKernel:
+    """Sequential insertion with exact conditional probabilities.
+
+    Keeps the sub-family of enumerated graphs containing the current state;
+    the weight of candidate edge jk is the fraction of those graphs that also
+    contain jk, over d_j d_k.  Candidate counts are cached until the next
+    insert.  (The kernel interface is set out in `samplers`.)
+    """
+
+    __slots__ = ("d", "n", "pairs", "sub", "gmask", "edges", "history", "_counts")
+
+    def __init__(self, d: Sequence[int], masks: Sequence[int], edges: Iterable[int]):
+        self.d = d
+        self.n = len(d)
+        self.pairs = tri_pairs(self.n)
+        self.edges = set(edges)
+        self.history: list[int] = []
+        self.gmask = mask_of_edges(self.n, self.edges)
+        self.sub = [m for m in masks if m & self.gmask == self.gmask]
+        if not self.sub:
+            raise ValueError("conditioning event is empty")
+        self._counts: dict[int, int] | None = None
+
+    def candidate_counts(self) -> dict[int, int]:
+        """Pair index -> number of compatible members containing that missing edge."""
+        if self._counts is None:
+            self._counts = bit_counts(map(self.gmask.__xor__, self.sub))
+        return self._counts
+
+    def weight(self, j: int, k: int) -> float:
+        i = tri_index(self.n, j, k)
+        return self._weight(i, self.candidate_counts().get(i, 0))
+
+    def denominator(self, mode: EtaDenominatorMode) -> float:
+        """The largest weight over non-edges, or 0.0.  Exact weights have no
+        closed-form bound, so every mode gets the exact maximum."""
+        return max(starmap(self._weight, self.candidate_counts().items()), default=0.0)
+
+    def _weight(self, i: int, count: int) -> float:
+        """Weight of pair i, which `count` sub-family members contain."""
+        j, k = self.pairs[i]
+        return count / len(self.sub) / (self.d[j] * self.d[k])
+
+    def insert(self, j: int, k: int) -> None:
+        e, bit = j * self.n + k, 1 << tri_index(self.n, j, k)
+        self.edges.add(e)
+        self.history.append(e)
+        self.gmask |= bit
+        g = self.gmask
+        self.sub = [m for m in self.sub if m & bit]
+        self._counts = None
+        if not self.sub or any(m & g != g for m in self.sub):
+            raise InvariantError(f"inserting ({j},{k}) left the enumerated sub-family")
+
+    def insert_step(self, rng: RandomSource) -> int:
+        counts = self.candidate_counts()
+        if not counts:
+            raise RuntimeError("no insertable edge; state is already saturated")
+        total = sum(counts.values())
+        r = rng.uniform() * total
+        acc = 0.0
+        chosen = -1
+        for i in sorted(counts):
+            acc += counts[i]
+            if r < acc:
+                chosen = i
+                break
+        if chosen < 0:
+            chosen = max(counts)
+        j, k = self.pairs[chosen]
+        self.insert(j, k)
+        return j * self.n + k
+
+    def complete(self, rng: RandomSource) -> int:
+        """Insert until G is a family member; exact weights never dead-end."""
+        while self.candidate_counts():
+            self.insert_step(rng)
+        return 0

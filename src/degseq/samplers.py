@@ -15,8 +15,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, repeat, starmap
-from typing import Iterable, Sequence
+from itertools import chain, repeat
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -24,21 +24,21 @@ from .graphs import (
     DegenerateSequenceError,
     DegreeSequence,
     Edge,
+    InvariantError,
     NonGraphicalError,
     ProductLambda,
     SimpleGraph,
     SymmetricProbMatrix,
     is_graphical,
     remaining_degrees,
-    tri_index,
-    tri_pairs,
     tri_size,
     tri_to_key,
 )
-from .oracle import enumerate_graphs, mask_of_edges
+from .oracle import OracleKernel, enumerate_graphs
 from .randomness import AliasTable, RandomSource, sample_poisson
 
 __all__ = [
+    "InvariantError",
     "SeqSampleMode",
     "SamplerDiagnostics",
     "sample_poisson",
@@ -57,10 +57,6 @@ class SeqSampleMode(Enum):
 class EtaDenominatorMode(Enum):
     EXACT_MAX = "exact-max"
     CERTIFIED_BOUND = "certified-bound"
-
-
-class InvariantError(RuntimeError):
-    """A run broke an invariant its construction guarantees (a program fault)."""
 
 
 @dataclass
@@ -139,6 +135,8 @@ def seq_approx_p(
 #   denominator(mode)  a bound on rho over all non-edges (EtaDenominatorMode)
 #   insert(j, k)       add jk to G
 #   complete(rng)      extend G to degrees d; returns the dead-end restarts
+# `oracle.OracleKernel` and `AsymptoticKernel` implement it; `make_kernel`
+# picks one.
 # ---------------------------------------------------------------------------
 
 
@@ -166,7 +164,7 @@ class AsymptoticKernel:
     entry overstates its ratio and is replaced by its current one.
     """
 
-    __slots__ = ("d", "n", "t", "tsum", "edges", "history", "stubs", "t_r", "tsum_r", "heap", "dmax")
+    __slots__ = ("d", "n", "t", "tsum", "edges", "history", "stubs", "t_r", "tsum_r", "heap")
 
     def __init__(self, d: Sequence[int], edges: set[int], t: list[int]):
         self.d = d
@@ -181,7 +179,6 @@ class AsymptoticKernel:
         # entries (-t_h/d_h, h, t_h) carry the t value they were made with,
         # so stale ones can be told apart
         self.heap: list[tuple[float, int, int]] | None = None
-        self.dmax = max(d)
 
     def weight(self, j: int, k: int) -> float:
         prod = self.t[j] * self.t[k]
@@ -194,9 +191,7 @@ class AsymptoticKernel:
         if mode is EtaDenominatorMode.CERTIFIED_BOUND:
             rmax = self._max_ratio()
             return rmax * rmax / self.tsum if self.tsum > 0 else 0.0
-        n, edges = self.n, self.edges
-        pairs = ((j, k) for j in range(n) for k in range(j + 1, n) if j * n + k not in edges)
-        return max((self.weight(j, k) for j, k in pairs), default=0.0)
+        return max((self.weight(j, k) for j, k in self._open_pairs()), default=0.0)
 
     def _max_ratio(self) -> float:
         t, d, heap = self.t, self.d, self.heap
@@ -219,20 +214,19 @@ class AsymptoticKernel:
         t[k] -= 1
         self.tsum -= 2
 
-    def eligible_pair_exists(self) -> bool:
-        pos = [h for h, v in enumerate(self.t) if v > 0]
-        if len(pos) < 2:
-            return False
-        # any vertex with t_h >= 1 has at most d_h - 1 < dmax neighbours,
-        # so a large positive set always contains a non-adjacent pair
-        if len(pos) > self.dmax:
-            return True
+    def _open_pairs(self) -> Iterator[tuple[int, int]]:
+        """The non-edges jk with t_j, t_k >= 1: every pair of positive weight."""
         n, edges = self.n, self.edges
-        for a in range(len(pos)):
-            for b in range(a + 1, len(pos)):
-                if pos[a] * n + pos[b] not in edges:
-                    return True
-        return False
+        pos = [h for h, v in enumerate(self.t) if v > 0]
+        for a, j in enumerate(pos):
+            for k in pos[a + 1:]:
+                if j * n + k not in edges:
+                    yield j, k
+
+    def eligible_pair_exists(self) -> bool:
+        # O(n + max(d)^2): a vertex with t_h >= 1 has fewer than max(d)
+        # neighbours, so the first row finds a non-edge when len(pos) > max(d)
+        return next(self._open_pairs(), None) is not None
 
     def insert_step(self, rng: RandomSource, count: int = 1) -> int | None:
         """`count` accepted insertions in one frame; the key of the last edge
@@ -295,95 +289,6 @@ class AsymptoticKernel:
                 del self.history[base_len:]
                 self.stubs = None
         return restarts
-
-
-class OracleKernel:
-    """Sequential insertion with exact conditional probabilities.
-
-    Keeps the sub-family of enumerated graphs containing the current state;
-    the weight of candidate edge jk is the fraction of those graphs that also
-    contain jk, over d_j d_k.  Candidate counts are cached until the next
-    insert.
-    """
-
-    __slots__ = ("d", "n", "pairs", "sub", "gmask", "edges", "history", "_counts")
-
-    def __init__(self, d: Sequence[int], masks: Sequence[int], edges: Iterable[int]):
-        self.d = d
-        self.n = len(d)
-        self.pairs = tri_pairs(self.n)
-        self.edges = set(edges)
-        self.history: list[int] = []
-        self.gmask = mask_of_edges(self.n, self.edges)
-        self.sub = [m for m in masks if m & self.gmask == self.gmask]
-        if not self.sub:
-            raise ValueError("conditioning event is empty")
-        self._counts: dict[int, int] | None = None
-
-    def candidate_counts(self) -> dict[int, int]:
-        """bit -> number of compatible members containing that missing edge."""
-        if self._counts is None:
-            counts: dict[int, int] = {}
-            g = self.gmask
-            for mem in self.sub:
-                rem = mem ^ g
-                while rem:
-                    low = rem & -rem
-                    counts[low] = counts.get(low, 0) + 1
-                    rem ^= low
-            self._counts = counts
-        return self._counts
-
-    def weight(self, j: int, k: int) -> float:
-        bit = 1 << tri_index(self.n, j, k)
-        return self._weight(bit, self.candidate_counts().get(bit, 0))
-
-    def denominator(self, mode: EtaDenominatorMode) -> float:
-        """The largest weight over non-edges, or 0.0.  Exact weights have no
-        closed-form bound, so every mode gets the exact maximum."""
-        return max(starmap(self._weight, self.candidate_counts().items()), default=0.0)
-
-    def _weight(self, bit: int, count: int) -> float:
-        """Weight of the pair at `bit`, which `count` sub-family members contain."""
-        j, k = self.pairs[bit.bit_length() - 1]
-        return count / len(self.sub) / (self.d[j] * self.d[k])
-
-    def insert(self, j: int, k: int) -> None:
-        i = tri_index(self.n, j, k)
-        e, bit = j * self.n + k, 1 << i
-        self.edges.add(e)
-        self.history.append(e)
-        self.gmask |= bit
-        g = self.gmask
-        self.sub = [m for m in self.sub if m & bit]
-        self._counts = None
-        if not self.sub or any(m & g != g for m in self.sub):
-            raise InvariantError(f"inserting ({j},{k}) left the enumerated sub-family")
-
-    def insert_step(self, rng: RandomSource) -> int:
-        counts = self.candidate_counts()
-        if not counts:
-            raise RuntimeError("no insertable edge; state is already saturated")
-        total = sum(counts.values())
-        r = rng.uniform() * total
-        acc = 0.0
-        chosen = -1
-        for bit in sorted(counts):
-            acc += counts[bit]
-            if r < acc:
-                chosen = bit
-                break
-        if chosen < 0:
-            chosen = max(counts)
-        j, k = self.pairs[chosen.bit_length() - 1]
-        self.insert(j, k)
-        return j * self.n + k
-
-    def complete(self, rng: RandomSource) -> int:
-        """Insert until G is a family member; exact weights never dead-end."""
-        while self.candidate_counts():
-            self.insert_step(rng)
-        return 0
 
 
 def make_kernel(

@@ -73,6 +73,18 @@ def test_matrix_csv_rejects_nan(tmp_path):
         read_matrix_csv(path)
 
 
+@pytest.mark.parametrize("body", [
+    "0,5,0.5\n0,5,0.7\n",                  # one pair of n = 6, twice; 14 pairs missing
+    "0,1,0.5\n0,2,0.5\n",                  # n = 3 without the pair (1,2)
+    "0,1,0.5\n0,2,0.5\n1,2,0.5\n0,1,0.7\n",  # every pair of n = 3, one of them twice
+], ids=["one-pair-twice", "pair-missing", "complete-plus-repeat"])
+def test_matrix_csv_rejects_missing_or_repeated_pairs(tmp_path, body):
+    path = tmp_path / "partial.csv"
+    path.write_text("i,j,value\n" + body)
+    with pytest.raises(ValueError, match="pairs of n="):
+        read_matrix_csv(path)
+
+
 def test_matrix_csv_rejects_lower_triangle(tmp_path):
     path = tmp_path / "bad.csv"
     # a negative row index once wrapped round to another row: -2 to row 0

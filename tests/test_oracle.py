@@ -1,7 +1,8 @@
+from collections import Counter
 from math import sqrt
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from degseq import (
@@ -15,7 +16,54 @@ from degseq import (
     exact_subgraph_law,
     exact_uniform_sample,
 )
-from degseq.oracle import edge_counts, raw_scan_masks
+from degseq.cli import main
+from degseq.graphs import tri_index, tri_pairs
+from degseq.oracle import (
+    bit_counts,
+    edge_counts,
+    graph_of_mask,
+    mask_of_edges,
+    oracle_cap,
+    raw_scan_masks,
+    set_bits,
+)
+from test_coupling import graphical_degrees
+
+
+def bin_positions(mask: int) -> list[int]:
+    return [i for i, c in enumerate(reversed(bin(mask)[2:])) if c == "1"]
+
+
+@given(st.integers(0, 2**200))
+@example(0)
+def test_set_bits_matches_bin(mask):
+    assert set_bits(mask) == bin_positions(mask)
+
+
+@given(st.lists(st.integers(0, 2**70)))
+@example([])
+@example([0, 0])
+def test_bit_counts_matches_bin(masks):
+    assert bit_counts(masks) == Counter(i for m in masks for i in bin_positions(m))
+
+
+class TestOracleCapVariable:
+    @pytest.mark.parametrize("value, argv", [
+        # n = 40 never reaches the oracle, but run_coupling reads the cap
+        ("abc", ["couple", "--degrees", "regular(40,4)"]),
+        ("-1", ["oracle", "--degrees", "regular(4,2)"]),
+    ])
+    def test_bad_value_is_named_and_exits_1(self, monkeypatch, capsys, tmp_path, value, argv):
+        monkeypatch.setenv("DEGSEQ_ORACLE_CAP", value)
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: DEGSEQ_ORACLE_CAP must be an integer >= 0")
+        assert err.count("\n") == 1
+
+    def test_zero_is_valid(self, monkeypatch):
+        # 0 sends every escape redraw to the asymptotic sampler
+        monkeypatch.setenv("DEGSEQ_ORACLE_CAP", "0")
+        assert oracle_cap() == 0
 
 
 class TestEnumerateGraphs:
@@ -83,8 +131,6 @@ class TestExactEdgeMarginals:
         if not fam.masks:
             return
         counts = edge_counts(fam)
-        from degseq.graphs import tri_index
-
         for j in range(n):
             row = sum(counts[tri_index(n, min(j, k), max(j, k))] for k in range(n) if k != j)
             assert row == len(fam) * d[j]
@@ -115,6 +161,23 @@ class TestExactConditional:
         # a full member leaves no room, so conditioning is fine but the
         # candidate edge probability is 0
         assert exact_conditional_edge_prob((1, 1, 1, 1), h, (0, 2)) == 0.0
+
+    @given(graphical_degrees(max_n=6), st.data())
+    def test_matches_filter_and_count(self, d, data):
+        n = len(d)
+        fam = enumerate_graphs(d)
+        member = graph_of_mask(n, data.draw(st.sampled_from(fam.masks)))
+        keys = sorted(member.edges)
+        kept = data.draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)))
+        h = SimpleGraph(n, frozenset(e for e, keep in zip(keys, kept) if keep))
+        non_edges = [p for p in tri_pairs(n) if not h.has_edge(*p)]
+        assume(non_edges)
+        j, k = data.draw(st.sampled_from(non_edges))
+        # a filter-and-count over the whole family, as a reference
+        hmask, bit = mask_of_edges(n, h.edges), 1 << tri_index(n, j, k)
+        sub = [m for m in fam.masks if m & hmask == hmask]
+        hit = sum(1 for m in sub if m & bit)
+        assert exact_conditional_edge_prob(d, h, (j, k)) == hit / len(sub)
 
     def test_edge_already_present_raises(self):
         h = SimpleGraph.from_edges(4, [(0, 1)])

@@ -309,7 +309,8 @@ def test_returned_graph_bytes_per_edge():
 
 
 class TestAsymptoticKernelFrames:
-    """The query-time heap and the one-frame completion change no number."""
+    """The query-time heap, the one-frame completion and the open-pair scan
+    change no number."""
 
     @given(graphical_degrees(), st.lists(st.booleans(), max_size=80), st.data())
     @settings(deadline=None)
@@ -319,6 +320,10 @@ class TestAsymptoticKernelFrames:
         n = len(degrees)
         for step in by_step:
             t = kernel.t
+            weights = [kernel.weight(j, k) for j in range(n) for k in range(j + 1, n)
+                       if j * n + k not in kernel.edges]
+            assert kernel.denominator(EtaDenominatorMode.EXACT_MAX) == max(weights, default=0.0)
+            assert kernel.eligible_pair_exists() == any(w > 0 for w in weights)
             open_pairs = [
                 (j, k)
                 for j in range(n)
