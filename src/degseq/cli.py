@@ -1,10 +1,10 @@
 """Experiment runner and command-line surface.
 
-Subcommands: sample-gnd, sample-gnw, seq-approx-p, couple, oracle,
-verify-suite.  A run is configured by defaults, then an optional JSON config
-file, then explicit flags (flags win).  Replicas use one random stream per
-replica index, so re-running a config with the same seed reproduces every
-output file byte for byte except the wall-time metadata field.
+Each subcommand is an entry of `COMMANDS`, run in phases (see `Command`).
+A run is configured by defaults, then an optional JSON config file, then
+explicit flags (flags win).  Replicas use one random stream per replica
+index, so re-running a config with the same seed reproduces every output
+file byte for byte except the wall-time metadata field.
 
 Exit codes: 0 success, 1 invalid configuration or argument (any ValueError),
 2 non-graphical input sequence, 3 oracle cap exceeded, 4 I/O failure,
@@ -20,37 +20,11 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import __version__
+from . import __version__, coupling, deggen, graphs, io, oracle, randomness, samplers, stats
 from .acceptance import run_battery
-from .coupling import (
-    EtaDenominatorMode,
-    default_params,
-    lower_law,
-    run_coupling,
-)
-from .deggen import GeneratedSequence, parse_generator_spec
-from .graphs import (
-    DegreeSequence,
-    NonGraphicalError,
-    SymmetricProbMatrix,
-    chung_lu_matrix,
-    degree_stats,
-    f_c_transform,
-    is_graphical,
-    p_matrix,
-)
-from .io import (
-    read_degree_file,
-    write_degree_file,
-    write_edge_list,
-    write_family,
-    write_matrix_csv,
-    write_trace_ndjson,
-)
-from .oracle import OracleCapError, enumerate_graphs, exact_edge_marginals
-from .randomness import RandomSource
-from .samplers import SamplerDiagnostics, SeqSampleMode, sample_gnw, seq_approx_p, seq_sample_d
-from .stats import degree_concentration_check, empirical_marginals
+from .graphs import NonGraphicalError, SymmetricProbMatrix
+from .oracle import OracleCapError
+from .samplers import EtaDenominatorMode, SeqSampleMode
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -59,13 +33,12 @@ EXIT_ORACLE_CAP = 3
 EXIT_IO = 4
 EXIT_VERIFY_FAILED = 5
 
-W_KINDS = ("p", "chung-lu", "fc-p")
-
-# fields only some commands read; giving a command one it does not read is an error
-_SCHEDULE = ("xi", "zeta", "zeta_prime", "c_mult")
-COMMAND_FIELDS = {"couple": _SCHEDULE, "seq-approx-p": _SCHEDULE + ("lam",),
-                  "sample-gnd": ("checkpoints", "xi"), "sample-gnw": ("w_kind",),
-                  "oracle": (), "verify-suite": ()}
+# w_kind -> the matrix W of `sample-gnw`
+W_KINDS = {
+    "p": lambda d: graphs.p_matrix(d),
+    "chung-lu": lambda d: graphs.chung_lu_matrix(d.degrees),
+    "fc-p": lambda d: graphs.f_c_transform(graphs.p_matrix(d), 1.0),
+}
 
 
 @dataclass
@@ -88,6 +61,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         """Reject values of the wrong type or out of range, from flags and files alike."""
+        if self.kind not in COMMANDS:
+            raise ValueError(f"unknown command {self.kind!r}")
         if not _is_int(self.runs) or self.runs < 1:
             raise ValueError(f"runs must be an integer >= 1, got {self.runs!r}")
         if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
@@ -130,8 +105,8 @@ class ExperimentConfig:
                 values[key] = val
         values["kind"] = kind
         config = ExperimentConfig(**values)
-        optional = set().union(*COMMAND_FIELDS.values())
-        unread = sorted((optional - set(COMMAND_FIELDS.get(kind, ()))) & set(values))
+        optional = {name for command in COMMANDS.values() for name in command.fields}
+        unread = sorted((optional - set(COMMANDS[kind].fields)) & set(values))
         if unread:
             raise ValueError(f"{kind} does not read {', '.join(unread)}")
         return config
@@ -145,200 +120,246 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def resolve_degrees(config: ExperimentConfig) -> tuple[DegreeSequence, str, bool]:
-    """Degree sequence from a generator spec or a degree file."""
-    if not config.degrees:
-        raise ValueError("no degree source given (path or generator spec)")
-    if "(" in config.degrees:
-        gen: GeneratedSequence = parse_generator_spec(config.degrees, config.seed)
-        return gen.degrees, config.degrees, gen.even_sum_adjusted
-    return read_degree_file(config.degrees), config.degrees, False
-
-
-def _schedule(config: ExperimentConfig, d: DegreeSequence):
-    return default_params(
-        d,
-        xi=config.xi,
-        zeta=config.zeta,
-        zeta_prime=config.zeta_prime,
-        c_mult=config.c_mult,
-    )
-
-
-def _write_metadata(out: Path, payload: dict) -> None:
-    payload = dict(payload)
-    payload["library_version"] = __version__
-    (out / "metadata.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
 def run_experiment(config: ExperimentConfig) -> int:
     start = time.perf_counter()
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
+    command = COMMANDS[config.kind](config)
+    command.out.mkdir(parents=True, exist_ok=True)
+    meta = {"kind": config.kind, "seed": config.seed} | command.preamble() | command.setup()
+    for i in range(config.runs if command.has_replicas else 0):
+        command.replica(i)
+    meta |= command.finish()
+    meta["wall_time_s"] = time.perf_counter() - start
+    meta["library_version"] = __version__
+    (command.out / "metadata.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    return command.exit_code
 
-    if config.kind == "verify-suite":
-        results = run_battery()
-        report = [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "runtime_s": r.runtime_s,
-                "details": r.details,
-            }
-            for r in results
-        ]
-        (out / "acceptance_report.json").write_text(
-            json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+class Command:
+    """One command, in the phases `run_experiment` drives once it has made
+    the output directory.  `preamble()` reads the degrees (a generator spec
+    or a file) and writes `degrees.txt`; `setup()` writes the set-up files;
+    `replica(i)` draws from `RandomSource(seed, i)`, writes its edge files
+    and returns what it drew; `finish()` writes the closing files.  All but
+    `replica` return metadata entries.  Library calls go through module
+    attributes, so that they can be wrapped."""
+
+    # the optional config fields it reads; giving it any other is an error
+    fields: tuple[str, ...] = ()
+    has_replicas = True
+    exit_code = EXIT_OK
+
+    def __init__(self, config: ExperimentConfig):
+        self.config = config
+        self.out = Path(config.out)
+
+    def preamble(self) -> dict:
+        config = self.config
+        if not config.degrees:
+            raise ValueError("no degree source given (path or generator spec)")
+        adjusted = False
+        if "(" in config.degrees:
+            gen = deggen.parse_generator_spec(config.degrees, config.seed)
+            d, adjusted = gen.degrees, gen.even_sum_adjusted
+        else:
+            d = io.read_degree_file(config.degrees)
+        if not graphs.is_graphical(d):
+            raise NonGraphicalError(f"degree sequence from {config.degrees!r} is not graphical")
+        io.write_degree_file(self.out / "degrees.txt", d)
+        self.d = d
+        summary = graphs.degree_stats(d)
+        return {
+            "degrees_source": config.degrees,
+            "even_sum_adjusted": adjusted,
+            "n": d.n,
+            "degree_sum": summary.total,
+            "max_degree": summary.max,
+            "min_degree": summary.min,
+            "top_degree_mass": summary.top_sum,
+            "runs": config.runs,
+            "mode": config.mode,
+        }
+
+    def finish(self) -> dict:
+        return {}
+
+    def rng(self, i: int) -> randomness.RandomSource:
+        return randomness.RandomSource(self.config.seed, i)
+
+    def _save(self, name: str, g: graphs.SimpleGraph) -> None:
+        if self.config.save_graphs:
+            io.write_edge_list(self.out / name, g)
+
+    def _schedule(self) -> dict:
+        """Set `params` to the slack schedule; its metadata entries."""
+        c = self.config
+        p = self.params = coupling.default_params(
+            self.d, xi=c.xi, zeta=c.zeta, zeta_prime=c.zeta_prime, c_mult=c.c_mult
         )
-        _write_metadata(
-            out,
-            {
-                "kind": config.kind,
-                "seed": config.seed,
-                "passed": all(r.passed for r in results),
-                "wall_time_s": time.perf_counter() - start,
-            },
+        return {"xi": p.xi, "zeta": p.zeta, "zeta_prime": p.zeta_prime, "lam": p.lam,
+                "regime_warning": p.regime_warning}
+
+
+class Oracle(Command):
+    """The enumerated family and its exact marginals; no replicas."""
+
+    has_replicas = False
+
+    def setup(self) -> dict:
+        self.family = oracle.enumerate_graphs(self.d)
+        io.write_family(self.out / "family.txt", self.family)
+        self.marginals = oracle.exact_edge_marginals(self.d)
+        io.write_matrix_csv(self.out / "marginals.csv", self.marginals)
+        return {"family_size": len(self.family)}
+
+
+class SampleGnd(Command):
+    """`seq_sample_d`; a concentration report over any checkpoint snapshots."""
+
+    fields = ("checkpoints", "xi")
+
+    def setup(self) -> dict:
+        self.mode = SeqSampleMode(self.config.mode)
+        self.diag = samplers.SamplerDiagnostics()
+        self.snapshots: list[tuple[int, graphs.SimpleGraph]] = []
+        return {"checkpoints": self.config.checkpoints}
+
+    def replica(self, i: int) -> graphs.SimpleGraph:
+        checkpoints = self.config.checkpoints
+        g, snaps = samplers.seq_sample_d(
+            self.d, self.mode, self.rng(i), checkpoints=checkpoints, diagnostics=self.diag
         )
-        return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
+        self.snapshots.extend(zip(checkpoints, snaps))
+        self._save(f"run_{i:05d}.edges", g)
+        return g
 
-    d, source, adjusted = resolve_degrees(config)
-    if not is_graphical(d):
-        raise NonGraphicalError(f"degree sequence from {source!r} is not graphical")
-    write_degree_file(out / "degrees.txt", d)
-    stats = degree_stats(d)
-    meta: dict = {
-        "kind": config.kind,
-        "degrees_source": source,
-        "even_sum_adjusted": adjusted,
-        "n": d.n,
-        "degree_sum": stats.total,
-        "max_degree": stats.max,
-        "min_degree": stats.min,
-        "top_degree_mass": stats.top_sum,
-        "seed": config.seed,
-        "runs": config.runs,
-        "mode": config.mode,
-    }
-
-    if config.kind == "oracle":
-        fam = enumerate_graphs(d)
-        write_family(out / "family.txt", fam)
-        marginals = exact_edge_marginals(d)
-        write_matrix_csv(out / "marginals.csv", marginals)
-        meta.update({"family_size": len(fam)})
-
-    elif config.kind == "sample-gnd":
-        mode = SeqSampleMode(config.mode)
-        diag = SamplerDiagnostics()
-        finals = []
-        checkpoint_records = []
-        for i in range(config.runs):
-            rng = RandomSource(config.seed, i)
-            g, snaps = seq_sample_d(
-                d, mode, rng, checkpoints=config.checkpoints, diagnostics=diag
-            )
-            finals.append(g)
-            checkpoint_records.extend(zip(config.checkpoints, snaps))
-            if config.save_graphs:
-                write_edge_list(out / f"run_{i:05d}.edges", g)
-        meta.update({"restarts": diag.restarts, "checkpoints": config.checkpoints})
-        if checkpoint_records:
-            xi = config.xi if config.xi is not None else 0.2
-            report = degree_concentration_check(d, checkpoint_records, xi)
-            (out / "concentration.json").write_text(
+    def finish(self) -> dict:
+        if self.snapshots:
+            xi = self.config.xi if self.config.xi is not None else 0.2
+            report = stats.degree_concentration_check(self.d, self.snapshots, xi)
+            (self.out / "concentration.json").write_text(
                 json.dumps(dataclasses.asdict(report), sort_keys=True, indent=2) + "\n"
             )
+        return {"restarts": self.diag.restarts}
 
-    elif config.kind == "sample-gnw":
-        w = _w_matrix(config, d)
-        write_matrix_csv(out / "w_matrix.csv", w)
-        samples = []
-        for i in range(config.runs):
-            g = sample_gnw(w, RandomSource(config.seed, i))
-            samples.append(g)
-            if config.save_graphs:
-                write_edge_list(out / f"run_{i:05d}.edges", g)
-        meta.update({"w_kind": config.w_kind})
-        if config.runs >= 100:
-            report = empirical_marginals(samples, w)
-            _write_marginals_csv(out / "marginals.csv", report)
-            meta.update({"worst_abs_z": report.worst_abs_z})
 
-    elif config.kind == "seq-approx-p":
-        params = _schedule(config, d)
-        lam = config.lam if config.lam is not None else params.lam
-        w_ref = lower_law(d, params.big_lambda, lam)
-        samples = []
-        for i in range(config.runs):
-            g = seq_approx_p(d, lam, params.big_lambda, RandomSource(config.seed, i))
-            samples.append(g)
-            if config.save_graphs:
-                write_edge_list(out / f"run_{i:05d}.edges", g)
-        meta.update(_params_dict(params) | {"lam_used": lam})
-        if config.runs >= 100:
-            report = empirical_marginals(samples, w_ref)
-            _write_marginals_csv(out / "marginals.csv", report)
-            meta.update({"worst_abs_z": report.worst_abs_z})
+class SampleGnw(Command):
+    """G(n, W) per replica; with `--runs >= 100` the draws are kept for a
+    per-edge marginal report against `reference()`, here W itself."""
 
-    elif config.kind == "couple":
-        params = _schedule(config, d)
-        prob = SeqSampleMode(config.mode)
-        denom = EtaDenominatorMode(config.denom)
-        traces = []
-        fallbacks = violations = 0
-        for i in range(config.runs):
-            rng = RandomSource(config.seed, i)
-            g_l, g, tr = run_coupling(d, params, prob, denom, rng)
-            traces.append(tr.to_json_dict())
-            if tr.fallback:
-                fallbacks += 1
-            elif not g_l.is_subgraph_of(g):
-                violations += 1
-            if config.save_graphs:
-                write_edge_list(out / f"run_{i:05d}_lower.edges", g_l)
-                write_edge_list(out / f"run_{i:05d}_upper.edges", g)
-        write_trace_ndjson(out / "traces.ndjson", traces)
-        meta.update(
-            _params_dict(params)
-            | {
-                "denom": config.denom,
-                "fallback_fraction": fallbacks / config.runs,
-                "non_fallback_runs": config.runs - fallbacks,
-                "containment_violations": violations,
-            }
+    fields = ("w_kind",)
+
+    def setup(self) -> dict:
+        self.samples: list[graphs.SimpleGraph] = []
+        self.w = W_KINDS[self.config.w_kind](self.d)
+        io.write_matrix_csv(self.out / "w_matrix.csv", self.w)
+        return {"w_kind": self.config.w_kind}
+
+    def draw(self, rng: randomness.RandomSource) -> graphs.SimpleGraph:
+        return samplers.sample_gnw(self.w, rng)
+
+    def reference(self) -> SymmetricProbMatrix:
+        return self.w
+
+    def replica(self, i: int) -> graphs.SimpleGraph:
+        g = self.draw(self.rng(i))
+        if self.config.runs >= 100:
+            self.samples.append(g)
+        self._save(f"run_{i:05d}.edges", g)
+        return g
+
+    def finish(self) -> dict:
+        if self.config.runs < 100:
+            return {}
+        report = stats.empirical_marginals(self.samples, self.reference())
+        lines = ["i,j,frequency,reference,z\n"]
+        for row in report.rows:
+            z = "" if row.z is None else repr(row.z)
+            lines.append(f"{row.edge[0]},{row.edge[1]},{row.frequency!r},{row.reference!r},{z}\n")
+        (self.out / "marginals.csv").write_text("".join(lines))
+        return {"worst_abs_z": report.worst_abs_z}
+
+
+class SeqApproxP(SampleGnw):
+    """The Poissonized sampler: an independent-edge law like G(n, W), with the
+    lower law in place of W, so `sample-gnw`'s loop and report serve it."""
+
+    fields = ("xi", "zeta", "zeta_prime", "c_mult", "lam")
+
+    def setup(self) -> dict:
+        self.samples = []
+        meta = self._schedule()
+        self.lam = self.config.lam if self.config.lam is not None else self.params.lam
+        return meta | {"lam_used": self.lam}
+
+    def draw(self, rng: randomness.RandomSource) -> graphs.SimpleGraph:
+        return samplers.seq_approx_p(self.d, self.lam, self.params.big_lambda, rng)
+
+    def reference(self) -> SymmetricProbMatrix:
+        # dense, so built only for the report
+        return coupling.lower_law(self.d, self.params.big_lambda, self.lam)
+
+
+class Couple(Command):
+    """One coupled pair (G_L, G) and its trace line per replica."""
+
+    fields = ("xi", "zeta", "zeta_prime", "c_mult")
+
+    def setup(self) -> dict:
+        self.prob = SeqSampleMode(self.config.mode)
+        self.denom = EtaDenominatorMode(self.config.denom)
+        self.traces: list[dict] = []
+        self.fallbacks = self.violations = 0
+        return self._schedule() | {"denom": self.config.denom}
+
+    def replica(self, i: int):
+        g_l, g, tr = coupling.run_coupling(self.d, self.params, self.prob, self.denom, self.rng(i))
+        self.traces.append(tr.to_json_dict())
+        if tr.fallback:
+            self.fallbacks += 1
+        elif not g_l.is_subgraph_of(g):
+            self.violations += 1
+        self._save(f"run_{i:05d}_lower.edges", g_l)
+        self._save(f"run_{i:05d}_upper.edges", g)
+        return g_l, g, tr
+
+    def finish(self) -> dict:
+        io.write_trace_ndjson(self.out / "traces.ndjson", self.traces)
+        runs = len(self.traces)
+        return {
+            "fallback_fraction": self.fallbacks / runs,
+            "non_fallback_runs": runs - self.fallbacks,
+            "containment_violations": self.violations,
+        }
+
+
+class VerifySuite(Command):
+    """The acceptance battery, once; it reads no degrees."""
+
+    has_replicas = False
+
+    def preamble(self) -> dict:
+        return {}
+
+    def setup(self) -> dict:
+        results = run_battery()
+        report = [dataclasses.asdict(r) for r in results]
+        (self.out / "acceptance_report.json").write_text(
+            json.dumps(report, sort_keys=True, indent=2) + "\n"
         )
-    else:
-        raise ValueError(f"unknown experiment kind {config.kind!r}")
-
-    meta["wall_time_s"] = time.perf_counter() - start
-    _write_metadata(out, meta)
-    return EXIT_OK
+        passed = all(r.passed for r in results)
+        self.exit_code = EXIT_OK if passed else EXIT_VERIFY_FAILED
+        return {"passed": passed}
 
 
-def _params_dict(params) -> dict:
-    return {
-        "xi": params.xi,
-        "zeta": params.zeta,
-        "zeta_prime": params.zeta_prime,
-        "lam": params.lam,
-        "regime_warning": params.regime_warning,
-    }
-
-
-def _w_matrix(config: ExperimentConfig, d: DegreeSequence) -> SymmetricProbMatrix:
-    if config.w_kind == "p":
-        return p_matrix(d)
-    if config.w_kind == "chung-lu":
-        return chung_lu_matrix(d.degrees)
-    return f_c_transform(p_matrix(d), 1.0)
-
-
-def _write_marginals_csv(path: Path, report) -> None:
-    lines = ["i,j,frequency,reference,z\n"]
-    for row in report.rows:
-        z = "" if row.z is None else repr(row.z)
-        lines.append(f"{row.edge[0]},{row.edge[1]},{row.frequency!r},{row.reference!r},{z}\n")
-    path.write_text("".join(lines))
+# the one list of commands, in the order `degseq --help` gives them
+COMMANDS = {
+    "sample-gnd": SampleGnd,
+    "sample-gnw": SampleGnw,
+    "seq-approx-p": SeqApproxP,
+    "couple": Couple,
+    "oracle": Oracle,
+    "verify-suite": VerifySuite,
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -347,30 +368,23 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Samplers and coupled construction for degree-constrained random graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("sample-gnd", "sample-gnw", "seq-approx-p", "couple", "oracle", "verify-suite"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--runs", type=int, default=None)
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument(
-            "--degrees",
-            default=None,
-            help="degree file path or generator spec, e.g. 'regular(2000,50)'",
-        )
-        p.add_argument("--mode", choices=[m.value for m in SeqSampleMode], default=None)
-        p.add_argument("--denom", choices=[m.value for m in EtaDenominatorMode], default=None)
-        p.add_argument(
-            "--checkpoints",
-            default=None,
-            help="comma-separated snapshot edge counts, e.g. '1,2,10'",
-        )
-        p.add_argument("--xi", type=float, default=None)
-        p.add_argument("--zeta", type=float, default=None)
-        p.add_argument("--zeta-prime", type=float, default=None)
-        p.add_argument("--c-mult", type=float, default=None)
-        p.add_argument("--lam", type=float, default=None)
-        p.add_argument("--w-kind", choices=W_KINDS, default=None)
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--runs", type=int)
+        p.add_argument("--out", help="output directory")
+        p.add_argument("--degrees",
+                       help="degree file path or generator spec, e.g. 'regular(2000,50)'")
+        p.add_argument("--mode", choices=[m.value for m in SeqSampleMode])
+        p.add_argument("--denom", choices=[m.value for m in EtaDenominatorMode])
+        p.add_argument("--checkpoints", help="comma-separated snapshot edge counts, e.g. '1,2,10'")
+        p.add_argument("--xi", type=float)
+        p.add_argument("--zeta", type=float)
+        p.add_argument("--zeta-prime", type=float)
+        p.add_argument("--c-mult", type=float)
+        p.add_argument("--lam", type=float)
+        p.add_argument("--w-kind", choices=W_KINDS)
         p.add_argument("--save-graphs", action="store_true", default=None)
     return parser
 

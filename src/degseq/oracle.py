@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, starmap
 from math import comb
-from typing import TYPE_CHECKING, Iterable, Sequence
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -108,6 +109,11 @@ class GraphFamily:
     @property
     def members(self) -> list[SimpleGraph]:
         return [graph_of_mask(self.n, m) for m in self.masks]
+
+    @cached_property
+    def pair_counts(self) -> Mapping[int, int]:
+        """Pair index -> the number of members with that edge; shared, so read only."""
+        return MappingProxyType(bit_counts(self.masks))
 
 
 def _backtrack_masks(n: int, degrees: Sequence[int]) -> list[int]:
@@ -206,7 +212,7 @@ def exact_edge_marginals(d: DegreeSequence | Sequence[int]) -> SymmetricProbMatr
 def edge_counts(fam: GraphFamily) -> np.ndarray:
     """Integer count, per pair slot, of members containing that edge."""
     counts = np.zeros(tri_size(fam.n), dtype=np.int64)
-    bits = bit_counts(fam.masks)
+    bits = fam.pair_counts
     counts[list(bits)] = list(bits.values())
     return counts
 
@@ -223,7 +229,7 @@ def exact_conditional_edge_prob(
     j, k = normalize_edge(*jk)
     if h.has_edge(j, k):
         raise ValueError(f"edge ({j},{k}) already in the conditioning graph")
-    kernel = OracleKernel(d.degrees, enumerate_graphs(d).masks, h.edges)
+    kernel = OracleKernel(enumerate_graphs(d), h.edges)
     return kernel.candidate_counts().get(tri_index(d.n, j, k), 0) / len(kernel.sub)
 
 
@@ -276,19 +282,20 @@ class OracleKernel:
 
     __slots__ = ("d", "n", "pairs", "sub", "gmask", "edges", "history", "_counts")
 
-    def __init__(self, d: Sequence[int], masks: Sequence[int], edges: Iterable[int]):
-        self.d = d
-        self.n = len(d)
+    def __init__(self, family: GraphFamily, edges: Iterable[int]):
+        self.d = family.degrees
+        self.n = family.n
         self.pairs = tri_pairs(self.n)
         self.edges = set(edges)
         self.history: list[int] = []
         self.gmask = mask_of_edges(self.n, self.edges)
-        self.sub = [m for m in masks if m & self.gmask == self.gmask]
+        self.sub = [m for m in family.masks if m & self.gmask == self.gmask]
         if not self.sub:
             raise ValueError("conditioning event is empty")
-        self._counts: dict[int, int] | None = None
+        # the empty state's counts are the family's, which it keeps
+        self._counts = None if self.gmask else family.pair_counts
 
-    def candidate_counts(self) -> dict[int, int]:
+    def candidate_counts(self) -> Mapping[int, int]:
         """Pair index -> number of compatible members containing that missing edge."""
         if self._counts is None:
             self._counts = bit_counts(map(self.gmask.__xor__, self.sub))

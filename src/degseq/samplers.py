@@ -301,7 +301,7 @@ def make_kernel(
     if state.n != d.n:
         raise ValueError(f"graph on {state.n} vertices vs sequence of length {d.n}")
     if mode is SeqSampleMode.EXACT_ORACLE:
-        return OracleKernel(d.degrees, enumerate_graphs(d, cap=cap).masks, state.edges)
+        return OracleKernel(enumerate_graphs(d, cap=cap), state.edges)
     if mode is SeqSampleMode.ASYMPTOTIC:
         t, _ = remaining_degrees(d, state)
         return AsymptoticKernel(d.degrees, set(state.edges), list(t.degrees))

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -256,6 +259,54 @@ class TestConfigValidation:
                 "--mode", "exact", "--denom", "exact-max", "--runs", "2", "--seed", "3",
                 "--save-graphs"]
         assert run(args) == 0
+
+
+class TestUnknownCommand:
+    def test_rejected_before_anything_is_written(self, tmp_path):
+        # each was accepted; run_experiment then wrote degrees.txt before raising
+        out = tmp_path / "o"
+        fields = {"degrees": "regular(4,2)", "out": str(out)}
+        with pytest.raises(ValueError, match="unknown command 'bogus'"):
+            cli.run_experiment(cli.ExperimentConfig(kind="bogus", **fields))
+        with pytest.raises(ValueError, match="unknown command 'bogus'"):
+            cli.ExperimentConfig.from_sources("bogus", None, fields)
+        assert not out.exists()
+
+
+def peak_mb(out, **fields) -> float:
+    """The tracemalloc peak of one run, in MB."""
+    config = cli.ExperimentConfig(out=str(out), **fields)
+    tracemalloc.start()
+    try:
+        assert cli.run_experiment(config) == 0
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+class TestKeepsOnlyWhatItReads:
+    def test_sample_gnd_peak_does_not_grow_with_runs(self, tmp_path):
+        # every final graph was kept in a list nothing read: 0.9 MB at 2 runs,
+        # 2.2 MB at 6
+        two, six = (peak_mb(tmp_path / str(runs), kind="sample-gnd", degrees="regular(500,10)",
+                            runs=runs) for runs in (2, 6))
+        assert six < 1.1 * two
+
+    def test_seq_approx_p_builds_no_dense_reference_below_100_runs(self, tmp_path):
+        # the dense lower law was built on every run: an 80 MB peak here
+        peak = peak_mb(tmp_path / "o", kind="seq-approx-p", degrees="regular(2000,20)", runs=2)
+        assert peak < 16
+
+
+def test_benchmark_replays_write_what_the_commands_write():
+    # benchmarks/replay.py follows each command's loop; fidelity.py compares
+    # the bytes, so a change to one side alone fails here
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "benchmarks/fidelity.py", "--runs", "2"], cwd=root,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 8 and all(line.startswith("ok ") for line in lines), proc.stdout
 
 
 class TestVerifySuite:

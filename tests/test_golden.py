@@ -1,11 +1,14 @@
 """Byte-identity guard: fixed-seed CLI runs must write the same files, byte for byte.
 
-Each case runs `degseq.cli.main` and hashes every output file except
-`metadata.json` (its wall time varies).  The exact-mode, sample-gnw and
-seq-approx-p digests were recorded from the implementation with the inlined
-coupling loop; the asymptotic ones from the kernel with phased, thinned
-proposals.  A refactor that changes the order of random draws, a weight, or
-a file format changes a digest.
+Each case runs `degseq.cli.main` and records two digests: one over every
+output file except `metadata.json`, and one over `metadata.json` with its
+`wall_time_s` (which varies) removed, dumped with sorted keys.  The
+exact-mode, sample-gnw and seq-approx-p file digests were recorded from the
+implementation with the inlined coupling loop; the asymptotic ones from the
+kernel with phased, thinned proposals.  The metadata digests, and the oracle
+and `--runs 100` marginal cases, were recorded from the per-command `if/elif`
+runner.  A refactor that changes the order of random draws, a weight, a file
+format or a metadata entry changes a digest.
 """
 import hashlib
 import json
@@ -20,39 +23,46 @@ CASES = {
         ["couple", "--degrees", "regular(30,4)", "--mode", "asymptotic",
          "--denom", "certified-bound", "--zeta", "0.7", "--seed", "3", "--runs", "8"],
         "766beef0ecd76070003d4e98ad5be02a1e8385f13310f30d8bb8658dd10e6a0d",
+        "12c2d1e8e05e40039f2c953ee951f2b3b7622da63b9bd86aa1c1da55faad1b6b",
     ),
     # n = 7 <= oracle cap: the escape redraws G exactly from the family
     "couple-asymptotic-certified-small": (
         ["couple", "--degrees", "regular(7,2)", "--mode", "asymptotic",
          "--denom", "certified-bound", "--seed", "3", "--runs", "8"],
         "6c09947ada5c44b3035f6f349bdb3c1bf0163b7ecc0860871c60b35199e05f39",
+        "baa8d07d6baa15220606e33ba28fe3bcd88c04a27ec8c94a54b9275b97e3bb9c",
     ),
     # run 6 completes after a dead-end restart
     "couple-asymptotic-exact-max": (
         ["couple", "--degrees", "regular(12,3)", "--mode", "asymptotic",
          "--denom", "exact-max", "--zeta", "0.7", "--seed", "3", "--runs", "8"],
         "afce48586dc5f2471100cf7e9035182937603c7a45799abe7100ae81c741ff64",
+        "260af793ff77af406ea0f1dc05c4a2d429ad2e72662d0aa457a141e178812b09",
     ),
     "couple-exact": (
         ["couple", "--degrees", "regular(6,2)", "--mode", "exact",
          "--denom", "exact-max", "--seed", "1", "--runs", "10"],
         "c795a929cfbaaf39b284461df1d04dcae9f6e822549184469e316e00c9048dd6",
+        "b81dd78ae022bcaae9f94a53d464558391fbc32a618d94e4ee0aae135cc174af",
     ),
     "sample-gnd-exact-checkpoints": (
         ["sample-gnd", "--degrees", "regular(6,2)", "--mode", "exact",
          "--checkpoints", "1,3", "--seed", "5", "--runs", "20"],
         "7179445eec588c841e3a6a17af51c91016c3e95077929720623506380a5429c8",
+        "aaa002c229724c0711989ddbf2207682ac40e431ecd6b61abd97295b19544bf1",
     ),
     "sample-gnd-asymptotic": (
         ["sample-gnd", "--degrees", "regular(16,5)", "--mode", "asymptotic",
          "--seed", "1", "--runs", "6"],
         "64c6aa6114b7eabc5a15ff0d641cb1b62ef33aaed6362f6d73147226c5fd116c",
+        "eedc160bd0713658940c366a399f2880ac92208c80c1fe1ec023f8aa18341479",
     ),
     # asymptotic snapshots from the insertion history; 2 dead-end restarts
     "sample-gnd-asymptotic-checkpoints": (
         ["sample-gnd", "--degrees", "regular(16,5)", "--mode", "asymptotic",
          "--checkpoints", "10,30", "--seed", "2", "--runs", "6"],
         "8d465658d33646506142181380dae809d75dc84c3dd2355d6069804c0ccd79ff",
+        "b3e6a125d99faaa9ca7bb26e1f93bbee52decf4a876c6c89c82cfc025f7a36c7",
     ),
     # powerlaw draws its degrees through `uniforms(150)`, and each replica's
     # `uniforms(11175)` is larger than a full block; vertex ids reach three
@@ -60,21 +70,44 @@ CASES = {
     "sample-gnw-powerlaw": (
         ["sample-gnw", "--degrees", "powerlaw(150,2.5,2,20)", "--seed", "7", "--runs", "3"],
         "470cd61f4a1c242c57e9a26ac10f7547ce124c3ad939cafdaac08eb5b3ce634b",
+        "47ce42685138948cd241c862cd843103fbbbffebd69a20d18809698467e07757",
     ),
     "seq-approx-p": (
         ["seq-approx-p", "--degrees", "regular(10,3)", "--seed", "2", "--runs", "5"],
         "85557d3d2c0b20512ea0f20482d4a149b67cb47856a4723315510ae846add640",
+        "4f36de1bb44b3da2d0864e01ccc96c5897b89c676ac8753bbcd90eb12af0e86c",
+    ),
+    # 100 runs write the marginal report, marginals.csv and worst_abs_z
+    "seq-approx-p-marginals": (
+        ["seq-approx-p", "--degrees", "regular(6,3)", "--seed", "4", "--runs", "100"],
+        "0ac7481f02be152683ccd0aba3d24396ccda49bb6d2ef5a911e33c9330a16789",
+        "5572eb88179b8f9ac5ebcd78a17d741280a69c7657d702a8a49f43cb900c0df1",
+    ),
+    "sample-gnw-p-marginals": (
+        ["sample-gnw", "--degrees", "regular(6,3)", "--w-kind", "p", "--seed", "4",
+         "--runs", "100"],
+        "e2ed19cc8170d4096fe574357e94a6ed269ef5710cc39597c5dbb22c93c4dbc4",
+        "f7f3a2d632a93d33addb2623101daba9de8edf89ba3210ce9e4aa90342f80ccb",
+    ),
+    "oracle": (
+        ["oracle", "--degrees", "regular(6,2)"],
+        "ee702dd0292a5af906a7a83f91bffd8cfbd1a57813d449bdb77c24fbe4900c8b",
+        "90739f4fbc3c2aaea193d32960e85a9b5d84cacb0a1411b29d40569634eb3277",
     ),
 }
 
 
 def run_case(args, out):
+    """The digest of every output file but `metadata.json`, and of the metadata."""
     assert cli.main(args + ["--save-graphs", "--out", str(out)]) == 0
     files = sorted(p for p in out.iterdir() if p.name != "metadata.json")
     digest = hashlib.sha256()
     for path in files:
         digest.update(f"{path.name}:{hashlib.sha256(path.read_bytes()).hexdigest()}\n".encode())
-    return digest.hexdigest()
+    meta = json.loads((out / "metadata.json").read_text())
+    del meta["wall_time_s"]
+    meta_digest = hashlib.sha256(json.dumps(meta, sort_keys=True).encode()).hexdigest()
+    return digest.hexdigest(), meta_digest
 
 
 def traces(out):
@@ -83,8 +116,8 @@ def traces(out):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_outputs_byte_identical(name, tmp_path):
-    args, expected = CASES[name]
-    assert run_case(args, tmp_path) == expected
+    args, files_digest, meta_digest = CASES[name]
+    assert run_case(args, tmp_path) == (files_digest, meta_digest)
 
 
 def test_cases_cover_escape_completion_and_restart(tmp_path):
@@ -113,3 +146,9 @@ def test_cases_cover_escape_completion_and_restart(tmp_path):
     out = tmp_path / "gnd"
     run_case(CASES["sample-gnd-asymptotic-checkpoints"][0], out)
     assert json.loads((out / "metadata.json").read_text())["restarts"] > 0
+
+    for name in ("seq-approx-p-marginals", "sample-gnw-p-marginals"):
+        out = tmp_path / name
+        run_case(CASES[name][0], out)
+        assert (out / "marginals.csv").exists()
+        assert "worst_abs_z" in json.loads((out / "metadata.json").read_text())

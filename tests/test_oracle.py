@@ -9,13 +9,16 @@ from degseq import (
     NonGraphicalError,
     OracleCapError,
     RandomSource,
+    SeqSampleMode,
     SimpleGraph,
     enumerate_graphs,
     exact_conditional_edge_prob,
     exact_edge_marginals,
     exact_subgraph_law,
     exact_uniform_sample,
+    seq_sample_d,
 )
+from degseq import oracle
 from degseq.cli import main
 from degseq.graphs import tri_index, tri_pairs
 from degseq.oracle import (
@@ -245,3 +248,32 @@ class TestExactSubgraphLaw:
         for m in range(sum(d) // 2 + 1):
             law = exact_subgraph_law(d, m)
             assert abs(sum(law.values()) - 1.0) < 1e-12
+
+
+class TestFamilyCountsOnce:
+    def test_second_replica_recounts_no_whole_family(self, monkeypatch):
+        # an exact replica starts at the empty state, whose counts are the
+        # family's edge counts; a second replica must reuse them
+        d = (3,) * 8
+        size = len(enumerate_graphs(d))
+        seq_sample_d(d, SeqSampleMode.EXACT_ORACLE, RandomSource(9, 0))
+        covered = []
+
+        def counting(masks):
+            masks = list(masks)
+            covered.append(len(masks))
+            return bit_counts(masks)
+
+        monkeypatch.setattr(oracle, "bit_counts", counting)
+        seq_sample_d(d, SeqSampleMode.EXACT_ORACLE, RandomSource(9, 1))
+        assert covered and max(covered) < size
+
+    def test_shared_counts_are_read_only_and_exact(self):
+        # every exact kernel on the family starts from the same mapping
+        d = (2,) * 7
+        fam = enumerate_graphs(d)
+        seq_sample_d(d, SeqSampleMode.EXACT_ORACLE, RandomSource(9, 0))
+        with pytest.raises(TypeError):
+            fam.pair_counts[0] = 0
+        recount = [sum(m >> i & 1 for m in fam.masks) for i in range(len(tri_pairs(7)))]
+        assert list(edge_counts(fam)) == recount
