@@ -41,7 +41,6 @@ from .coupling import (
     EtaDenominatorMode,
     default_params,
     eta_denominator,
-    ind_sample,
     lambda_matrix,
     lower_law,
     rho,

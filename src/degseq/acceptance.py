@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import product
 from math import ceil, expm1, log, log10
 from typing import Callable, Sequence
 
@@ -263,7 +264,7 @@ def criterion_c7() -> CriterionResult:
         checked = graphical = 0
         for n in range(1, 7):
             top = min(3, n - 1)
-            for degrees in _all_tuples(n, top):
+            for degrees in product(range(top + 1), repeat=n):
                 expected = sorted(raw_scan_masks(degrees))
                 fam = enumerate_graphs(degrees)
                 checked += 1
@@ -285,20 +286,6 @@ def criterion_c7() -> CriterionResult:
         return True, f"{checked} sequences checked, {graphical} graphical, all consistent"
 
     return _timed(body, "C7 oracle self-consistency", 120.0)
-
-
-def _all_tuples(n: int, top: int):
-    if top < 0:
-        yield (0,) * n
-        return
-    stack = [()]
-    while stack:
-        prefix = stack.pop()
-        if len(prefix) == n:
-            yield prefix
-            continue
-        for v in range(top, -1, -1):
-            stack.append(prefix + (v,))
 
 
 # -- C8: heavy-tailed smoke run ------------------------------------------------

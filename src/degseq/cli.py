@@ -18,6 +18,8 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import combinations
+from math import isnan
 from pathlib import Path
 
 from . import __version__, coupling, deggen, graphs, io, oracle, randomness, samplers, stats
@@ -271,11 +273,11 @@ class SampleGnw(Command):
         if self.config.runs < 100:
             return {}
         report = stats.empirical_marginals(self.samples, self.reference())
-        lines = ["i,j,frequency,reference,z\n"]
-        for row in report.rows:
-            z = "" if row.z is None else repr(row.z)
-            lines.append(f"{row.edge[0]},{row.edge[1]},{row.frequency!r},{row.reference!r},{z}\n")
-        (self.out / "marginals.csv").write_text("".join(lines))
+        columns = report.frequency.tolist(), report.reference.tolist(), report.z.tolist()
+        with open(self.out / "marginals.csv", "w") as fh:
+            fh.write("i,j,frequency,reference,z\n")
+            for (j, k), f, ref, z in zip(combinations(range(self.d.n), 2), *columns):
+                fh.write(f"{j},{k},{f!r},{ref!r},{'' if isnan(z) else repr(z)}\n")
         return {"worst_abs_z": report.worst_abs_z}
 
 

@@ -5,9 +5,10 @@ through a three-way accept table so that, marginally, the lower graph is an
 independent-edge graph with entries 1 - exp(-lam * Lambda_jk * Q_jk), the
 upper graph is (in exact mode) a uniform graph with the target degree
 sequence, and on runs that never hit the escape branch the lower graph is a
-subgraph of the upper one.  The escape branch (`ind_sample`) redraws the two
-graphs independently, preserving both marginal laws at the cost of
-containment.
+subgraph of the upper one.  On an escape the lower graph finishes its
+candidate stream with acceptance coins alone (`accept_candidates`, the loop
+`seq_approx_p` runs) and the upper graph is redrawn from its own law
+(`_redraw_upper`): both marginal laws hold, containment does not.
 """
 from __future__ import annotations
 
@@ -36,7 +37,6 @@ from .samplers import (
     SeqSampleMode,
     accept_candidates,
     make_kernel,
-    sample_gnw,
     seq_sample_d,
 )
 
@@ -50,7 +50,6 @@ __all__ = [
     "rho",
     "eta_denominator",
     "run_coupling",
-    "ind_sample",
 ]
 
 
@@ -217,23 +216,6 @@ class CouplingTrace:
         return asdict(self)
 
 
-def ind_sample(
-    d: DegreeSequence | Sequence[int],
-    params: CouplingParams,
-    rng: RandomSource,
-) -> tuple[SimpleGraph, SimpleGraph]:
-    """Independent pair (G_L, G): the escape branch of the coupling.
-
-    G is drawn first (exactly, via the enumeration oracle, when n is within
-    the cap; otherwise by the asymptotic sequential sampler), then G_L from
-    its closed-form independent-edge law.  No containment relation holds.
-    """
-    d = DegreeSequence.of(d)
-    g, _ = _redraw_upper(d, rng, oracle_cap())
-    g_l = sample_gnw(lower_law(d, params.big_lambda, params.lam), rng)
-    return g_l, g
-
-
 def _redraw_upper(d: DegreeSequence, rng: RandomSource, cap: int) -> tuple[SimpleGraph, bool]:
     """G from its own law, and whether that law is only approximate: exact
     from the enumeration oracle when n is within the cap, otherwise the
@@ -273,7 +255,7 @@ def run_coupling(
     acceptance coins alone, so that over the whole run every step applied
     the same add-with-probability-Lambda update and its independent-edge law
     holds exactly, unconditionally; the upper graph is redrawn independently
-    from its own law as in `ind_sample`.  A fresh redraw of the lower graph
+    from its own law by `_redraw_upper`.  A fresh redraw of the lower graph
     would instead bias the overall mixture, because the escape event is
     correlated with the acceptance coins already spent.
     """

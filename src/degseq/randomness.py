@@ -33,13 +33,14 @@ class RandomSource:
     def uniform(self) -> float:
         """One double in [0, 1)."""
         pos = self._pos
-        buf = self._buf
-        if pos == len(buf):
-            size = min(max(2 * len(buf), _FIRST_BLOCK), _MAX_BLOCK)
-            buf = self._buf = self._gen.random(size).tolist()
-            pos = 0
         self._pos = pos + 1
-        return buf[pos]
+        try:
+            return self._buf[pos]
+        except IndexError:  # the block is used up: refill it
+            size = min(max(2 * len(self._buf), _FIRST_BLOCK), _MAX_BLOCK)
+            self._buf = self._gen.random(size).tolist()
+            self._pos = 1
+            return self._buf[0]
 
     def uniforms(self, k: int) -> np.ndarray:
         """k doubles in [0, 1): the rest of the block, then fresh draws."""

@@ -7,8 +7,7 @@ given fixed seeds upstream; nothing here draws randomness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from math import sqrt
+from itertools import chain, islice
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -23,7 +22,7 @@ from .graphs import (
     degree_stats,
     p_matrix,
     key_to_tri,
-    tri_pairs,
+    tri_to_key,
     tri_size,
 )
 
@@ -49,6 +48,9 @@ class VerifyThresholds:
 
 THRESHOLDS = VerifyThresholds()
 
+# edge keys converted per numpy call when counting marginals
+_KEY_BLOCK = 1 << 16
+
 
 def indicator_matrix(samples: Sequence[SimpleGraph]) -> np.ndarray:
     """(n_runs, n_pairs) 0/1 matrix of edge indicators."""
@@ -64,22 +66,24 @@ def indicator_matrix(samples: Sequence[SimpleGraph]) -> np.ndarray:
     return out
 
 
+def _pairs_at(n: int, idx: np.ndarray) -> list[Edge]:
+    """The pairs (j, k) at flat indices `idx`."""
+    return [divmod(key, n) for key in tri_to_key(n, idx).tolist()]
+
+
 # ---------------------------------------------------------------------------
 # Marginals
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class MarginalRow:
-    edge: Edge
-    frequency: float
-    reference: float
-    z: float | None
-
-
-@dataclass
 class MarginalReport:
-    rows: list[MarginalRow]
+    """Per-pair arrays in the flat storage order; z is NaN where the
+    reference is 0 or 1."""
+
+    frequency: np.ndarray
+    reference: np.ndarray
+    z: np.ndarray
     worst_abs_z: float
     n_runs: int
     exact_violations: list[Edge]
@@ -98,27 +102,23 @@ def empirical_marginals(
     """
     if len(samples) < 100:
         raise ValueError("need at least 100 runs for marginal z-scores")
-    if samples[0].n != reference.n:
-        raise ValueError("reference dimension does not match samples")
-    x = indicator_matrix(samples)
-    freq = x.mean(axis=0)
+    n = reference.n
+    if any(g.n != n for g in samples):
+        raise ValueError("samples must all have the reference's vertex count")
     n_runs = len(samples)
-    pairs = tri_pairs(reference.n)
-    rows: list[MarginalRow] = []
-    worst = 0.0
-    violations: list[Edge] = []
-    for i, e in enumerate(pairs):
-        ref = float(reference.tri[i])
-        f = float(freq[i])
-        if ref <= 0.0 or ref >= 1.0:
-            rows.append(MarginalRow(e, f, ref, None))
-            if f != ref:
-                violations.append(e)
-            continue
-        z = (f - ref) / sqrt(ref * (1.0 - ref) / n_runs)
-        rows.append(MarginalRow(e, f, ref, z))
-        worst = max(worst, abs(z))
-    return MarginalReport(rows, worst, n_runs, violations)
+    counts = np.zeros(tri_size(n), dtype=np.int64)
+    keys = chain.from_iterable(g.edges for g in samples)
+    # keys are read in fixed-size blocks, so no array grows with the run count
+    while (block := np.fromiter(islice(keys, _KEY_BLOCK), np.int64)).size:
+        np.add.at(counts, key_to_tri(n, block), 1)
+    freq = counts / n_runs
+    ref = reference.tri
+    interior = (ref > 0.0) & (ref < 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(interior, (freq - ref) / np.sqrt(ref * (1.0 - ref) / n_runs), np.nan)
+    worst = float(np.abs(z[interior]).max(initial=0.0))
+    violations = _pairs_at(n, np.flatnonzero(~interior & (freq != ref)))
+    return MarginalReport(freq, ref, z, worst, n_runs, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +225,13 @@ def pairwise_covariance(samples: Sequence[SimpleGraph]) -> CovarianceReport:
     cov = (x.T @ x) / n_runs - np.outer(p, p)
     var = p * (1.0 - p)
     band = THRESHOLDS.sigma * np.sqrt(np.outer(var, var) / n_runs)
-    pairs = tri_pairs(samples[0].n)
-    violations = []
-    for a in range(n_pairs):
-        for b in range(a + 1, n_pairs):
-            if abs(cov[a, b]) > band[a, b]:
-                violations.append((pairs[a], pairs[b], float(cov[a, b]), float(band[a, b])))
-    return CovarianceReport(list(pairs), cov, band, violations, n_runs)
+    n = samples[0].n
+    # upper-triangle positions come out row by row, so (a, b) ascend as pairs do
+    a, b = np.nonzero(np.triu(np.abs(cov) > band, k=1))
+    violations = list(zip(
+        _pairs_at(n, a), _pairs_at(n, b), cov[a, b].tolist(), band[a, b].tolist()
+    ))
+    return CovarianceReport(_pairs_at(n, np.arange(n_pairs)), cov, band, violations, n_runs)
 
 
 # ---------------------------------------------------------------------------

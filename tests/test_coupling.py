@@ -22,7 +22,6 @@ from degseq import (
     eta_denominator,
     f_c_transform,
     hadamard,
-    ind_sample,
     lambda_matrix,
     q_matrix,
     rho,
@@ -395,35 +394,38 @@ except InvariantError as exc:
         assert out.stdout.startswith("raised: eta = ")
 
 
-class TestIndSample:
-    def test_upper_degrees_exact(self):
-        params = params_d4()
-        for s in range(100):
-            _, g = ind_sample(D4, params, RandomSource(31, s))
-            assert g.degree_vector() == D4
+class TestEscape:
+    """On an escape, `run_coupling` redraws G from its own law."""
 
-    def test_containment_fails_sometimes(self):
+    def test_exact_escape_redraws_a_family_member(self):
         params = params_d4()
-        broken = 0
-        for s in range(1000):
-            g_l, g = ind_sample(D4, params, RandomSource(32, s))
-            if not g_l.is_subgraph_of(g):
-                broken += 1
-        assert broken > 0
+        members = set(enumerate_graphs(D4).members)
+        escaped = 0
+        for s in range(200):
+            _, g, trace = run_coupling(
+                D4, params, SeqSampleMode.EXACT_ORACLE, EtaDenominatorMode.EXACT_MAX,
+                RandomSource(31, s),
+            )
+            if trace.fallback:
+                escaped += 1
+                assert g in members
+                assert not trace.approx_g
+        assert escaped > 0
 
-    def test_lower_marginals_match_closed_form(self):
-        params = params_d4()
-        w_ref = f_c_transform(hadamard(params.big_lambda, q_matrix(D4)), params.lam)
-        samples = [ind_sample(D4, params, RandomSource(33, s))[0] for s in range(100_000)]
-        report = empirical_marginals(samples, w_ref)
-        assert report.worst_abs_z < 3.0
-        assert not report.exact_violations
-
-    def test_large_n_uses_asymptotic_upper(self):
+    def test_large_n_escape_uses_asymptotic_upper(self):
         degrees = (3,) * 20
         params = default_params(degrees)
-        g_l, g = ind_sample(degrees, params, RandomSource(34))
-        assert g.degree_vector() == degrees
+        escaped = 0
+        for s in range(20):
+            _, g, trace = run_coupling(
+                degrees, params, SeqSampleMode.ASYMPTOTIC, EtaDenominatorMode.CERTIFIED_BOUND,
+                RandomSource(34, s),
+            )
+            if trace.fallback:
+                escaped += 1
+                assert trace.approx_g
+                assert g.degree_vector() == degrees
+        assert escaped > 0
 
 
 class TestCouplingLawAtSmallSamples:

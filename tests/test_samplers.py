@@ -27,7 +27,6 @@ from degseq.samplers import AsymptoticKernel, EtaDenominatorMode
 from degseq.stats import (
     THRESHOLDS,
     empirical_marginals,
-    indicator_matrix,
     pairwise_covariance,
     pearson_chi_square,
 )
@@ -132,8 +131,8 @@ class TestSeqApproxP:
         rng = RandomSource(90211)
         n_direct = 100_000
         direct = [sample_gnw(w_ref, rng) for _ in range(n_direct)]
-        f_direct = indicator_matrix(direct).mean(axis=0)
-        f_seq = indicator_matrix(approx_p_samples).mean(axis=0)
+        f_direct = empirical_marginals(direct, w_ref).frequency
+        f_seq = empirical_marginals(approx_p_samples, w_ref).frequency
         n_seq = len(approx_p_samples)
         for idx in range(3):
             p = w_ref.tri[idx]

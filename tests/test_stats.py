@@ -1,4 +1,6 @@
-from math import sqrt
+import tracemalloc
+from itertools import combinations
+from math import isnan, sqrt
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ class TestEmpiricalMarginals:
         report = empirical_marginals(samples, SymmetricProbMatrix.zeros(4))
         assert report.worst_abs_z == 0.0
         assert not report.exact_violations
-        assert all(r.z is None for r in report.rows)
+        assert np.isnan(report.z).all()
 
     def test_exact_violation_detected(self):
         samples = [SimpleGraph.from_edges(3, [(0, 1)])] * 150
@@ -43,7 +45,30 @@ class TestEmpiricalMarginals:
         samples = [g1] * 60 + [g0] * 40
         report = empirical_marginals(samples, SymmetricProbMatrix.full(2, 0.5))
         expected = (0.6 - 0.5) / sqrt(0.25 / 100)
-        assert report.rows[0].z == pytest.approx(expected)
+        assert report.z[0] == pytest.approx(expected)
+
+    def test_arrays_match_a_per_pair_loop(self):
+        # pairs 0 and 1 have references 0 and 1, so both are exact violations
+        tri = np.array([0.0, 1.0, 0.4, 0.41, 0.3, 0.5, 0.6, 0.2, 0.45, 0.9])
+        ref = SymmetricProbMatrix(5, tri)
+        rng = RandomSource(605)
+        samples = [sample_gnw(SymmetricProbMatrix.full(5, 0.4), rng) for _ in range(300)]
+        report = empirical_marginals(samples, ref)
+        worst, violations = 0.0, []
+        for i, (j, k) in enumerate(combinations(range(5), 2)):
+            f = sum(g.has_edge(j, k) for g in samples) / 300
+            r = float(ref.tri[i])
+            assert report.frequency[i] == f and report.reference[i] == r
+            if r in (0.0, 1.0):
+                assert isnan(report.z[i])
+                if f != r:
+                    violations.append((j, k))
+            else:
+                z = (f - r) / sqrt(r * (1.0 - r) / 300)
+                assert report.z[i] == z
+                worst = max(worst, abs(z))
+        assert report.worst_abs_z == worst
+        assert report.exact_violations == violations == [(0, 1), (0, 2)]
 
     def test_requires_100_runs(self):
         with pytest.raises(ValueError):
@@ -53,6 +78,21 @@ class TestEmpiricalMarginals:
         samples = [SimpleGraph.empty(3), SimpleGraph.empty(4)] * 60
         with pytest.raises(ValueError):
             empirical_marginals(samples, SymmetricProbMatrix.zeros(3))
+
+    def test_memory_does_not_grow_with_runs_times_pairs(self):
+        rng = RandomSource(607)
+        w = SymmetricProbMatrix.full(60, 0.1)
+        samples = [sample_gnw(w, rng) for _ in range(2000)]
+        tracemalloc.start()
+        try:
+            report = empirical_marginals(samples, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed()
+        # a runs x pairs float64 indicator matrix alone would take
+        # 8 * 2000 * 1770 bytes (28 MB)
+        assert peak < 4_000_000
 
     def test_worst_z_stable_under_doubling(self):
         # under the null the worst |z| tracks sqrt(log #edges), not n_runs
@@ -160,6 +200,12 @@ class TestPairwiseCovariance:
         assert ((0, 1), (2, 3)) in flagged
         idx = report.edges.index((0, 1)), report.edges.index((2, 3))
         assert report.covariance[idx] == pytest.approx(2 / 9, abs=0.02)
+        assert report.edges == list(combinations(range(4), 2))
+        assert report.violations == [
+            (report.edges[a], report.edges[b], report.covariance[a, b], report.band[a, b])
+            for a, b in combinations(range(len(report.edges)), 2)
+            if abs(report.covariance[a, b]) > report.band[a, b]
+        ]
 
     def test_requires_enough_runs(self):
         with pytest.raises(ValueError):
