@@ -31,7 +31,6 @@ from .samplers import (
     SamplerDiagnostics,
     SeqSampleMode,
     sample_gnw,
-    sample_weighted_edge,
     seq_approx_p,
     seq_sample_d,
 )

@@ -332,9 +332,6 @@ class SymmetricProbMatrix:
         out[iu] = self.tri
         return out + out.T
 
-    def max_entry(self) -> float:
-        return float(self.tri.max()) if self.tri.size else 0.0
-
 
 class ProductLambda:
     """The coupling's acceptance matrix Lambda in closed form, from O(n) numbers.

@@ -81,10 +81,17 @@ def _vertex_labels(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_matrix_csv(path: str | Path, m: SymmetricProbMatrix) -> None:
-    # the storage order is row-major over j < k, as np.triu_indices lists it
-    j, k = np.triu_indices(m.n, k=1)
-    lines = [f"{a},{b},{v!r}\n" for a, b, v in zip(j.tolist(), k.tolist(), m.tri.tolist())]
-    Path(path).write_text("i,j,value\n" + "".join(lines))
+    # the storage order is row-major over j < k; one row's lines are built at
+    # a time, so memory stays O(n) however large the triangle
+    n, tri = m.n, m.tri
+    with open(path, "w") as fh:
+        fh.write("i,j,value\n")
+        start = 0
+        for j in range(n - 1):
+            stop = start + n - 1 - j
+            fh.write("".join(f"{j},{k},{v!r}\n"
+                             for k, v in zip(range(j + 1, n), tri[start:stop].tolist())))
+            start = stop
 
 
 def read_matrix_csv(path: str | Path) -> SymmetricProbMatrix:

@@ -272,12 +272,14 @@ def exact_subgraph_law(d: DegreeSequence | Sequence[int], m: int) -> dict[Simple
 
 
 class OracleKernel:
-    """Sequential insertion with exact conditional probabilities.
+    """Insertion with exact conditional probabilities.
 
     Keeps the sub-family of enumerated graphs containing the current state;
     the weight of candidate edge jk is the fraction of those graphs that also
     contain jk, over d_j d_k.  Candidate counts are cached until the next
-    insert.  (The kernel interface is set out in `samplers`.)
+    insert.  `complete` draws a uniform compatible member and inserts its
+    missing edges in uniform order, which is the law of exact one-edge steps.
+    (The kernel interface is set out in `samplers`.)
     """
 
     __slots__ = ("d", "n", "pairs", "sub", "gmask", "edges", "history", "_counts")
@@ -326,27 +328,18 @@ class OracleKernel:
         if not self.sub or any(m & g != g for m in self.sub):
             raise InvariantError(f"inserting ({j},{k}) left the enumerated sub-family")
 
-    def insert_step(self, rng: RandomSource) -> int:
-        counts = self.candidate_counts()
-        if not counts:
-            raise RuntimeError("no insertable edge; state is already saturated")
-        total = sum(counts.values())
-        r = rng.uniform() * total
-        acc = 0.0
-        chosen = -1
-        for i in sorted(counts):
-            acc += counts[i]
-            if r < acc:
-                chosen = i
-                break
-        if chosen < 0:
-            chosen = max(counts)
-        j, k = self.pairs[chosen]
-        self.insert(j, k)
-        return j * self.n + k
-
     def complete(self, rng: RandomSource) -> int:
-        """Insert until G is a family member; exact weights never dead-end."""
-        while self.candidate_counts():
-            self.insert_step(rng)
+        """Insert the missing edges of a uniform compatible member, in uniform
+        order; returns 0, as nothing dead-ends.
+
+        This is the law of inserting one exact conditional edge at a time:
+        with c(H) the number of members containing H and r missing edges, the
+        i-th step (from 0) takes e with probability c(G_i + e) / (c(G_i) (r - i)),
+        and over an order the product telescopes to 1 / (c(G) r!)."""
+        missing = set_bits(self.sub[rng.below(len(self.sub))] ^ self.gmask)
+        for i in range(len(missing) - 1, 0, -1):
+            a = rng.below(i + 1)
+            missing[i], missing[a] = missing[a], missing[i]
+        for i in missing:
+            self.insert(*self.pairs[i])
         return 0

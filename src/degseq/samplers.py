@@ -23,7 +23,6 @@ import numpy as np
 from .graphs import (
     DegenerateSequenceError,
     DegreeSequence,
-    Edge,
     InvariantError,
     NonGraphicalError,
     ProductLambda,
@@ -42,7 +41,6 @@ __all__ = [
     "SeqSampleMode",
     "SamplerDiagnostics",
     "sample_poisson",
-    "sample_weighted_edge",
     "sample_gnw",
     "seq_approx_p",
     "seq_sample_d",
@@ -69,13 +67,6 @@ class SamplerDiagnostics:
 def _require_two_positive(d: DegreeSequence) -> None:
     if sum(1 for x in d.degrees if x > 0) < 2:
         raise DegenerateSequenceError("need at least two positive degrees")
-
-
-def sample_weighted_edge(d: DegreeSequence | Sequence[int], rng: RandomSource) -> Edge:
-    """Unordered pair {j,k} drawn with probability proportional to d_j d_k."""
-    d = DegreeSequence.of(d)
-    _require_two_positive(d)
-    return AliasTable(d.degrees).sample_pair(rng)
 
 
 def sample_gnw(w: SymmetricProbMatrix, rng: RandomSource) -> SimpleGraph:
@@ -135,8 +126,9 @@ def seq_approx_p(
 #   denominator(mode)  a bound on rho over all non-edges (EtaDenominatorMode)
 #   insert(j, k)       add jk to G
 #   complete(rng)      extend G to degrees d; returns the dead-end restarts
-# `oracle.OracleKernel` and `AsymptoticKernel` implement it; `make_kernel`
-# picks one.
+# `oracle.OracleKernel` (whose `complete` draws a uniform member containing G
+# and inserts its missing edges in uniform order) and `AsymptoticKernel`
+# implement it; `make_kernel` picks one.
 # ---------------------------------------------------------------------------
 
 
@@ -320,13 +312,14 @@ def seq_sample_d(
     Returns the final graph plus a deep snapshot of the state after m
     insertions for each requested checkpoint m (in caller order).
 
-    In EXACT_ORACLE mode every step uses the exact conditional edge
-    probabilities, so the final graph is an exact uniform draw and each
-    checkpoint is an exact uniform m-edge partial graph.  In ASYMPTOTIC mode
-    steps use the closed-form remaining-degree weights; the final law is only
-    approximately uniform, and a run that paints itself into a corner (no
-    weight-positive pair left, degrees unsaturated) restarts from scratch,
-    counted in `diagnostics.restarts`.
+    In EXACT_ORACLE mode the insertions follow the exact conditional edge
+    probabilities (`OracleKernel.complete` draws them at once), so the final
+    graph is an exact uniform draw and each checkpoint is an exact uniform
+    m-edge partial graph.  In ASYMPTOTIC mode steps use the closed-form
+    remaining-degree weights; the final law is only approximately uniform,
+    and a run that paints itself into a corner (no weight-positive pair
+    left, degrees unsaturated) restarts from scratch, counted in
+    `diagnostics.restarts`.
     """
     d = DegreeSequence.of(d)
     if not is_graphical(d):

@@ -2,10 +2,12 @@
 
 Each case runs `degseq.cli.main` and records two digests: one over every
 output file except `metadata.json`, and one over `metadata.json` with its
-`wall_time_s` (which varies) removed, dumped with sorted keys.  The
-exact-mode, sample-gnw and seq-approx-p file digests were recorded from the
-implementation with the inlined coupling loop; the asymptotic ones from the
-kernel with phased, thinned proposals.  The metadata digests, and the oracle
+`wall_time_s` (which varies) removed, dumped with sorted keys.  The two
+exact-mode file digests were recorded from the oracle kernel whose completion
+draws one uniform compatible member and inserts its missing edges in uniform
+order; the sample-gnw and seq-approx-p file digests from the implementation
+with the inlined coupling loop; the asymptotic ones from the kernel with
+phased, thinned proposals.  The metadata digests, and the oracle
 and `--runs 100` marginal cases, were recorded from the per-command `if/elif`
 runner.  A refactor that changes the order of random draws, a weight, a file
 format or a metadata entry changes a digest.
@@ -42,13 +44,13 @@ CASES = {
     "couple-exact": (
         ["couple", "--degrees", "regular(6,2)", "--mode", "exact",
          "--denom", "exact-max", "--seed", "1", "--runs", "10"],
-        "c795a929cfbaaf39b284461df1d04dcae9f6e822549184469e316e00c9048dd6",
+        "7410219ab1becc1c5688c28a111083e16af278082b93e403992deb6383348ef9",
         "b81dd78ae022bcaae9f94a53d464558391fbc32a618d94e4ee0aae135cc174af",
     ),
     "sample-gnd-exact-checkpoints": (
         ["sample-gnd", "--degrees", "regular(6,2)", "--mode", "exact",
          "--checkpoints", "1,3", "--seed", "5", "--runs", "20"],
-        "7179445eec588c841e3a6a17af51c91016c3e95077929720623506380a5429c8",
+        "de7457bdb3bb5d34e5c3a94732f0fc3d0d5462f87d25cab7122961be428ede33",
         "aaa002c229724c0711989ddbf2207682ac40e431ecd6b61abd97295b19544bf1",
     ),
     "sample-gnd-asymptotic": (

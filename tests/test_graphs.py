@@ -120,7 +120,7 @@ class TestSymmetricProbMatrix:
             SymmetricProbMatrix(3, np.array([0.0, 1.0, bad]))
 
     def test_accepts_bounds(self):
-        assert SymmetricProbMatrix(3, np.array([0.0, 1.0, 0.5])).max_entry() == 1.0
+        assert SymmetricProbMatrix(3, np.array([0.0, 1.0, 0.5])).tri.max() == 1.0
 
 
 class TestPMatrix:
@@ -199,11 +199,11 @@ class TestChungLu:
 class TestFcTransform:
     def test_zero_matrix_fixed(self):
         m = f_c_transform(SymmetricProbMatrix.zeros(4), 3.7)
-        assert m.max_entry() == 0.0
+        assert m.tri.max() == 0.0
 
     def test_zero_scale(self):
         m = f_c_transform(SymmetricProbMatrix.full(4, 0.9), 0.0)
-        assert m.max_entry() == 0.0
+        assert m.tri.max() == 0.0
 
     def test_numeric_value_high_precision(self):
         mpmath = pytest.importorskip("mpmath")
@@ -237,7 +237,7 @@ class TestHadamard:
 
     def test_annihilator(self):
         a = q_matrix((2, 1, 1))
-        assert hadamard(a, SymmetricProbMatrix.zeros(3)).max_entry() == 0.0
+        assert hadamard(a, SymmetricProbMatrix.zeros(3)).tri.max() == 0.0
 
     def test_scalar_product(self):
         a = SymmetricProbMatrix.full(3, 0.4)

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -5,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degseq import DegreeSequence, RandomSource, SimpleGraph, enumerate_graphs, q_matrix
+from degseq import (
+    DegreeSequence,
+    RandomSource,
+    SimpleGraph,
+    enumerate_graphs,
+    p_matrix,
+    q_matrix,
+)
 from degseq.graphs import tri_size
 from degseq.io import (
     _edge_block,
@@ -65,6 +73,29 @@ def test_matrix_csv_roundtrip(tmp_path):
         back = read_matrix_csv(path)
         assert back.n == m.n
         assert np.array_equal(back.tri, m.tri)
+
+
+def test_matrix_csv_bytes_match_one_joined_string(tmp_path):
+    # reference: every line of the file joined into one string
+    m = q_matrix((3, 1, 2, 2, 4, 1, 1, 2, 3, 5, 2))
+    j, k = np.triu_indices(m.n, k=1)
+    lines = [f"{a},{b},{v!r}\n" for a, b, v in zip(j.tolist(), k.tolist(), m.tri.tolist())]
+    path = tmp_path / "m.csv"
+    write_matrix_csv(path, m)
+    assert path.read_bytes() == ("i,j,value\n" + "".join(lines)).encode()
+
+
+def test_matrix_csv_write_memory_is_a_row_not_the_file(tmp_path):
+    # the n = 1000 p-matrix is a 14.4 MB file; holding its lines at once
+    # peaked at about 99 MB
+    m = p_matrix((10,) * 1000)
+    tracemalloc.start()
+    try:
+        write_matrix_csv(tmp_path / "w.csv", m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_matrix_csv_rejects_nan(tmp_path):

@@ -6,22 +6,26 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from degseq import (
+    EtaDenominatorMode,
     NonGraphicalError,
     OracleCapError,
     RandomSource,
     SeqSampleMode,
     SimpleGraph,
+    default_params,
     enumerate_graphs,
     exact_conditional_edge_prob,
     exact_edge_marginals,
     exact_subgraph_law,
     exact_uniform_sample,
+    run_coupling,
     seq_sample_d,
 )
 from degseq import oracle
 from degseq.cli import main
-from degseq.graphs import tri_index, tri_pairs
+from degseq.graphs import InvariantError, tri_index, tri_pairs
 from degseq.oracle import (
+    OracleKernel,
     bit_counts,
     edge_counts,
     graph_of_mask,
@@ -30,6 +34,7 @@ from degseq.oracle import (
     raw_scan_masks,
     set_bits,
 )
+from degseq.stats import THRESHOLDS, pearson_chi_square
 from test_coupling import graphical_degrees
 
 
@@ -253,9 +258,12 @@ class TestExactSubgraphLaw:
 class TestFamilyCountsOnce:
     def test_second_replica_recounts_no_whole_family(self, monkeypatch):
         # an exact replica starts at the empty state, whose counts are the
-        # family's edge counts; a second replica must reuse them
+        # family's edge counts; a second replica must reuse them.  The
+        # completion draws a member and counts nothing; the coupling's step
+        # loop recounts the sub-family after each insertion, never the family.
         d = (3,) * 8
         size = len(enumerate_graphs(d))
+        params = default_params(d)
         seq_sample_d(d, SeqSampleMode.EXACT_ORACLE, RandomSource(9, 0))
         covered = []
 
@@ -266,6 +274,10 @@ class TestFamilyCountsOnce:
 
         monkeypatch.setattr(oracle, "bit_counts", counting)
         seq_sample_d(d, SeqSampleMode.EXACT_ORACLE, RandomSource(9, 1))
+        assert covered == []
+        _, _, trace = run_coupling(d, params, SeqSampleMode.EXACT_ORACLE,
+                                   EtaDenominatorMode.EXACT_MAX, RandomSource(9, 2))
+        assert trace.edges_at_step_end > 0
         assert covered and max(covered) < size
 
     def test_shared_counts_are_read_only_and_exact(self):
@@ -277,3 +289,53 @@ class TestFamilyCountsOnce:
             fam.pair_counts[0] = 0
         recount = [sum(m >> i & 1 for m in fam.masks) for i in range(len(tri_pairs(7)))]
         assert list(edge_counts(fam)) == recount
+
+
+class TestOracleCompletion:
+    def test_member_and_first_edge_uniform(self):
+        # from one edge of regular(6,2), 28 of the 70 members remain, each
+        # missing 5 edges: the completion is uniform over the 28 and its
+        # first insertion uniform over the member's 5 missing edges
+        d, n = (2,) * 6, 6
+        fam = enumerate_graphs(d)
+        start = {1}  # the edge (0, 1)
+        gmask = mask_of_edges(n, start)
+        sub = [m for m in fam.masks if m & gmask == gmask]
+        assert len(sub) == 28
+        members, firsts = [0] * len(sub), [0] * 5
+        rng = RandomSource(71)
+        for _ in range(5_600):
+            kernel = OracleKernel(fam, start)
+            assert kernel.complete(rng) == 0
+            mask = mask_of_edges(n, kernel.edges)
+            members[sub.index(mask)] += 1
+            missing = set_bits(mask ^ gmask)
+            firsts[missing.index(tri_index(n, *divmod(kernel.history[0], n)))] += 1
+        assert pearson_chi_square(members, [1 / 28] * 28).p_value > THRESHOLDS.p_min
+        assert pearson_chi_square(firsts, [1 / 5] * 5).p_value > THRESHOLDS.p_min
+
+    @pytest.mark.parametrize("d", [(2,) * 6, (1,) * 6, (3, 3, 2, 2, 1, 1), (3,) * 8])
+    def test_seq_sample_d_draws_what_exact_uniform_sample_draws(self, d):
+        # both begin with one below(|family|) draw on a fresh stream
+        for i in range(5):
+            g, _ = seq_sample_d(d, SeqSampleMode.EXACT_ORACLE, RandomSource(17, i))
+            assert g == exact_uniform_sample(d, RandomSource(17, i))
+
+    @given(graphical_degrees(max_n=6), st.data(), st.integers(0, 2**32 - 1))
+    def test_completes_to_a_member_containing_the_state(self, d, data, seed):
+        n = len(d)
+        fam = enumerate_graphs(d)
+        keys = sorted(graph_of_mask(n, data.draw(st.sampled_from(fam.masks))).edges)
+        kept = data.draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)))
+        state = {e for e, keep in zip(keys, kept) if keep}
+        kernel = OracleKernel(fam, state)
+        assert kernel.complete(RandomSource(seed)) == 0
+        assert mask_of_edges(n, kernel.edges) in fam.masks
+        assert state <= kernel.edges
+        assert sorted(kernel.history) == sorted(kernel.edges - state)
+
+    def test_insert_outside_every_member_raises(self):
+        # no perfect matching of K4 holds both (0, 1) and (0, 2)
+        kernel = OracleKernel(enumerate_graphs((1, 1, 1, 1)), {1})
+        with pytest.raises(InvariantError, match="left the enumerated sub-family"):
+            kernel.insert(0, 2)

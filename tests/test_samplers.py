@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degseq import (
+    AliasTable,
     DegenerateSequenceError,
     NonGraphicalError,
     OracleCapError,
@@ -18,7 +19,6 @@ from degseq import (
     hadamard,
     q_matrix,
     sample_gnw,
-    sample_weighted_edge,
     seq_approx_p,
     seq_sample_d,
 )
@@ -36,40 +36,41 @@ Z_BAND = 4.5
 
 
 class TestSampleWeightedEdge:
+    """`AliasTable(d).sample_pair`: the pair {j,k} with probability
+    proportional to d_j d_k, the draw of every candidate step."""
+
     def test_single_pair(self):
         rng = RandomSource(1)
-        assert all(sample_weighted_edge((1, 1), rng) == (0, 1) for _ in range(20))
-
-    def test_degenerate_raises(self):
-        with pytest.raises(DegenerateSequenceError):
-            sample_weighted_edge((2, 0, 0), RandomSource(1))
+        assert all(AliasTable((1, 1)).sample_pair(rng) == (0, 1) for _ in range(20))
 
     def test_frequencies_match_pair_weights(self):
         # weights (2,1,1): pair probabilities 2/5, 2/5, 1/5
         rng = RandomSource(555)
+        table = AliasTable((2, 1, 1))
         n_draws = 100_000
         counts = {(0, 1): 0, (0, 2): 0, (1, 2): 0}
         for _ in range(n_draws):
-            counts[sample_weighted_edge((2, 1, 1), rng)] += 1
+            counts[table.sample_pair(rng)] += 1
         for pair, prob in [((0, 1), 0.4), ((0, 2), 0.4), ((1, 2), 0.2)]:
             band = 3.0 * sqrt(prob * (1 - prob) / n_draws)
             assert abs(counts[pair] / n_draws - prob) < band
 
     def test_symmetric_case(self):
         rng = RandomSource(556)
+        table = AliasTable((2, 2, 2))
         n_draws = 30_000
         counts = {}
         for _ in range(n_draws):
-            e = sample_weighted_edge((2, 2, 2), rng)
+            e = table.sample_pair(rng)
             counts[e] = counts.get(e, 0) + 1
         for c in counts.values():
             assert abs(c / n_draws - 1 / 3) < 3.0 * sqrt((1 / 3) * (2 / 3) / n_draws)
 
     def test_zero_degree_vertex_never_drawn(self):
         rng = RandomSource(557)
+        table = AliasTable((2, 2, 2, 0))
         for _ in range(2000):
-            e = sample_weighted_edge((2, 2, 2, 0), rng)
-            assert 3 not in e
+            assert 3 not in table.sample_pair(rng)
 
 
 class TestSampleGnw:
