@@ -6,9 +6,10 @@ independent-edge graph with entries 1 - exp(-lam * Lambda_jk * Q_jk), the
 upper graph is (in exact mode) a uniform graph with the target degree
 sequence, and on runs that never hit the escape branch the lower graph is a
 subgraph of the upper one.  On an escape the lower graph finishes its
-candidate stream with acceptance coins alone (`accept_candidates`, the loop
-`seq_approx_p` runs) and the upper graph is redrawn from its own law
-(`_redraw_upper`): both marginal laws hold, containment does not.
+candidate stream with acceptance coins alone (`CandidateStream.accept_rest`,
+which is all `seq_approx_p` does with its stream) and the upper graph is
+redrawn from its own law (`_redraw_upper`): both marginal laws hold,
+containment does not.
 """
 from __future__ import annotations
 
@@ -31,11 +32,10 @@ from .graphs import (
     hadamard,
 )
 from .oracle import exact_uniform_sample, oracle_cap
-from .randomness import AliasTable, RandomSource, sample_poisson
+from .randomness import AliasTable, CandidateStream, RandomSource, sample_poisson
 from .samplers import (
     EtaDenominatorMode,
     SeqSampleMode,
-    accept_candidates,
     make_kernel,
     seq_sample_d,
 )
@@ -281,15 +281,15 @@ def run_coupling(
     # both graphs hold edge keys j*n + k
     g_edges = kernel.edges
     l_edges: set[int] = set()
-    table = AliasTable(d.degrees)
-    sample_pair, uniform, lam_of = table.sample_pair, rng.uniform, params.big_lambda.entry
-    for step in range(1, steps + 1):
-        j, k = sample_pair(rng)
+    # each step's pair, Lambda_jk and one coin u; u is the duplicate's
+    # acceptance coin, the fresh pair's branch uniform, or the escape step's
+    # acceptance coin
+    stream = CandidateStream(AliasTable(d.degrees), params.big_lambda, steps, rng)
+    for step, (j, k, lam_jk, u) in enumerate(stream, 1):
         e = j * n + k
-        lam_jk = lam_of(j, k)
         if e in g_edges:
             trace.duplicate_hits += 1
-            if uniform() < lam_jk:
+            if u < lam_jk:
                 l_edges.add(e)
         else:
             r = kernel.weight(j, k)
@@ -303,7 +303,6 @@ def run_coupling(
                 trace.fallback = True
                 trace.fallback_step = step
                 break
-            u = uniform()
             if u < eta:
                 kernel.insert(j, k)
                 if u < lam_jk:
@@ -322,9 +321,9 @@ def run_coupling(
         # finish the lower graph's candidate stream: the escape step's pair
         # still gets its acceptance coin, then the remaining Poisson steps
         # run with coins alone, so the lower law holds exactly
-        if uniform() < lam_jk:
+        if u < lam_jk:
             l_edges.add(e)
-        accept_candidates(table, params.big_lambda, steps - trace.fallback_step, rng, l_edges)
+        stream.accept_rest(l_edges)
         # G is redrawn from scratch: free the step loop's partial G first
         del kernel, g_edges
         g, trace.approx_g = _redraw_upper(d, rng, cap)

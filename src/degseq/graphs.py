@@ -326,6 +326,10 @@ class SymmetricProbMatrix:
         """Entry (j, k) for j < k, read from storage."""
         return self.tri[tri_index(self.n, j, k)]
 
+    def entries(self, j: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Entries (j, k) for index arrays with j < k, read from storage."""
+        return self.tri[key_to_tri(self.n, j * self.n + k)]
+
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.n))
         iu = np.triu_indices(self.n, k=1)
@@ -336,13 +340,14 @@ class SymmetricProbMatrix:
 class ProductLambda:
     """The coupling's acceptance matrix Lambda in closed form, from O(n) numbers.
 
-    Entry (j, k) is (1 - zeta) ||d||_1 / (||d||_1 + d_j d_k).  `entry`
-    computes it on each read with the same operations, in the same order, as
-    `tri`, so the two agree bit for bit.  `tri` builds the dense triangle on
-    every access and keeps nothing, for callers that need all entries at once.
+    Entry (j, k) is (1 - zeta) ||d||_1 / (||d||_1 + d_j d_k).  `entry` and
+    the array `entries` compute it on each read with the same operations, in
+    the same order, as `tri`, so all three agree bit for bit.  `tri` builds the
+    dense triangle on every access and keeps nothing, for callers that need
+    all entries at once.
     """
 
-    __slots__ = ("n", "d", "total", "num")
+    __slots__ = ("n", "d", "vec", "total", "num")
 
     def __init__(self, d: DegreeSequence | Sequence[int], zeta: float):
         d = DegreeSequence.of(d)
@@ -350,6 +355,7 @@ class ProductLambda:
             raise ValueError("zeta must lie in [0, 1]")
         self.n = d.n
         self.d = tuple(float(x) for x in d.degrees)
+        self.vec = np.array(self.d)
         total = float(d.total)
         self.num = (1.0 - zeta) * total
         # with every degree 0 the numerator is 0, and a unit denominator
@@ -368,9 +374,13 @@ class ProductLambda:
             raise ValueError(f"pair ({j},{k}) invalid for n={self.n}")
         return self.num / (self.total + self.d[j] * self.d[k])
 
+    def entries(self, j: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Entries (j, k) for index arrays with j < k."""
+        return self.num / (self.total + self.vec[j] * self.vec[k])
+
     @property
     def tri(self) -> np.ndarray:
-        return self.num / (self.total + tri_products(np.asarray(self.d)))
+        return self.num / (self.total + tri_products(self.vec))
 
 
 def p_matrix(d: DegreeSequence | Sequence[int]) -> SymmetricProbMatrix:

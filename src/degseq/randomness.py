@@ -4,17 +4,24 @@ A RandomSource is a (seed, stream) pair over PCG64; identical pairs replay
 identical draw sequences on every platform.  Uniforms are served from a block
 of Python floats, filled lazily: 64 on the first draw, then doubling up to
 8192.  PCG64 doubles do not depend on how they are blocked, so the stream is
-the same whatever the block sizes.  Hot loops bind `rng.uniform` to a local
-but never read the block, so a subclass overriding `uniform` sees every draw.
+the same whatever the block sizes.  Hot loops call only `rng.uniform` (often
+bound to a local) or the bulk `rng.uniforms(k)`, never the block itself, so a
+subclass overriding both sees every draw.
 """
 from __future__ import annotations
 
 from math import exp, floor, lgamma, log, sqrt
+from operator import length_hint
+from typing import Iterator
 
 import numpy as np
 
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 8192
+# candidate streams of at least _STREAM_BLOCK_MIN steps are parsed with numpy,
+# at most _STREAM_WINDOW steps per pass; shorter ones are drawn step by step
+_STREAM_BLOCK_MIN = 64
+_STREAM_WINDOW = 4096
 
 
 class RandomSource:
@@ -63,7 +70,7 @@ class AliasTable:
     formulation popularized by Vose (1991).
     """
 
-    __slots__ = ("size", "prob", "alias")
+    __slots__ = ("size", "prob", "alias", "positive")
 
     def __init__(self, weights):
         w = [float(x) for x in weights]
@@ -76,6 +83,7 @@ class AliasTable:
         if total <= 0:
             raise ValueError("all weights zero")
         self.size = n
+        self.positive = n - w.count(0.0)
         scaled = [x * n / total for x in w]
         self.prob = [0.0] * n
         self.alias = [0] * n
@@ -105,7 +113,8 @@ class AliasTable:
     def sample_pair(self, rng: RandomSource) -> tuple[int, int]:
         """Distinct indices (j, k), j < k, with probability exactly proportional
         to w_j w_k: two independent draws (each as `sample`), redrawn while
-        equal.  Needs at least two positive weights."""
+        equal.  Needs at least two positive weights: without them the first
+        redraw raises ValueError."""
         uniform, size, prob, alias = rng.uniform, self.size, self.prob, self.alias
         while True:
             j = int(uniform() * size)
@@ -116,6 +125,12 @@ class AliasTable:
                 k = alias[k]
             if j != k:
                 return (j, k) if j < k else (k, j)
+            self.require_pairs()
+
+    def require_pairs(self) -> None:
+        """Raise ValueError unless two indices can be drawn distinct."""
+        if self.positive < 2:
+            raise ValueError("pair draws need at least two positive weights")
 
     def exact_probability(self, i: int) -> float:
         """Reconstruct P(sample() == i) from the table itself (for validation)."""
@@ -124,6 +139,105 @@ class AliasTable:
             if self.alias[j] == i and j != i:
                 p += 1.0 - self.prob[j]
         return p / self.size
+
+
+class CandidateStream:
+    """`count` candidate steps (j, k, Lambda_jk, u), byte for byte the draws of
+    the step-by-step loop `j, k = table.sample_pair(rng)`, `big_lambda.entry(j,
+    k)`, `rng.uniform()`.
+
+    Iterating (once) yields the steps one at a time; `accept_rest` takes the
+    steps not yet yielded with their coins alone.  What has been drawn is kept
+    on the stream, not in the iterator, so a loop may `break` and leave the
+    rest to `accept_rest`.  A step's draws do not depend on what the caller
+    does with earlier steps, so streams of at least 64 steps are parsed ahead
+    with numpy, a window of at most 4096 steps per pass; shorter ones, where
+    numpy's cost per call would dominate, are drawn step by step.  Each attempt
+    takes four uniforms and each step at least five (its accepted attempt and
+    its coin), so a pass asks `rng.uniforms` for five per step it still owes,
+    less what the previous pass left: never more than the step-by-step loop
+    would consume.  `big_lambda` needs `n`, `entry(j, k)` and an array
+    `entries(j, k)` equal to `entry` bit for bit.
+    """
+
+    __slots__ = ("table", "big_lambda", "rng", "left", "_chunk", "_tail", "_prob", "_alias",
+                 "_spare")
+
+    def __init__(self, table: AliasTable, big_lambda, count: int, rng: RandomSource):
+        table.require_pairs()
+        self.table, self.big_lambda, self.rng = table, big_lambda, rng
+        self.left = count  # steps not yet drawn
+        self._prob = None
+        if count >= _STREAM_BLOCK_MIN:
+            self._prob = np.array(table.prob)
+            self._alias = np.array(table.alias, dtype=np.intp)
+            self._spare = np.empty(0)
+            # the current window, and an iterator over its coins that the
+            # step iterator advances
+            self._chunk: tuple[np.ndarray, ...] | None = None
+            self._tail: Iterator[float] = iter(())
+
+    def __iter__(self) -> Iterator[tuple[int, int, float, float]]:
+        # the stream does not hold its iterator: no reference cycle outlives the loop
+        return self._scalar_steps() if self._prob is None else self._block_steps()
+
+    def accept_rest(self, edges: set[int]) -> None:
+        """Add the key j*n + k of every step not yet yielded whose coin u is
+        below Lambda_jk to `edges`; the stream is then used up."""
+        n = self.big_lambda.n
+        if self._prob is None:
+            edges.update([j * n + k for j, k, lam, u in self._scalar_steps() if u < lam])
+            return
+        if self._chunk is not None:
+            # the part of the current window the iteration has not reached
+            rest = length_hint(self._tail)
+            j, k, lam, u = (a[len(a) - rest:] for a in self._chunk)
+            self._chunk, self._tail = None, iter(())
+            edges.update((j * n + k)[u < lam].tolist())
+        while self.left:
+            j, k, lam, u = self._parse()
+            edges.update((j * n + k)[u < lam].tolist())
+
+    def _scalar_steps(self) -> Iterator[tuple[int, int, float, float]]:
+        rng, sample_pair, entry = self.rng, self.table.sample_pair, self.big_lambda.entry
+        uniform = rng.uniform
+        while self.left:
+            self.left -= 1
+            j, k = sample_pair(rng)
+            yield j, k, entry(j, k), uniform()
+
+    def _block_steps(self) -> Iterator[tuple[int, int, float, float]]:
+        while self.left:
+            j, k, lam, u = self._chunk = self._parse()
+            self._tail = tail = iter(u.tolist())
+            yield from zip(j.tolist(), k.tolist(), lam.tolist(), tail)
+
+    def _parse(self) -> tuple[np.ndarray, ...]:
+        """The next steps, at most one window: (j, k, Lambda_jk, u) as arrays, j < k."""
+        want = 5 * min(self.left, _STREAM_WINDOW)
+        spare = self._spare
+        buf = self.rng.uniforms(want - len(spare))
+        if len(spare):
+            buf = np.concatenate([spare, buf])
+        # x[p]: the index one alias draw makes from buf[p], buf[p + 1]
+        idx = (buf[:-1] * self.table.size).astype(np.intp)
+        x = np.where(buf[1:] >= self._prob[idx], self._alias[idx], idx)
+        # an attempt at p draws j = x[p], k = x[p + 2] and a step's coin is
+        # buf[p + 4]: accepted attempts advance 5, redrawn ones (j == k) 4.
+        # Walk the attempts from 0, jumping from one redrawn attempt to the next
+        starts, p = [], 0
+        for q in np.flatnonzero(x[:-2] == x[2:]).tolist():
+            if q >= p and (q - p) % 5 == 0:
+                starts.append(np.arange(p, q, 5))
+                p = q + 4
+        end = p + 5 * ((len(buf) - p) // 5)
+        starts.append(np.arange(p, end, 5))
+        at = np.concatenate(starts)
+        self._spare = buf[end:]
+        self.left -= len(at)
+        j, k = x[at], x[at + 2]
+        lo, hi = np.minimum(j, k), np.maximum(j, k)
+        return lo, hi, self.big_lambda.entries(lo, hi), buf[at + 4]
 
 
 def sample_poisson(mean: float, rng: RandomSource) -> int:

@@ -34,7 +34,7 @@ from .graphs import (
     tri_to_key,
 )
 from .oracle import OracleKernel, enumerate_graphs
-from .randomness import AliasTable, RandomSource, sample_poisson
+from .randomness import AliasTable, CandidateStream, RandomSource, sample_poisson
 
 __all__ = [
     "InvariantError",
@@ -76,23 +76,6 @@ def sample_gnw(w: SymmetricProbMatrix, rng: RandomSource) -> SimpleGraph:
     return SimpleGraph(w.n, frozenset(tri_to_key(w.n, hits).tolist()))
 
 
-def accept_candidates(
-    alias: AliasTable,
-    big_lambda: SymmetricProbMatrix | ProductLambda,
-    steps: int,
-    rng: RandomSource,
-    edges: set[int],
-) -> None:
-    """Draw `steps` pairs proportional to d_j d_k; add each to the key set
-    `edges` w.p. Lambda_jk."""
-    sample_pair, uniform, lam_of, add = alias.sample_pair, rng.uniform, big_lambda.entry, edges.add
-    n = big_lambda.n
-    for _ in range(steps):
-        j, k = sample_pair(rng)
-        if uniform() < lam_of(j, k):
-            add(j * n + k)
-
-
 def seq_approx_p(
     d: DegreeSequence | Sequence[int],
     lam: float,
@@ -114,7 +97,7 @@ def seq_approx_p(
     _require_two_positive(d)
     steps = sample_poisson(lam, rng)
     edges: set[int] = set()
-    accept_candidates(AliasTable(d.degrees), big_lambda, steps, rng, edges)
+    CandidateStream(AliasTable(d.degrees), big_lambda, steps, rng).accept_rest(edges)
     return SimpleGraph(d.n, frozenset(edges))
 
 

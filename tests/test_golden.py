@@ -9,8 +9,10 @@ order; the sample-gnw and seq-approx-p file digests from the implementation
 with the inlined coupling loop; the asymptotic ones from the kernel with
 phased, thinned proposals.  The metadata digests, and the oracle
 and `--runs 100` marginal cases, were recorded from the per-command `if/elif`
-runner.  A refactor that changes the order of random draws, a weight, a file
-format or a metadata entry changes a digest.
+runner.  The `-block` cases, whose candidate streams run past 64 steps, were
+recorded from the loop that drew each candidate step with `sample_pair`,
+`entry` and `uniform()`.  A refactor that changes the order of random draws, a
+weight, a file format or a metadata entry changes a digest.
 """
 import hashlib
 import json
@@ -18,6 +20,7 @@ import json
 import pytest
 
 import degseq.cli as cli
+from degseq.randomness import RandomSource, sample_poisson
 
 CASES = {
     # n = 30 > oracle cap: escapes redraw G with the asymptotic sampler
@@ -40,6 +43,28 @@ CASES = {
          "--denom", "exact-max", "--zeta", "0.7", "--seed", "3", "--runs", "8"],
         "afce48586dc5f2471100cf7e9035182937603c7a45799abe7100ae81c741ff64",
         "260af793ff77af406ea0f1dc05c4a2d429ad2e72662d0aa457a141e178812b09",
+    ),
+    # the Poisson budget (about 4.7e3 steps) spans two 4096-step windows of
+    # the candidate stream: every run escapes in the first window and takes
+    # the rest of the stream as acceptance coins alone
+    "couple-block-escape": (
+        ["couple", "--degrees", "regular(400,33)", "--seed", "1", "--runs", "4"],
+        "7c043e9cf012a6741c15439a3085d74399bc96ec163ccebdd44908019deb1b24",
+        "6dc7083e69ada6d4f2d314aac40a53557e91f3b5d5e40a48e7ba03c18f57b3d2",
+    ),
+    # run 1 escapes in the second window, two steps before the end
+    "couple-block-late-escape": (
+        ["couple", "--degrees", "regular(400,33)", "--zeta", "0.7", "--seed", "1",
+         "--runs", "4"],
+        "d6c5b21d5789a404b0da00cf390157f5db25fabdf357260ef68b36b4aea6c600",
+        "97544966dbcc5ff09337cce498f86aaaaa597e898959dd6327fe414984292aec",
+    ),
+    # no run escapes: the step loop reads both windows, then G is completed
+    "couple-block-complete": (
+        ["couple", "--degrees", "regular(400,33)", "--zeta", "0.9", "--seed", "1",
+         "--runs", "4"],
+        "dc041f4b161b1be7252fe2f2e94ca5bc0fbcf534cfc0af734ba638b2c23d5167",
+        "9c537bc67931c07048f41bb1a8c87081fd287469378715a7cedac44ed66161b3",
     ),
     "couple-exact": (
         ["couple", "--degrees", "regular(6,2)", "--mode", "exact",
@@ -78,6 +103,18 @@ CASES = {
         ["seq-approx-p", "--degrees", "regular(10,3)", "--seed", "2", "--runs", "5"],
         "85557d3d2c0b20512ea0f20482d4a149b67cb47856a4723315510ae846add640",
         "4f36de1bb44b3da2d0864e01ccc96c5897b89c676ac8753bbcd90eb12af0e86c",
+    ),
+    # streams of about 115 steps: one window each
+    "seq-approx-p-block": (
+        ["seq-approx-p", "--degrees", "powerlaw(150,2.5,2,20)", "--seed", "7", "--runs", "3"],
+        "45a3099a8b80ea426ce884ee56876ced0406a7306a11b0c709987824ac69c0c9",
+        "237a94ce51c8c9d1488f76862b7b9c7c4d4e47e0063b594dee797d8fcc9b48e8",
+    ),
+    # streams of about 4.7e3 steps: two windows each
+    "seq-approx-p-block-windows": (
+        ["seq-approx-p", "--degrees", "regular(400,33)", "--seed", "7", "--runs", "2"],
+        "df9b27983b7db4b272a6c7d0e8974c36e7a30153a309922de23ecf46a71a395b",
+        "84566a4db6bf1e5171d087be8151b9be92ee232e2adbe4ed08cc8d3534b80cce",
     ),
     # 100 runs write the marginal report, marginals.csv and worst_abs_z
     "seq-approx-p-marginals": (
@@ -148,6 +185,33 @@ def test_cases_cover_escape_completion_and_restart(tmp_path):
     out = tmp_path / "gnd"
     run_case(CASES["sample-gnd-asymptotic-checkpoints"][0], out)
     assert json.loads((out / "metadata.json").read_text())["restarts"] > 0
+
+    # the candidate stream's block path: streams of at least 64 steps, split
+    # at the escape, crossing a window, and read to the end without escape
+    out = tmp_path / "block-escape"
+    run_case(CASES["couple-block-escape"][0], out)
+    records = traces(out)
+    assert all(r["fallback"] and r["poisson_steps"] - r["fallback_step"] > 64 for r in records)
+
+    out = tmp_path / "block-late-escape"
+    run_case(CASES["couple-block-late-escape"][0], out)
+    records = traces(out)
+    assert any(r["fallback"] and r["fallback_step"] > 4096 for r in records)
+
+    out = tmp_path / "block-complete"
+    run_case(CASES["couple-block-complete"][0], out)
+    records = traces(out)
+    assert all(not r["fallback"] and r["steps_total"] > 4096 for r in records)
+
+    # each replica's first draw is its Poisson stream length
+    for name, low, high in (("seq-approx-p-block", 64, 4096),
+                            ("seq-approx-p-block-windows", 4096, 8192)):
+        out = tmp_path / name
+        run_case(CASES[name][0], out)
+        meta = json.loads((out / "metadata.json").read_text())
+        lengths = [sample_poisson(meta["lam_used"], RandomSource(meta["seed"], i))
+                   for i in range(meta["runs"])]
+        assert all(low < s <= high for s in lengths)
 
     for name in ("seq-approx-p-marginals", "sample-gnw-p-marginals"):
         out = tmp_path / name

@@ -2,16 +2,27 @@ from math import exp, factorial, sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degseq import AliasTable, RandomSource, sample_poisson
+from degseq.graphs import ProductLambda, SymmetricProbMatrix, tri_size
+from degseq.randomness import CandidateStream
 from degseq.stats import pearson_chi_square
 
 # sizes that end a block, cross one, and outgrow the largest; runs of single
 # draws long enough to refill and grow the block
 BLOCK_SIZES = [0, 1, 64, 8191, 8192, 8193, 20_000]
 DRAW_RUNS = [1, 63, 64, 65, 300, 5000]
+# candidate streams on both sides of the step-by-step/numpy split (64 steps)
+# and of the 4096-step window
+STREAM_COUNTS = [0, 1, 63, 64, 65, 4095, 4096, 4097, 10_000]
+# weights whose pair draws redraw often: half the attempts for (1, 1)
+STREAM_WEIGHTS = st.one_of(
+    st.sampled_from([(1, 1), (5, 1, 1, 0), (1, 1, 0), (9, 1, 1)]),
+    st.lists(st.integers(0, 9), min_size=2, max_size=12).filter(
+        lambda w: sum(1 for x in w if x > 0) >= 2),
+)
 
 
 class TestRandomSource:
@@ -94,6 +105,79 @@ class TestAliasTable:
         table = AliasTable([3, 0, 1])
         rng = RandomSource(77)
         assert all(table.sample(rng) != 1 for _ in range(5000))
+
+    def test_pair_draw_needs_two_positive_weights(self):
+        # one positive weight: every attempt would draw j == k, for ever
+        with pytest.raises(ValueError, match="two positive weights"):
+            AliasTable((2, 0, 0)).sample_pair(RandomSource(1))
+
+
+def stream_lambda(weights, kind, seed):
+    """A Lambda of either type on len(weights) vertices, entries in (0, 1)."""
+    n = len(weights)
+    if kind == "product":
+        return ProductLambda([min(w, n - 1) for w in weights], 0.25)
+    return SymmetricProbMatrix(n, np.random.default_rng(seed).random(tri_size(n)))
+
+
+def scalar_steps(table, big_lambda, count, rng):
+    """The reference draw of `count` candidate steps, one at a time."""
+    steps = []
+    for _ in range(count):
+        j, k = table.sample_pair(rng)
+        steps.append((j, k, big_lambda.entry(j, k), rng.uniform()))
+    return steps
+
+
+def bits(steps):
+    return [(j, k, float(lam).hex(), u.hex()) for j, k, lam, u in steps]
+
+
+class TestCandidateStream:
+    @given(STREAM_WEIGHTS, st.sampled_from(STREAM_COUNTS), st.sampled_from(["product", "dense"]),
+           st.integers(0, 2**32), st.floats(0.0, 1.0))
+    @settings(max_examples=60, deadline=None)
+    @example((1, 1), 10_000, "product", 3, 0.5)
+    @example((5, 1, 1, 0), 4097, "dense", 4, 0.9999)
+    @example((5, 1, 1, 0), 64, "product", 5, 0.0)
+    def test_replays_the_scalar_draws(self, weights, count, kind, seed, stop_frac):
+        table = AliasTable(weights)
+        big_lambda = stream_lambda(weights, kind, seed)
+        rng = RandomSource(seed, 1)
+        ref = scalar_steps(table, big_lambda, count, rng)
+        after = rng.uniform()
+
+        rng = RandomSource(seed, 1)
+        got = list(CandidateStream(table, big_lambda, count, rng))
+        assert bits(got) == bits(ref)
+        assert rng.uniform() == after
+
+        # stop after `stop` steps, then take the rest with their coins alone
+        stop = int(stop_frac * count)
+        rng = RandomSource(seed, 1)
+        stream = CandidateStream(table, big_lambda, count, rng)
+        head = [step for _, step in zip(range(stop), stream)]
+        keys: set[int] = set()
+        stream.accept_rest(keys)
+        n = len(weights)
+        assert bits(head) == bits(ref[:stop])
+        assert keys == {j * n + k for j, k, lam, u in ref[stop:] if u < lam}
+        assert rng.uniform() == after
+
+    @pytest.mark.parametrize("count", [5, 100])
+    def test_needs_two_positive_weights(self, count):
+        with pytest.raises(ValueError, match="two positive weights"):
+            CandidateStream(AliasTable((2, 0, 0)), SymmetricProbMatrix.full(3, 0.5), count,
+                            RandomSource(1))
+
+    @given(STREAM_WEIGHTS, st.sampled_from(["product", "dense"]), st.integers(0, 2**32))
+    @settings(max_examples=30, deadline=None)
+    def test_entries_match_entry_bit_for_bit(self, weights, kind, seed):
+        big_lambda = stream_lambda(weights, kind, seed)
+        j, k = np.triu_indices(len(weights), k=1)
+        got = big_lambda.entries(j, k).tolist()
+        assert [x.hex() for x in got] == [float(big_lambda.entry(a, b)).hex()
+                                          for a, b in zip(j.tolist(), k.tolist())]
 
 
 class TestSamplePoisson:
