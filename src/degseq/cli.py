@@ -82,9 +82,9 @@ class ExperimentConfig:
         for name in ("xi", "zeta", "zeta_prime", "lam"):
             value = getattr(self, name)
             if value is not None and not _is_number(value):
-                raise ValueError(f"{name} must be a number or null, got {value!r}")
+                raise ValueError(f"{name} must be a finite number or null, got {value!r}")
         if not _is_number(self.c_mult):
-            raise ValueError(f"c_mult must be a number, got {self.c_mult!r}")
+            raise ValueError(f"c_mult must be a finite number, got {self.c_mult!r}")
         if not isinstance(self.save_graphs, bool):
             raise ValueError(f"save_graphs must be true or false, got {self.save_graphs!r}")
         if self.w_kind not in W_KINDS:
@@ -119,7 +119,10 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # NaN and +-inf fail the bound; an int past the float range does too
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return abs(value) <= sys.float_info.max
 
 
 def run_experiment(config: ExperimentConfig) -> int:

@@ -14,7 +14,7 @@ containment does not.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from math import log, sqrt
+from math import isfinite, log, sqrt
 from typing import Sequence
 
 from .graphs import (
@@ -32,7 +32,7 @@ from .graphs import (
     hadamard,
 )
 from .oracle import exact_uniform_sample, oracle_cap
-from .randomness import AliasTable, CandidateStream, RandomSource, sample_poisson
+from .randomness import CandidateStream, RandomSource, alias_table, sample_poisson
 from .samplers import (
     EtaDenominatorMode,
     SeqSampleMode,
@@ -103,6 +103,9 @@ def default_params(
     d = DegreeSequence.of(d)
     if d.n < 2:
         raise ValueError("need n >= 2")
+    for name, value in (("xi", xi), ("zeta", zeta), ("zeta_prime", zeta_prime), ("c_mult", c_mult)):
+        if value is not None and not isfinite(value):
+            raise ValueError(f"{name}={value} is not finite")
     stats = degree_stats(d)
     if stats.min == 0:
         raise ValueError("schedule undefined for zero minimum degree")
@@ -284,7 +287,7 @@ def run_coupling(
     # each step's pair, Lambda_jk and one coin u; u is the duplicate's
     # acceptance coin, the fresh pair's branch uniform, or the escape step's
     # acceptance coin
-    stream = CandidateStream(AliasTable(d.degrees), params.big_lambda, steps, rng)
+    stream = CandidateStream(alias_table(d.degrees), params.big_lambda, steps, rng)
     for step, (j, k, lam_jk, u) in enumerate(stream, 1):
         e = j * n + k
         if e in g_edges:

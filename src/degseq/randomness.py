@@ -10,7 +10,8 @@ subclass overriding both sees every draw.
 """
 from __future__ import annotations
 
-from math import exp, floor, lgamma, log, sqrt
+from functools import lru_cache
+from math import exp, floor, isfinite, lgamma, log, sqrt
 from operator import length_hint
 from typing import Iterator
 
@@ -141,6 +142,13 @@ class AliasTable:
         return p / self.size
 
 
+@lru_cache(maxsize=8)
+def alias_table(weights: tuple[float, ...]) -> AliasTable:
+    """`AliasTable(weights)`, built once per distinct tuple of weights: a run
+    draws from one degree sequence's table on every replica."""
+    return AliasTable(weights)
+
+
 class CandidateStream:
     """`count` candidate steps (j, k, Lambda_jk, u), byte for byte the draws of
     the step-by-step loop `j, k = table.sample_pair(rng)`, `big_lambda.entry(j,
@@ -247,8 +255,8 @@ def sample_poisson(mean: float, rng: RandomSource) -> int:
     transformed-rejection method above; both sample the exact law, never a
     normal approximation.
     """
-    if mean < 0:
-        raise ValueError("mean must be >= 0")
+    if not (mean >= 0 and isfinite(mean)):
+        raise ValueError(f"mean must be finite and >= 0, got {mean}")
     if mean == 0:
         return 0
     if mean < 30.0:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, repeat
+from math import isfinite
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -34,7 +34,10 @@ from .graphs import (
     tri_to_key,
 )
 from .oracle import OracleKernel, enumerate_graphs
-from .randomness import AliasTable, CandidateStream, RandomSource, sample_poisson
+from .randomness import CandidateStream, RandomSource, alias_table, sample_poisson
+
+# the most uniforms one refill of `AsymptoticKernel.insert_step` asks for
+_DRAW_BLOCK = 8192
 
 __all__ = [
     "InvariantError",
@@ -90,14 +93,14 @@ def seq_approx_p(
     1 - exp(-lam * Lambda_jk * Q_jk).
     """
     d = DegreeSequence.of(d)
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    if not (lam >= 0 and isfinite(lam)):
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
     if big_lambda.n != d.n:
         raise ValueError("Lambda dimension does not match degree sequence")
     _require_two_positive(d)
     steps = sample_poisson(lam, rng)
     edges: set[int] = set()
-    CandidateStream(AliasTable(d.degrees), big_lambda, steps, rng).accept_rest(edges)
+    CandidateStream(alias_table(d.degrees), big_lambda, steps, rng).accept_rest(edges)
     return SimpleGraph(d.n, frozenset(edges))
 
 
@@ -131,6 +134,18 @@ class AsymptoticKernel:
     stub list: it is rebuilt when ||t||_1 falls below 3/4 of its value at
     the last rebuild, so on average at least 9/16 of proposals survive it.
 
+    Uniforms come in blocks from `rng.uniforms`, and each block is mapped
+    to stub vertices by one numpy gather (`drawn_stubs[i]` is the vertex
+    `drawn[i]` picks from the current stub list; the unread rest is mapped
+    again at each rebuild).  The loop reads a proposal's j and k from
+    `drawn_stubs` and its coin from `drawn`, by position, so a draw's role
+    is still decided as the scalar loop decided it.  An insertion reads at
+    least 3 uniforms, and a refill asks for at most 3 per insertion still
+    owed, less what is held unread: a call that makes all its insertions
+    reads every uniform it drew, and the stream is the same as one
+    `rng.uniform()` per draw.  Draws held at a dead end stay on the kernel,
+    for the same rng's next call to read first.
+
     `complete` makes all of its insertions in one frame, one `insert_step`
     call per attempt; a plain `insert_step` makes one.  The stub list is
     built by the first of them.  The max-heap over t_h/d_h is built on the
@@ -139,7 +154,8 @@ class AsymptoticKernel:
     entry overstates its ratio and is replaced by its current one.
     """
 
-    __slots__ = ("d", "n", "t", "tsum", "edges", "history", "stubs", "t_r", "tsum_r", "heap")
+    __slots__ = ("d", "n", "t", "tsum", "edges", "history", "stubs", "t_r", "tsum_r", "heap",
+                 "drawn", "drawn_stubs", "read")
 
     def __init__(self, d: Sequence[int], edges: set[int], t: list[int]):
         self.d = d
@@ -148,12 +164,16 @@ class AsymptoticKernel:
         self.tsum = sum(t)
         self.edges = edges
         self.history: list[int] = []
-        self.stubs: list[int] | None = None
+        self.stubs: np.ndarray | None = None
         self.t_r: list[int] = []
         self.tsum_r = 0
         # entries (-t_h/d_h, h, t_h) carry the t value they were made with,
         # so stale ones can be told apart
         self.heap: list[tuple[float, int, int]] | None = None
+        # uniforms drawn so far; those from `read` on are not yet used
+        self.drawn: list[float] = []
+        self.drawn_stubs: list[int] = []
+        self.read = 0
 
     def weight(self, j: int, k: int) -> float:
         prod = self.t[j] * self.t[k]
@@ -203,48 +223,65 @@ class AsymptoticKernel:
         # neighbours, so the first row finds a non-edge when len(pos) > max(d)
         return next(self._open_pairs(), None) is not None
 
+    def _stub_vertices(self, u: np.ndarray) -> list[int]:
+        """The vertex each uniform in u picks from the current stub list."""
+        return self.stubs[(u * len(self.stubs)).astype(np.intp)].tolist()
+
     def insert_step(self, rng: RandomSource, count: int = 1) -> int | None:
         """`count` accepted insertions in one frame; the key of the last edge
         inserted, or None as soon as no eligible pair remains (checked once
         512 proposals in a row have failed)."""
-        n, t, edges, uniform, append = self.n, self.t, self.edges, rng.uniform, self.history.append
+        n, t, edges, append = self.n, self.t, self.edges, self.history.append
         stubs, t_r, tsum, tsum_r = self.stubs, self.t_r, self.tsum, self.tsum_r
-        size = 0 if stubs is None else len(stubs)
+        drawn, drawn_stubs, p = self.drawn, self.drawn_stubs, self.read
+        end = len(drawn)
         e = None
-        for _ in range(count):
-            if tsum < 2:
-                return None
-            if stubs is None or 4 * tsum < 3 * tsum_r:
-                # drop the old list first; one int object per vertex, shared by its stubs
-                stubs = self.stubs = None
-                t_r = self.t_r = list(t)
-                tsum_r = self.tsum_r = tsum
-                stubs = self.stubs = list(chain.from_iterable(map(repeat, range(len(t_r)), t_r)))
-                size = len(stubs)
-            attempts = 0
-            while True:
-                attempts += 1
-                if attempts > 512:
-                    if not self.eligible_pair_exists():
-                        return None
-                    attempts = 0
-                j = stubs[int(uniform() * size)]
-                k = stubs[int(uniform() * size)]
-                tj, tk = t[j], t[k]
-                if j == k or not tj or not tk:
-                    continue
-                e = j * n + k if j < k else k * n + j
-                if e in edges:
-                    continue
-                prod = tj * tk
-                if uniform() * t_r[j] * t_r[k] * (tsum + prod) < prod * (tsum + 1):
-                    break
-            edges.add(e)
-            append(e)
-            t[j] = tj - 1
-            t[k] = tk - 1
-            self.tsum = tsum = tsum - 2
-        return e
+        try:
+            for owed in range(count, 0, -1):
+                if tsum < 2:
+                    return None
+                if stubs is None or 4 * tsum < 3 * tsum_r:
+                    # drop the old list first
+                    stubs = self.stubs = None
+                    t_r = self.t_r = list(t)
+                    tsum_r = self.tsum_r = tsum
+                    stubs = self.stubs = np.repeat(np.arange(len(t_r)), t_r)
+                    drawn = drawn[p:]
+                    drawn_stubs, p, end = self._stub_vertices(np.array(drawn)), 0, len(drawn)
+                attempts = 0
+                while True:
+                    attempts += 1
+                    if attempts > 512:
+                        if not self.eligible_pair_exists():
+                            return None
+                        attempts = 0
+                    if end - p < 3:
+                        # at most 3 uniforms per insertion still owed, less those held
+                        u = np.concatenate(
+                            [drawn[p:], rng.uniforms(min(_DRAW_BLOCK, 3 * owed - (end - p)))])
+                        drawn, drawn_stubs, p, end = u.tolist(), self._stub_vertices(u), 0, len(u)
+                    j = drawn_stubs[p]
+                    k = drawn_stubs[p + 1]
+                    tj, tk = t[j], t[k]
+                    if j == k or not tj or not tk:
+                        p += 2
+                        continue
+                    e = j * n + k if j < k else k * n + j
+                    if e in edges:
+                        p += 2
+                        continue
+                    prod = tj * tk
+                    p += 3
+                    if drawn[p - 1] * t_r[j] * t_r[k] * (tsum + prod) < prod * (tsum + 1):
+                        break
+                edges.add(e)
+                append(e)
+                t[j] = tj - 1
+                t[k] = tk - 1
+                self.tsum = tsum = tsum - 2
+            return e
+        finally:
+            self.drawn, self.drawn_stubs, self.read = drawn, drawn_stubs, p
 
     def complete(self, rng: RandomSource) -> int:
         """Insert until every degree is met.  A run that paints itself into a

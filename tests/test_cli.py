@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -211,6 +212,31 @@ class TestConfigValidation:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
+        "command, flags, config, name",
+        [
+            ("couple", ["--c-mult", "nan"], None, "c_mult"),  # exited 0 with zeta = 1/2
+            ("couple", ["--c-mult", "inf"], None, "c_mult"),  # exited 0 with zeta = 1/2
+            ("seq-approx-p", ["--lam", "inf"], None, "lam"),  # an OverflowError traceback
+            ("seq-approx-p", ["--lam", "nan"], None, "lam"),  # named no field
+            ("seq-approx-p", [], {"zeta": float("-inf")}, "zeta"),
+            ("couple", [], {"c_mult": 10**400}, "c_mult"),  # past the float range
+        ],
+        ids=["c-mult-nan", "c-mult-inf", "lam-inf", "lam-nan", "zeta-config-minus-inf",
+             "c-mult-config-huge-int"],
+    )
+    def test_non_finite_exits_1_naming_the_field(self, tmp_path, capsys, command, flags, config,
+                                                  name):
+        args = [command, "--degrees", "regular(6,3)", "--out", str(tmp_path / "o")] + flags
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            args += ["--config", str(cfg)]
+        assert run(args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [err[0]] and err[0].startswith(f"error: {name} must be a finite number")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
         "config", [{"degrees": 5}, {"degrees": "regular(6,2)", "out": 5}], ids=["degrees", "out"]
     )
     def test_non_string_path_exits_1(self, tmp_path, capsys, monkeypatch, config):
@@ -296,6 +322,17 @@ class TestKeepsOnlyWhatItReads:
         # the dense lower law was built on every run: an 80 MB peak here
         peak = peak_mb(tmp_path / "o", kind="seq-approx-p", degrees="regular(2000,20)", runs=2)
         assert peak < 16
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # scipy.special cost every `degseq` process about 0.4 s and 18 MB at
+    # import; only the chi-square p-value needs it
+    code = "import sys, degseq.cli; print('scipy.special' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_benchmark_replays_write_what_the_commands_write():

@@ -46,6 +46,13 @@ class TestDefaultParams:
         assert params.zeta_prime == pytest.approx(sqrt(2500 / 100000))
         assert params.zeta_prime == pytest.approx(0.15811388, abs=1e-8)
 
+    @pytest.mark.parametrize("knob", ["xi", "zeta", "zeta_prime", "c_mult"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_knob_raises(self, knob, value):
+        # c_mult = nan gave zeta = min(1/2, nan) = 1/2, a silent success
+        with pytest.raises(ValueError, match=f"{knob}=.* is not finite"):
+            default_params((2, 2, 2, 2), **{knob: value})
+
     def test_defining_identities_hold(self):
         for degrees in [(3, 2, 2, 2, 1), (4,) * 8, (2, 2, 2)]:
             params = default_params(degrees)
@@ -164,10 +171,8 @@ def random_partial_state(degrees, seed):
     rng = RandomSource(seed)
     edges = set()
     kernel = AsymptoticKernel(degrees, edges, list(degrees))
-    steps = rng.below(sum(degrees) // 2)
-    for _ in range(steps):
-        if kernel.insert_step(rng) is None:
-            break
+    # one frame of `steps` insertions; a dead end keeps what it had inserted
+    kernel.insert_step(rng, count=rng.below(sum(degrees) // 2))
     return SimpleGraph(len(degrees), frozenset(edges))
 
 

@@ -5,7 +5,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from degseq import AliasTable, RandomSource, sample_poisson
+from degseq import (
+    AliasTable,
+    EtaDenominatorMode,
+    RandomSource,
+    SeqSampleMode,
+    default_params,
+    run_coupling,
+    sample_poisson,
+    seq_approx_p,
+)
+from degseq import randomness
 from degseq.graphs import ProductLambda, SymmetricProbMatrix, tri_size
 from degseq.randomness import CandidateStream
 from degseq.stats import pearson_chi_square
@@ -133,6 +143,21 @@ def bits(steps):
     return [(j, k, float(lam).hex(), u.hex()) for j, k, lam, u in steps]
 
 
+def test_alias_table_built_once_per_sequence(monkeypatch):
+    # run_coupling and seq_approx_p rebuilt the table on every call: 3-6 us
+    # at n = 4, 2.9 ms at n = 10^4
+    built = []
+    monkeypatch.setattr(randomness, "AliasTable", lambda w: built.append(w) or AliasTable(w))
+    randomness.alias_table.cache_clear()
+    d = (3, 3, 2, 2, 2, 1, 1)
+    for s in range(3):
+        seq_approx_p(d, 5.0, SymmetricProbMatrix.full(7, 0.5), RandomSource(71, s))
+        run_coupling(d, default_params(d), SeqSampleMode.ASYMPTOTIC,
+                     EtaDenominatorMode.CERTIFIED_BOUND, RandomSource(72, s))
+    assert built == [d]
+    randomness.alias_table.cache_clear()
+
+
 class TestCandidateStream:
     @given(STREAM_WEIGHTS, st.sampled_from(STREAM_COUNTS), st.sampled_from(["product", "dense"]),
            st.integers(0, 2**32), st.floats(0.0, 1.0))
@@ -188,6 +213,12 @@ class TestSamplePoisson:
     def test_negative_mean_raises(self):
         with pytest.raises(ValueError):
             sample_poisson(-1.0, RandomSource(0))
+
+    @pytest.mark.parametrize("mean", [float("inf"), float("nan")])
+    def test_non_finite_mean_raises(self, mean):
+        # inf was an OverflowError from the rejection branch
+        with pytest.raises(ValueError, match="finite"):
+            sample_poisson(mean, RandomSource(0))
 
     def test_moments_small_mean(self):
         # inversion branch; 3-sigma bands around mean 4 over 1e6 draws

@@ -22,7 +22,8 @@ from degseq import (
     seq_approx_p,
     seq_sample_d,
 )
-from degseq.graphs import SymmetricProbMatrix
+from degseq.deggen import parse_generator_spec
+from degseq.graphs import InvariantError, SymmetricProbMatrix
 from degseq.samplers import AsymptoticKernel, EtaDenominatorMode
 from degseq.stats import (
     THRESHOLDS,
@@ -105,6 +106,12 @@ class TestSeqApproxP:
     def test_zero_acceptance(self):
         g = seq_approx_p((2, 2, 2), 5.0, SymmetricProbMatrix.zeros(3), RandomSource(3))
         assert g.num_edges == 0
+
+    @pytest.mark.parametrize("lam", [float("inf"), float("nan")])
+    def test_non_finite_lambda_raises(self, lam):
+        # inf was an OverflowError from the Poisson draw
+        with pytest.raises(ValueError, match="lam must be finite"):
+            seq_approx_p((2, 2, 2), lam, SymmetricProbMatrix.full(3, 0.5), RandomSource(3))
 
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateSequenceError):
@@ -279,8 +286,8 @@ class TestAsymptoticStepLaw:
 
 
 def test_stub_list_shares_vertex_ints():
-    # 850k stubs are one list of pointers (about 7 MB); a fresh int per
-    # stub, as np.repeat(...).tolist() makes, would add about 24 MB
+    # 850k stubs are one int64 array (about 6.8 MB); a list with a fresh
+    # int per stub, as np.repeat(...).tolist() makes, would add about 24 MB
     d = [85] * 10_000
     tracemalloc.start()
     try:
@@ -362,3 +369,112 @@ class TestAsymptoticKernelFrames:
         assert stepped.t == framed.t == [0] * 16
         assert stepped.tsum == framed.tsum == 0
         assert rng_stepped.uniform() == rng_framed.uniform()
+
+
+class ScalarKernel(AsymptoticKernel):
+    """The reference completion loop: one `rng.uniform()` per draw, read as
+    it is used, from a stub list of Python ints.  `AsymptoticKernel` draws
+    its uniforms in blocks and must replay this loop byte for byte."""
+
+    def insert_step(self, rng, count=1):
+        n, t, edges, uniform = self.n, self.t, self.edges, rng.uniform
+        e = None
+        for _ in range(count):
+            if self.tsum < 2:
+                return None
+            if self.stubs is None or 4 * self.tsum < 3 * self.tsum_r:
+                self.t_r = list(t)
+                self.tsum_r = self.tsum
+                self.stubs = [h for h, th in enumerate(t) for _ in range(th)]
+            stubs, t_r, tsum, size = self.stubs, self.t_r, self.tsum, len(self.stubs)
+            attempts = 0
+            while True:
+                attempts += 1
+                if attempts > 512:
+                    if not self.eligible_pair_exists():
+                        return None
+                    attempts = 0
+                j = stubs[int(uniform() * size)]
+                k = stubs[int(uniform() * size)]
+                if j == k or not t[j] or not t[k]:
+                    continue
+                e = j * n + k if j < k else k * n + j
+                if e in edges:
+                    continue
+                prod = t[j] * t[k]
+                if uniform() * t_r[j] * t_r[k] * (tsum + prod) < prod * (tsum + 1):
+                    break
+            self.insert(j, k)
+        return e
+
+
+def complete_by_steps(kernel, rng):
+    """`kernel.complete(rng)` with one `insert_step` call per insertion."""
+    base_t, base_len = list(kernel.t), len(kernel.history)
+    restarts = 0
+    while kernel.tsum > 0:
+        if kernel.insert_step(rng) is None:
+            restarts += 1
+            kernel.edges.difference_update(kernel.history[base_len:])
+            kernel.t[:] = base_t
+            kernel.tsum = sum(base_t)
+            del kernel.history[base_len:]
+            kernel.stubs = None
+    return restarts
+
+
+def completion_record(kernel_cls, degrees, rng, by_steps=False):
+    """What a completion leaves: history, t, restarts and the next uniform."""
+    kernel = kernel_cls(degrees, set(), list(degrees))
+    restarts = complete_by_steps(kernel, rng) if by_steps else kernel.complete(rng)
+    return kernel.history, kernel.t, kernel.tsum, restarts, rng.uniform()
+
+
+def require_same_completion(degrees, rng_of):
+    """The block kernel, through `complete` and step by step, against the
+    scalar reference; raises InvariantError (kept under `python -O`)."""
+    reference = completion_record(ScalarKernel, degrees, rng_of())
+    for by_steps in (False, True):
+        got = completion_record(AsymptoticKernel, degrees, rng_of(), by_steps)
+        if got != reference:
+            raise InvariantError(f"{degrees}: block draws (by_steps={by_steps}) left the scalar stream")
+    return reference[3]
+
+
+class TestBlockDrawsReplayScalarLoop:
+    """`insert_step`'s block draws make the scalar loop's decisions from the
+    same uniforms: history, t, restarts and the next draw all agree."""
+
+    @given(graphical_degrees(max_n=12), st.integers(0, 2**32 - 1))
+    @settings(deadline=None)
+    def test_small_sequences(self, degrees, seed):
+        require_same_completion(degrees, lambda: RandomSource(seed))
+
+    @pytest.mark.parametrize("degrees, seed, restarts", [
+        ((1, 1, 2), 3, 3),
+        ((5,) * 16, 8, 3),
+        ((2, 2, 2, 2, 2, 2, 1, 1), 3, 1),
+    ])
+    def test_dead_ends(self, degrees, seed, restarts):
+        # held draws survive each restart and are read first after it
+        if require_same_completion(degrees, lambda: RandomSource(seed)) != restarts:
+            raise InvariantError(f"{degrees} seed {seed}: expected {restarts} restarts")
+
+    @pytest.mark.parametrize("spec", ["regular(400,20)", "powerlaw(600,2.5,3,60)"])
+    def test_across_blocks_and_rebuilds(self, spec):
+        # thousands of insertions: many refills, and rebuilds that remap a held tail
+        d = list(parse_generator_spec(spec, 5).degrees)
+        require_same_completion(d, lambda: RandomSource(5, 1))
+
+    @given(graphical_degrees(max_n=12), st.integers(0, 2**32 - 1), st.data())
+    @settings(deadline=None)
+    def test_full_call_reads_every_draw(self, degrees, seed, data):
+        count = data.draw(st.integers(1, max(1, sum(degrees) // 2)))
+        kernel = AsymptoticKernel(degrees, set(), list(degrees))
+        reference = ScalarKernel(degrees, set(), list(degrees))
+        rng, rng_ref = RandomSource(seed), RandomSource(seed)
+        e = kernel.insert_step(rng, count)
+        if e != reference.insert_step(rng_ref, count) or kernel.history != reference.history:
+            raise InvariantError("one call of count insertions left the scalar stream")
+        if e is not None and (kernel.read != len(kernel.drawn) or rng.uniform() != rng_ref.uniform()):
+            raise InvariantError(f"a full call of {count} insertions left draws unread")

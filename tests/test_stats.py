@@ -249,8 +249,8 @@ class TestDegreeConcentration:
             rng = RandomSource(seed, s)
             edges = set()
             kernel = AsymptoticKernel(d, edges, list(d))
-            for _ in range(m):
-                assert kernel.insert_step(rng) is not None
+            # one frame of m insertions draws what m single steps would
+            assert kernel.insert_step(rng, count=m) is not None
             checkpoints.append((m, SimpleGraph(n, frozenset(edges))))
         return d, checkpoints
 
