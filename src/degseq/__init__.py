@@ -19,6 +19,7 @@ from .graphs import (
 from .oracle import (
     GraphFamily,
     OracleCapError,
+    count_graphs,
     enumerate_graphs,
     exact_conditional_edge_prob,
     exact_edge_marginals,

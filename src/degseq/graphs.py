@@ -96,8 +96,14 @@ def degree_stats(d: DegreeSequence | Sequence[int]) -> DegreeStats:
 
 def is_graphical(d: DegreeSequence | Sequence[int]) -> bool:
     """Erdos-Gallai test: does any simple graph realize this degree sequence?"""
-    d = DegreeSequence.of(d)
-    seq = sorted(d.degrees, reverse=True)
+    return _erdos_gallai(DegreeSequence.of(d).degrees)
+
+
+# run_coupling and seq_sample_d test the sequence of every replica, about
+# 9 ms a call at n = 1e4
+@lru_cache(maxsize=8)
+def _erdos_gallai(degrees: tuple[int, ...]) -> bool:
+    seq = sorted(degrees, reverse=True)
     if sum(seq) % 2 != 0:
         return False
     n = len(seq)

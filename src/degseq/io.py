@@ -24,7 +24,7 @@ from .graphs import (
     tri_pairs,
     tri_size,
 )
-from .oracle import GraphFamily, set_bits
+from .oracle import GraphFamily, bit_rows
 
 
 def read_degree_file(path: str | Path) -> DegreeSequence:
@@ -118,11 +118,18 @@ def read_matrix_csv(path: str | Path) -> SymmetricProbMatrix:
 
 
 def write_family(path: str | Path, fam: GraphFamily) -> None:
-    # bit i of a mask is pair i of the row-major order, so reading the bits
-    # from low to high gives each member's edges sorted
-    lines = [f"{j} {k}\n" for j, k in tri_pairs(fam.n)]
-    blocks = ("".join(map(lines.__getitem__, set_bits(mask))) for mask in fam.masks)
-    Path(path).write_text("\n".join(blocks))
+    # bit i of a mask is pair i of the row-major order, so a member's set
+    # bits from low to high give its edges sorted; every member has the same
+    # number of edges, and a blank line goes before every block but the first
+    lines = np.array([f"{j} {k}\n" for j, k in tri_pairs(fam.n)], dtype=object)
+    edges = sum(fam.degrees) // 2
+    with open(path, "w") as fh:
+        for chunk, bits in enumerate(bit_rows(fam.masks, len(lines))):
+            blocks = np.full((len(bits), 1 + edges), "\n", dtype=object)
+            blocks[:, 1:] = lines[bits.nonzero()[1]].reshape(len(bits), edges)
+            if not chunk:
+                blocks[0, 0] = ""
+            fh.write("".join(blocks.ravel().tolist()))
 
 
 def read_family_edge_lists(path: str | Path, n: int) -> list[SimpleGraph]:

@@ -1,8 +1,9 @@
 """Exact brute-force ground truth for small n.
 
-Enumerates every simple graph with a prescribed degree sequence so that the
-samplers can be checked against the true distributions.  Families are stored
-as edge bitmasks; bit i corresponds to the i-th pair of `tri_pairs(n)`.
+Enumerates every simple graph with a prescribed degree sequence, by vertex
+elimination after counting the family, so that the samplers can be checked
+against the true distributions.  Families are stored as edge bitmasks; bit i
+corresponds to the i-th pair of `tri_pairs(n)`.
 Integer counting is the source of truth; probabilities are derived doubles.
 """
 from __future__ import annotations
@@ -10,10 +11,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, starmap
+from itertools import combinations, groupby, starmap
 from math import comb
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -36,6 +37,9 @@ if TYPE_CHECKING:
 DEFAULT_CAP = 10
 DEFAULT_FAMILY_CAP = 5_000_000
 CAP_ENV_VAR = "DEGSEQ_ORACLE_CAP"
+# masks per bit matrix: at regular(9,2), 1024 counted pairs as fast as 4096
+# did, with a quarter of the transient memory
+BIT_ROWS_CHUNK = 1024
 
 
 class OracleCapError(RuntimeError):
@@ -82,6 +86,18 @@ def bit_counts(masks: Iterable[int]) -> dict[int, int]:
     return counts
 
 
+def bit_rows(masks: Sequence[int], width: int) -> Iterator[np.ndarray]:
+    """Bits 0 .. width - 1 of each mask as a uint8 row, in matrices of at most
+    `BIT_ROWS_CHUNK` rows.
+
+    Goes through `int.to_bytes`, so masks of any width take the same path."""
+    size = width // 8 + 1
+    for start in range(0, len(masks), BIT_ROWS_CHUNK):
+        part = masks[start:start + BIT_ROWS_CHUNK]
+        raw = np.frombuffer(b"".join([m.to_bytes(size, "little") for m in part]), dtype=np.uint8)
+        yield np.unpackbits(raw.reshape(len(part), size), axis=1, count=width, bitorder="little")
+
+
 def mask_of_edges(n: int, keys: Iterable[int]) -> int:
     """The bitmask of a set of edge keys j*n + k."""
     mask = 0
@@ -113,56 +129,94 @@ class GraphFamily:
     @cached_property
     def pair_counts(self) -> Mapping[int, int]:
         """Pair index -> the number of members with that edge; shared, so read only."""
-        return MappingProxyType(bit_counts(self.masks))
+        counts = np.zeros(tri_size(self.n), dtype=np.int64)
+        for bits in bit_rows(self.masks, len(counts)):
+            counts += bits.sum(axis=0, dtype=np.int64)
+        hit = np.flatnonzero(counts)
+        return MappingProxyType(dict(zip(hit.tolist(), counts[hit].tolist())))
 
 
-def _backtrack_masks(n: int, degrees: Sequence[int]) -> list[int]:
-    """Enumerate edge bitmasks realizing `degrees` via pairwise backtracking.
+def _completions(tail: tuple[int, ...], n: int, memo: dict[tuple[int, ...], list[int]]) -> list[int]:
+    """Every edge bitmask on vertices n - len(tail) .. n - 1 realizing the
+    residual degrees `tail`, by vertex elimination.
 
-    Pairs are decided in lexicographic order with degree-feasibility pruning:
-    a branch dies as soon as some vertex needs more edges than its undecided
-    incident pairs can still provide.
+    The first vertex v of the tail takes its residual degree r of neighbours
+    among the higher vertices as an r-subset.  Its pairs (v, k), k > v, are
+    row v of `tri_pairs(n)`, consecutive bits from tri_index(n, v, v + 1), so
+    each choice is one shifted bit pattern.  The residual degrees left after
+    v fix the completions, so each tail's list is built once (`memo`) and
+    OR-ed onto every prefix that reaches it.
     """
-    pairs = tri_pairs(n)
-    npairs = len(pairs)
-    remaining = list(degrees)
-    # undecided incident pair count per vertex
-    capacity = [n - 1] * n
-    out: list[int] = []
+    got = memo.get(tail)
+    if got is not None:
+        return got
+    r, rest = tail[0], tail[1:]
+    if not r:
+        got = _completions(rest, n, memo) if rest else [0]
+    else:
+        v = n - len(tail)
+        base = v * n - v * (v + 1) // 2
+        got = []
+        for chosen in combinations([i for i, x in enumerate(rest) if x], r):
+            left = list(rest)
+            pattern = 0
+            for i in chosen:
+                left[i] -= 1
+                pattern |= 1 << i
+            sub = _completions(tuple(left), n, memo)
+            if sub:
+                pattern <<= base
+                got += [pattern | c for c in sub]
+    # distinct choices of vertex 0 leave distinct tails, so a tail one
+    # vertex in is never looked up again: keeping it would double the peak
+    if len(tail) < n - 1:
+        memo[tail] = got
+    return got
 
-    def rec(idx: int, mask: int) -> None:
-        if len(out) > DEFAULT_FAMILY_CAP:
-            raise OracleCapError(f"family exceeds cap {DEFAULT_FAMILY_CAP}")
-        if idx == npairs:
-            if all(r == 0 for r in remaining):
-                out.append(mask)
-            return
-        j, k = pairs[idx]
-        capacity[j] -= 1
-        capacity[k] -= 1
-        # exclude branch first so masks come out roughly ascending; final
-        # ordering is enforced by a sort in _cached_family.
-        if remaining[j] <= capacity[j] and remaining[k] <= capacity[k]:
-            rec(idx + 1, mask)
-        if remaining[j] > 0 and remaining[k] > 0:
-            remaining[j] -= 1
-            remaining[k] -= 1
-            if remaining[j] <= capacity[j] and remaining[k] <= capacity[k]:
-                rec(idx + 1, mask | 1 << idx)
-            remaining[j] += 1
-            remaining[k] += 1
-        capacity[j] += 1
-        capacity[k] += 1
 
-    rec(0, 0)
-    return out
+def count_graphs(d: DegreeSequence | Sequence[int]) -> int:
+    """The number of labelled simple graphs with degree sequence d (0 if none).
+
+    The enumeration's vertex elimination, counted only.  A labelled count
+    depends on the multiset of degrees alone, so tails are memoised sorted,
+    and the vertex eliminated is the one of largest residual degree.
+    """
+    d = DegreeSequence.of(d)
+    return _count(tuple(sorted((x for x in d.degrees if x), reverse=True)), {(): 1})
+
+
+def _count(tail: tuple[int, ...], memo: dict[tuple[int, ...], int]) -> int:
+    """The count for the positive residual degrees `tail`, in descending order."""
+    got = memo.get(tail)
+    if got is None:
+        groups = [(x, len(list(run))) for x, run in groupby(tail[1:])]
+        got = memo[tail] = _spread(groups, tail[0], [], memo)
+    return got
+
+
+def _spread(groups: list[tuple[int, int]], left: int, kept: list[int],
+            memo: dict[tuple[int, ...], int]) -> int:
+    """The ways to give `left` more neighbours to the (degree x, multiplicity m)
+    `groups`, each weighted by the count of the multiset it leaves; `kept`
+    holds what the groups before them were left with, in descending order.
+
+    Taking c of a group, in comb(m, c) ways that all leave the same multiset,
+    lowers c of its entries to x - 1, still no less than the next group's x."""
+    if not left:
+        rest = kept + [x for x, m in groups for _ in range(m)]
+        return _count(tuple(x for x in rest if x), memo)
+    if not groups:
+        return 0
+    (x, m), later = groups[0], groups[1:]
+    return sum(comb(m, c) * _spread(later, left - c, kept + [x] * (m - c) + [x - 1] * c, memo)
+               for c in range(min(m, left) + 1))
 
 
 def raw_scan_masks(d: DegreeSequence | Sequence[int]) -> list[int]:
     """Independent cross-check: scan all 2^(n choose 2) edge subsets (n <= 6).
 
     Vectorized over the full subset range; kept deliberately separate from the
-    backtracking implementation so the two can validate each other.
+    vertex elimination so the two can validate each other.
     """
     d = DegreeSequence.of(d)
     n = d.n
@@ -182,9 +236,19 @@ def raw_scan_masks(d: DegreeSequence | Sequence[int]) -> list[int]:
 
 @lru_cache(maxsize=256)
 def _cached_family(degrees: tuple[int, ...]) -> GraphFamily:
-    """The whole family; the caller has already checked the vertex cap."""
+    """The whole family; the caller has already checked the vertex cap.
+
+    The family is counted before any mask is built, unless the 2^(n choose 2)
+    edge sets on n vertices are within the family cap, so no family passes it."""
     n = len(degrees)
-    masks = _backtrack_masks(n, degrees)
+    size = None
+    if 1 << tri_size(n) > DEFAULT_FAMILY_CAP:
+        size = count_graphs(degrees)
+        if size > DEFAULT_FAMILY_CAP:
+            raise OracleCapError(f"family of {size} graphs exceeds cap {DEFAULT_FAMILY_CAP}")
+    masks = _completions(degrees, n, {})
+    if size is not None and len(masks) != size:
+        raise InvariantError(f"enumerated {len(masks)} graphs for {degrees}, counted {size}")
     masks.sort()
     return GraphFamily(n, degrees, tuple(masks))
 

@@ -58,6 +58,13 @@ class TestOracleCommand:
         code = run(["oracle", "--degrees", "regular(12,3)", "--out", str(tmp_path / "x")])
         assert code == 3
 
+    def test_family_cap_exits_3_with_one_line(self, tmp_path, capsys):
+        # n = 10 is within the vertex cap; its 11180820 members are not
+        code = run(["oracle", "--degrees", "regular(10,3)", "--out", str(tmp_path / "x")])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: family of 11180820 graphs exceeds cap 5000000"]
+
 
 class TestDegreeResolution:
     def test_non_graphical_file_exits_2(self, tmp_path):

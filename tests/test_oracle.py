@@ -107,10 +107,99 @@ class TestEnumerateGraphs:
             enumerate_graphs((1, 1, 1, 1))
 
     @given(st.lists(st.integers(0, 3), min_size=2, max_size=5))
-    def test_backtracking_agrees_with_raw_scan(self, raw):
+    def test_elimination_agrees_with_raw_scan(self, raw):
         n = len(raw)
         d = tuple(min(x, n - 1) for x in raw)
         assert list(enumerate_graphs(d).masks) == sorted(raw_scan_masks(d))
+
+    def test_family_cap_raised_from_the_count(self, monkeypatch):
+        # regular(8,3) has 19355 members: the count alone must refuse it,
+        # before the elimination builds a single mask
+        monkeypatch.setattr(oracle, "DEFAULT_FAMILY_CAP", 1_000)
+        monkeypatch.setattr(oracle, "_cached_family", oracle._cached_family.__wrapped__)
+        monkeypatch.setattr(oracle, "_completions", refuse_masks)
+        with pytest.raises(OracleCapError, match="family of 19355 graphs exceeds cap 1000"):
+            enumerate_graphs((3,) * 8)
+
+    def test_regular_10_3_refused_before_any_mask(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_completions", refuse_masks)
+        with pytest.raises(OracleCapError, match="family of 11180820 graphs exceeds cap 5000000"):
+            enumerate_graphs((3,) * 10)
+
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 100])
+    def test_no_family_past_a_small_cap(self, monkeypatch, cap):
+        # skipping the count (when 2^(n choose 2) is within the cap) must
+        # never let a family past it
+        monkeypatch.setattr(oracle, "DEFAULT_FAMILY_CAP", cap)
+        monkeypatch.setattr(oracle, "_cached_family", oracle._cached_family.__wrapped__)
+        for d in [(1, 1), (2, 2, 2), (1, 1, 1, 1), (2, 2, 2, 2), (2,) * 5, (2,) * 6, (1,) * 8]:
+            size = oracle.count_graphs(d)
+            if size > cap:
+                with pytest.raises(OracleCapError):
+                    enumerate_graphs(d)
+            else:
+                assert len(enumerate_graphs(d)) == size
+
+
+def refuse_masks(*args):
+    raise InvariantError("a mask was built past the family cap")
+
+
+def double_factorial(k: int) -> int:
+    return 1 if k <= 1 else k * double_factorial(k - 2)
+
+
+class TestCountGraphs:
+    # OEIS A002829: labelled cubic graphs on n = 4, 6, 8, 10 vertices
+    @pytest.mark.parametrize("n, size", [(4, 1), (6, 70), (8, 19_355), (10, 11_180_820)])
+    def test_cubic(self, n, size):
+        assert oracle.count_graphs((3,) * n) == size
+
+    # OEIS A001205: labelled 2-regular graphs on n = 3 .. 10 vertices
+    @pytest.mark.parametrize("n, size", zip(range(3, 11), [1, 3, 12, 70, 465, 3_507, 30_016, 286_884]))
+    def test_two_regular(self, n, size):
+        assert oracle.count_graphs((2,) * n) == size
+
+    @pytest.mark.parametrize("n", range(2, 31, 2))
+    def test_perfect_matchings(self, n):
+        assert oracle.count_graphs((1,) * n) == double_factorial(n - 1)
+
+    def test_order_and_zeros_do_not_matter(self):
+        assert oracle.count_graphs((0, 1, 2, 3, 0, 2, 1, 1)) == oracle.count_graphs((3, 2, 2, 1, 1, 1))
+
+    @pytest.mark.parametrize("d", [(1, 1, 1), (3, 3, 1, 1), (2, 2, 1), (4, 4, 4, 1, 1)])
+    def test_non_graphical_counts_zero(self, d):
+        assert oracle.count_graphs(d) == 0
+
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=7))
+    def test_equals_family_size(self, raw):
+        n = len(raw)
+        d = tuple(min(x, n - 1) for x in raw)
+        assert oracle.count_graphs(d) == len(enumerate_graphs(d))
+
+
+class TestFamilyPast64Bits:
+    """regular(12,1): 10395 perfect matchings over 66 pairs, so masks need
+    more than 64 bits and the bit matrices span several chunks."""
+
+    @pytest.fixture
+    def family(self, monkeypatch):
+        monkeypatch.setenv("DEGSEQ_ORACLE_CAP", "12")
+        return enumerate_graphs((1,) * 12)
+
+    def test_members(self, family):
+        assert len(family) == double_factorial(11) == 10_395
+        assert max(family.masks).bit_length() > 64
+        assert list(family.masks) == sorted(set(family.masks))
+        for mask in family.masks[::997]:
+            assert graph_of_mask(12, mask).degree_vector() == (1,) * 12
+
+    def test_pair_counts_match_bit_counts(self, family):
+        assert len(family) > 2 * oracle.BIT_ROWS_CHUNK
+        assert dict(family.pair_counts) == bit_counts(family.masks)
+        # every pair lies in 1/11 of the matchings
+        assert set(family.pair_counts.values()) == {945}
 
 
 class TestExactEdgeMarginals:

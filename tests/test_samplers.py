@@ -269,8 +269,16 @@ class TestAsymptoticStepLaw:
         pairs = sorted(law)
         index = {e: i for i, e in enumerate(pairs)}
         counts = [0] * len(pairs)
+        # every draw starts from base's state: t, the edges and the history are
+        # copied, and the stub list is shared read only; the build read every
+        # uniform it drew, so no held draw is left to copy
+        if base.read != len(base.drawn):
+            raise InvariantError("the build left uniforms unread")
+        base.stubs.setflags(write=False)
         for s in range(self.DRAWS):
-            kernel = self._state(fixed_inserts)
+            kernel = AsymptoticKernel(self.D, set(base.edges), list(base.t))
+            kernel.history = list(base.history)
+            kernel.stubs, kernel.t_r, kernel.tsum_r = base.stubs, base.t_r, base.tsum_r
             counts[index[divmod(kernel.insert_step(RandomSource(seed, s)), n)]] += 1
         report = pearson_chi_square(counts, [law[e] / norm for e in pairs])
         assert report.p_value > THRESHOLDS.p_min, report
