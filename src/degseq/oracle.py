@@ -136,40 +136,58 @@ class GraphFamily:
         return MappingProxyType(dict(zip(hit.tolist(), counts[hit].tolist())))
 
 
-def _completions(tail: tuple[int, ...], n: int, memo: dict[tuple[int, ...], list[int]]) -> list[int]:
-    """Every edge bitmask on vertices n - len(tail) .. n - 1 realizing the
-    residual degrees `tail`, by vertex elimination.
+def _family_masks(degrees: tuple[int, ...]) -> list[int]:
+    """Every edge bitmask realizing `degrees`, unsorted, by vertex elimination.
 
-    The first vertex v of the tail takes its residual degree r of neighbours
-    among the higher vertices as an r-subset.  Its pairs (v, k), k > v, are
-    row v of `tri_pairs(n)`, consecutive bits from tri_index(n, v, v + 1), so
-    each choice is one shifted bit pattern.  The residual degrees left after
-    v fix the completions, so each tail's list is built once (`memo`) and
-    OR-ed onto every prefix that reaches it.
+    Vertex v, in turn, takes its residual degree of neighbours among the
+    higher vertices (`_choices`).  The residual degrees left after v (the
+    tail) fix the completions, so each tail's list is built once and OR-ed
+    onto every prefix that reaches it (`_completions`).  Distinct choices of
+    vertex 0 leave distinct tails, none of them reached twice, so the lists
+    start two vertices in.  The masks themselves are made last, after every
+    list they come from, so that they lie together in memory: the exact
+    kernels scan them at every step.
     """
-    got = memo.get(tail)
-    if got is not None:
-        return got
+    n = len(degrees)
+    memo: dict[tuple[int, ...], list[int]] = {(): [0]}
+    parts = [(p0 | p1, _completions(tail, n, memo))
+             for p0, after0 in _choices(degrees, n) for p1, tail in _choices(after0, n)]
+    return [prefix | c for prefix, completions in parts for c in completions]
+
+
+def _choices(tail: tuple[int, ...], n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(bits, tail left) for each way the first vertex v of the residual
+    degrees `tail` (of vertices n - len(tail) .. n - 1) can take its r
+    neighbours among the higher vertices: an r-subset of those with residual
+    degree left.  Its pairs (v, k), k > v, are row v of `tri_pairs(n)`,
+    consecutive bits from tri_index(n, v, v + 1), so each choice is one
+    shifted bit pattern.  The empty tail has one choice, of nothing."""
+    if not tail:
+        yield 0, ()
+        return
     r, rest = tail[0], tail[1:]
-    if not r:
-        got = _completions(rest, n, memo) if rest else [0]
-    else:
-        v = n - len(tail)
-        base = v * n - v * (v + 1) // 2
-        got = []
-        for chosen in combinations([i for i, x in enumerate(rest) if x], r):
-            left = list(rest)
-            pattern = 0
-            for i in chosen:
-                left[i] -= 1
-                pattern |= 1 << i
-            sub = _completions(tuple(left), n, memo)
-            if sub:
-                pattern <<= base
-                got += [pattern | c for c in sub]
-    # distinct choices of vertex 0 leave distinct tails, so a tail one
-    # vertex in is never looked up again: keeping it would double the peak
-    if len(tail) < n - 1:
+    v = n - len(tail)
+    base = v * n - v * (v + 1) // 2
+    for chosen in combinations([i for i, x in enumerate(rest) if x], r):
+        left = list(rest)
+        pattern = 0
+        for i in chosen:
+            left[i] -= 1
+            pattern |= 1 << i
+        yield pattern << base, tuple(left)
+
+
+def _completions(tail: tuple[int, ...], n: int,
+                 memo: dict[tuple[int, ...], list[int]]) -> list[int]:
+    """Every edge bitmask on the vertices of the residual degrees `tail`,
+    memoised; a vertex with nothing left adds no bits, so shares its tail's list."""
+    got = memo.get(tail)
+    if got is None:
+        if tail[0]:
+            got = [pattern | c
+                   for pattern, left in _choices(tail, n) for c in _completions(left, n, memo)]
+        else:
+            got = _completions(tail[1:], n, memo)
         memo[tail] = got
     return got
 
@@ -246,7 +264,7 @@ def _cached_family(degrees: tuple[int, ...]) -> GraphFamily:
         size = count_graphs(degrees)
         if size > DEFAULT_FAMILY_CAP:
             raise OracleCapError(f"family of {size} graphs exceeds cap {DEFAULT_FAMILY_CAP}")
-    masks = _completions(degrees, n, {})
+    masks = _family_masks(degrees)
     if size is not None and len(masks) != size:
         raise InvariantError(f"enumerated {len(masks)} graphs for {degrees}, counted {size}")
     masks.sort()
