@@ -100,7 +100,7 @@ def is_graphical(d: DegreeSequence | Sequence[int]) -> bool:
 
 
 # run_coupling and seq_sample_d test the sequence of every replica, about
-# 9 ms a call at n = 1e4
+# 9–14 ms a call at n = 1e4
 @lru_cache(maxsize=8)
 def _erdos_gallai(degrees: tuple[int, ...]) -> bool:
     seq = sorted(degrees, reverse=True)
