@@ -79,12 +79,13 @@ class ExperimentConfig:
             raise ValueError(f"out must be a string, got {self.out!r}")
         if self.degrees is not None and not isinstance(self.degrees, str):
             raise ValueError(f"degrees must be a string or null, got {self.degrees!r}")
+        # no schedule knob, slack or budget has a meaning below 0
         for name in ("xi", "zeta", "zeta_prime", "lam"):
             value = getattr(self, name)
-            if value is not None and not _is_number(value):
-                raise ValueError(f"{name} must be a finite number or null, got {value!r}")
-        if not _is_number(self.c_mult):
-            raise ValueError(f"c_mult must be a finite number, got {self.c_mult!r}")
+            if value is not None and not _is_nonnegative(value):
+                raise ValueError(f"{name} must be a finite number >= 0 or null, got {value!r}")
+        if not _is_nonnegative(self.c_mult):
+            raise ValueError(f"c_mult must be a finite number >= 0, got {self.c_mult!r}")
         if not isinstance(self.save_graphs, bool):
             raise ValueError(f"save_graphs must be true or false, got {self.save_graphs!r}")
         if self.w_kind not in W_KINDS:
@@ -118,11 +119,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
+def _is_nonnegative(value) -> bool:
     # NaN and +-inf fail the bound; an int past the float range does too
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
-    return abs(value) <= sys.float_info.max
+    return 0 <= value <= sys.float_info.max
 
 
 def run_experiment(config: ExperimentConfig) -> int:
@@ -367,8 +368,16 @@ COMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A bad command line is a bad argument: `main` reports it in one line
+    and exits 1, where argparse would print its usage and exit 2."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="degseq",
         description="Samplers and coupled construction for degree-constrained random graphs.",
     )
@@ -395,9 +404,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config", "checkpoints")}
     try:
+        args = _build_parser().parse_args(argv)
+        flags = {k: v for k, v in vars(args).items()
+                 if k not in ("command", "config", "checkpoints")}
         if args.checkpoints is not None:
             flags["checkpoints"] = [int(x) for x in args.checkpoints.split(",") if x.strip()]
         config = ExperimentConfig.from_sources(args.command, args.config, flags)

@@ -14,6 +14,7 @@ containment does not.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from math import isfinite, log, sqrt
 from typing import Sequence
 
@@ -229,10 +230,11 @@ def _redraw_upper(d: DegreeSequence, rng: RandomSource, cap: int) -> tuple[Simpl
     return g, True
 
 
-def _auto_checkpoints(steps: int) -> list[int]:
-    if steps <= 0:
-        return []
-    return sorted({max(1, round(steps * i / 10)) for i in range(1, 11)})
+@lru_cache(maxsize=256)
+def _auto_checkpoints(steps: int) -> frozenset[int]:
+    """The steps at which a run of `steps` candidate steps records p_m: each
+    tenth of the way, rounded, and at least step 1."""
+    return frozenset(max(1, round(steps * i / 10)) for i in range(1, 11) if steps > 0)
 
 
 def run_coupling(
@@ -277,7 +279,7 @@ def run_coupling(
 
     steps = sample_poisson(params.lam, rng)
     trace.poisson_steps = steps
-    checkpoint_at = set(_auto_checkpoints(steps))
+    checkpoint_at = _auto_checkpoints(steps)
 
     cap = oracle_cap()
     kernel = make_kernel(d, prob_mode, SimpleGraph.empty(n), cap=cap)

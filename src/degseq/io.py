@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -42,16 +42,71 @@ def write_degree_file(path: str | Path, d: DegreeSequence | Sequence[int]) -> No
 
 
 def read_edge_list(path: str | Path, n: int) -> SimpleGraph:
-    return SimpleGraph(n, frozenset(_edge_keys(Path(path).read_text().splitlines(), n)))
+    keys, _ = _edge_lines(path, n)
+    return SimpleGraph(n, frozenset(keys.tolist()))
 
 
-def _edge_keys(lines: Iterable[str], n: int) -> Iterator[int]:
-    """The key of the edge on each non-blank "j k" line, taken in either order."""
-    for line in lines:
+# a plain edge file holds only digits, spaces, tabs and newlines; numpy
+# parses it a chunk of whole lines at a time, so its temporary arrays stay a
+# few MB whatever the file's size
+_PLAIN_BYTES = b"0123456789 \t\n"
+_PARSE_CHUNK = 1 << 20
+
+
+def _edge_lines(path: str | Path, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The key of the edge on each non-blank "j k" line of the file, taken in
+    either order, and the number of edges before each blank line.
+
+    A plain file is parsed with numpy from its bytes.  Any other file, and any
+    file with a bad line, is read line by line as text, which raises
+    ValueError for the first bad line.
+    """
+    raw = Path(path).read_bytes()
+    if not raw.translate(None, _PLAIN_BYTES):
+        parsed = _plain_edge_lines(raw, n)
+        if parsed is not None:
+            return parsed
+    keys, cuts = [], []
+    for line in Path(path).read_text().splitlines():
         fields = line.split()
         if fields:
             j, k = fields
-            yield edge_key(n, int(j), int(k))
+            keys.append(edge_key(n, int(j), int(k)))
+        else:
+            cuts.append(len(keys))
+    return np.array(keys, dtype=np.int64), np.array(cuts, dtype=np.int64)
+
+
+def _plain_edge_lines(raw: bytes, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """`_edge_lines` of a plain file, or None if a line is bad or a field is
+    over 18 digits long."""
+    keys, cuts = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    edges = start = 0
+    while start < len(raw):
+        stop = raw.find(b"\n", start + _PARSE_CHUNK) + 1 or len(raw)
+        data = np.frombuffer(raw, np.uint8, stop - start, start)
+        start = stop
+        # a field is a run of digits; its value is read digit by digit
+        step = np.diff((data >= 48).view(np.int8), prepend=0, append=0)
+        starts, ends = np.flatnonzero(step == 1), np.flatnonzero(step == -1)
+        length = ends - starts
+        newlines = np.flatnonzero(data == 10)
+        lines = len(newlines) + (data[-1] != 10)
+        width = np.bincount(np.searchsorted(newlines, starts), minlength=lines)
+        blank = width == 0
+        if not (blank | (width == 2)).all() or length.max(initial=0) > 18:
+            return None
+        value = np.zeros(len(starts), dtype=np.int64)
+        for i in range(length.max(initial=0)):
+            more = length > i
+            value[more] = 10 * value[more] + (data[starts[more] + i] - 48)
+        lo, hi = np.minimum(value[0::2], value[1::2]), np.maximum(value[0::2], value[1::2])
+        if not ((lo < hi) & (hi < n)).all():
+            return None
+        keys.append(lo * n + hi)
+        cuts.append(edges + np.cumsum(width)[blank] // 2)
+        edges += len(lo)
+    return np.concatenate(keys), np.concatenate(cuts)
 
 
 def write_edge_list(path: str | Path, g: SimpleGraph) -> None:
@@ -134,16 +189,8 @@ def write_family(path: str | Path, fam: GraphFamily) -> None:
 
 def read_family_edge_lists(path: str | Path, n: int) -> list[SimpleGraph]:
     # each blank line ends a block; the text after the last one is a block too
-    graphs = []
-    block: list[str] = []
-    for line in Path(path).read_text().splitlines():
-        if line.strip():
-            block.append(line)
-        else:
-            graphs.append(SimpleGraph(n, frozenset(_edge_keys(block, n))))
-            block = []
-    graphs.append(SimpleGraph(n, frozenset(_edge_keys(block, n))))
-    return graphs
+    keys, cuts = _edge_lines(path, n)
+    return [SimpleGraph(n, frozenset(part.tolist())) for part in np.split(keys, cuts)]
 
 
 def write_trace_ndjson(path: str | Path, traces: Iterable[dict]) -> None:

@@ -1,8 +1,12 @@
 """Seeded randomness primitives shared by all samplers.
 
 A RandomSource is a (seed, stream) pair over PCG64; identical pairs replay
-identical draw sequences on every platform.  Uniforms are served from a block
-of Python floats, filled lazily: 64 on the first draw, then doubling up to
+identical draw sequences on every platform.  Its generator gets exactly the
+state of `PCG64(SeedSequence((seed mod 2^64, stream)))`, but for a stream in
+[0, 2^64) the seed words come from a cached block made for 1024 streams at
+once (`_stream_states`, numpy's SeedSequence algorithm run elementwise);
+other streams call SeedSequence itself.  Uniforms are served from a block of
+Python floats, filled lazily: 64 on the first draw, then doubling up to
 8192.  PCG64 doubles do not depend on how they are blocked, so the stream is
 the same whatever the block sizes.  Hot loops call only `rng.uniform` (often
 bound to a local) or the bulk `rng.uniforms(k)`, never the block itself, so a
@@ -16,6 +20,7 @@ from operator import length_hint
 from typing import Iterator
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 8192
@@ -23,6 +28,82 @@ _MAX_BLOCK = 8192
 # at most _STREAM_WINDOW steps per pass; shorter ones are drawn step by step
 _STREAM_BLOCK_MIN = 64
 _STREAM_WINDOW = 4096
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+# streams whose seed words are derived together, in one `_stream_states` call
+_STREAM_BLOCK = 1024
+# numpy's SeedSequence: a pool of 4 words and its hash and mix constants
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """init, then count more constants, each the last times mult: a column."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+# hash i xors constant i and multiplies by constant i + 1: A hashes the 4
+# pool words, then 3 words per cross-mixing source; B makes the 8 uint32
+# words of the 4 uint64 outputs
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, 16)
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 8)
+
+
+def _hash(x: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """numpy's SeedSequence hash of x with the given run of hash constants,
+    one row per constant but the last; uint32 products wrap as in C."""
+    x = (x ^ constants[:-1]) * constants[1:]
+    x ^= x >> 16
+    return x
+
+
+@lru_cache(maxsize=64)
+def _stream_states(seed: int, block: int) -> np.ndarray:
+    """`SeedSequence((seed, s)).generate_state(4, np.uint64)` of every stream s
+    in [1024 block, 1024 (block + 1)), one row per stream; seed and every s in
+    [0, 2^64).
+
+    numpy's algorithm run elementwise on uint32 arrays.  Its entropy is the
+    seed's 32-bit words (one word for seeds below 2^32, 0 included), then the
+    stream's low and high words; a high word of 0 hashes as the missing word
+    it stands for.  That is at most 4 words, the pool's size, so the pool is
+    hashed once and cross-mixed once, with no extra rounds.  A source's three
+    mixes into the other words do not depend on one another, so each source
+    is one pass over a 3-row array.
+    """
+    first = block * _STREAM_BLOCK
+    seed_words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
+    pool = np.zeros((4, _STREAM_BLOCK), dtype=np.uint32)
+    pool[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+    pool[len(seed_words)] = np.arange(_STREAM_BLOCK, dtype=np.uint32) + np.uint32(first & _MASK32)
+    pool[len(seed_words) + 1] = first >> 32  # a block never crosses 2^32
+    pool = _hash(pool, _HASH_A[:5])
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        hashed = _hash(pool[src], _HASH_A[4 + 3 * src : 8 + 3 * src])
+        mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed
+        mixed ^= mixed >> 16
+        pool[dst] = mixed
+    words = np.ascontiguousarray(_hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_B).T, dtype="<u4")
+    words = words.view("<u8").astype(np.uint64)
+    words.setflags(write=False)  # cached: every source of the block shares it
+    return words
+
+
+class _SeedWords(ISeedSequence):
+    """Seed words already derived: PCG64 asks for its 4 uint64 words and gets them."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 class RandomSource:
@@ -33,7 +114,11 @@ class RandomSource:
     def __init__(self, seed: int, stream: int = 0):
         self.seed = int(seed)
         self.stream = int(stream)
-        ss = np.random.SeedSequence((self.seed & 0xFFFFFFFFFFFFFFFF, self.stream))
+        if 0 <= self.stream <= _MASK64:
+            block, row = divmod(self.stream, _STREAM_BLOCK)
+            ss = _SeedWords(_stream_states(self.seed & _MASK64, block)[row])
+        else:  # numpy raises ValueError for a negative stream
+            ss = np.random.SeedSequence((self.seed & _MASK64, self.stream))
         self._gen = np.random.Generator(np.random.PCG64(ss))
         self._buf: list[float] = []
         self._pos = 0

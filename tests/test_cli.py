@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from math import isfinite
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import degseq.cli as cli
 from degseq.acceptance import CriterionResult
@@ -202,10 +208,20 @@ class TestConfigValidation:
             ([], {"c_mult": None}),
             ([], {"lam": True}),
             ([], {"w_kind": "gnp"}),
+            # argparse printed its usage (several lines) and exited 2, the
+            # code of a non-graphical sequence
+            (["--runs", "abc"], None),
+            (["--seed=1.5"], None),
+            (["--zeta", "x"], None),
+            (["--zeta"], None),
+            (["--bogus", "1"], None),
+            (["--mode", "fast"], None),
         ],
         ids=["runs-0", "runs-negative", "runs-string", "runs-bool", "seed-negative",
              "checkpoint-negative", "checkpoint-not-int", "zeta-string", "save-graphs-string",
-             "c-mult-null", "lam-bool", "w-kind-unknown"],
+             "c-mult-null", "lam-bool", "w-kind-unknown", "runs-flag-not-int",
+             "seed-flag-not-int", "zeta-flag-not-float", "zeta-flag-no-value", "unknown-flag",
+             "mode-unknown"],
     )
     def test_bad_value_exits_1_with_one_line(self, tmp_path, capsys, flags, config):
         args = ["couple", "--degrees", "regular(6,2)", "--out", str(tmp_path / "o")] + flags
@@ -292,6 +308,82 @@ class TestConfigValidation:
                 "--mode", "exact", "--denom", "exact-max", "--runs", "2", "--seed", "3",
                 "--save-graphs"]
         assert run(args) == 0
+
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("couple", ["--zeta=-0.5"]), ("sample-gnd", ["--xi=-1", "--checkpoints", "1"]),
+         ("seq-approx-p", ["--c-mult=-2", "--zeta", "0.3"]), ("seq-approx-p", ["--lam=-1"])],
+        ids=["couple-zeta", "gnd-xi", "approx-p-c-mult", "approx-p-lam"],
+    )
+    def test_negative_knob_exits_1_before_writing(self, tmp_path, capsys, command, flags):
+        # sample-gnd exited 0 with a band of negative width, and the others
+        # wrote degrees.txt before the schedule rejected the value
+        args = [command, "--degrees", "regular(6,2)", "--out", str(tmp_path / "o")] + flags
+        assert run(args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and ">= 0" in err[0]
+        assert not (tmp_path / "o").exists()
+
+
+# each command's numeric flags and config keys, and what they are fed:
+# non-finite, zero and negative numbers, and values of the wrong type
+NUMERIC_FIELDS = ["runs", "seed", "xi", "zeta", "zeta_prime", "c_mult", "lam"]
+BAD_NUMBERS = [float("nan"), float("inf"), float("-inf"), 0, 0.0, -1, -0.5, -(10**30)]
+WRONG_TYPES = ["x", "1", "", True, False, None, [1], {"a": 1}]
+FLAG_TEXTS = ["abc", "1e", "", "0x10", "1.5", "--"]
+
+
+def must_fail(name, value, flag: bool) -> bool:
+    """Whether no command may exit 0 with `value` for `name`: a non-finite or
+    negative number, a zero run count, or a value of the wrong type (null
+    stands for the default of the optional knobs)."""
+    integral = name in ("runs", "seed")
+    if flag:  # the flag's text, as argparse converts it
+        try:
+            value = (int if integral else float)(value)
+        except ValueError:
+            return True
+    elif value is None:
+        return name in ("runs", "seed", "c_mult")
+    if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
+        return True
+    return not (isfinite(value) and value >= (1 if name == "runs" else 0))
+
+
+@st.composite
+def bad_inputs(draw):
+    """A command line with one numeric field set badly, by flag or config key."""
+    command = draw(st.sampled_from(["seq-approx-p", "sample-gnd", "couple", "sample-gnw"]))
+    n = draw(st.integers(3, 8))
+    args = [command, "--degrees", f"regular({n},{draw(st.integers(1, 2))})"]
+    name = draw(st.sampled_from(NUMERIC_FIELDS))
+    if name != "runs":  # a flag would win over the config key
+        args += ["--runs", str(draw(st.integers(1, 2)))]
+    if draw(st.booleans()):
+        value = str(draw(st.sampled_from(BAD_NUMBERS + FLAG_TEXTS)))
+        return args + [f"--{name.replace('_', '-')}={value}"], None, must_fail(name, value, True)
+    value = draw(st.sampled_from(BAD_NUMBERS + WRONG_TYPES))
+    return args, {name: value}, must_fail(name, value, False)
+
+
+@given(bad_inputs())
+@settings(max_examples=150, deadline=None)
+def test_bad_numeric_input_ends_in_one_line_and_a_documented_code(case):
+    args, config, fails = case
+    with tempfile.TemporaryDirectory() as tmp:
+        args = args + ["--out", os.path.join(tmp, "o")]
+        if config is not None:
+            path = os.path.join(tmp, "cfg.json")
+            Path(path).write_text(json.dumps(config))
+            args += ["--config", path]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(args)
+    lines = err.getvalue().splitlines()
+    assert code in range(6)
+    assert len(lines) <= 1 and "Traceback" not in err.getvalue()
+    assert not (fails and code == 0)
 
 
 class TestUnknownCommand:

@@ -1,12 +1,14 @@
 import os
 import tracemalloc
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import degseq.io
 from degseq import (
     DegreeSequence,
     RandomSource,
@@ -15,7 +17,7 @@ from degseq import (
     p_matrix,
     q_matrix,
 )
-from degseq.graphs import tri_size
+from degseq.graphs import edge_key, tri_size
 from degseq.io import (
     _edge_block,
     read_degree_file,
@@ -195,6 +197,13 @@ def test_trace_ndjson(tmp_path):
     ("0 1\n1 1\n", "self-loop at vertex 1"),
     ("0 9\n", r"edge \(0,9\) invalid for n=4"),
     ("2 -1\n", r"edge \(-1,2\) invalid for n=4"),
+    # plain files (digits and whitespace) whose bad line comes after good ones
+    ("0 1\n2\n", "not enough values to unpack"),
+    ("0 1\n\n2 3 0\n", "too many values to unpack"),
+    ("0 1\n3\t3\n", "self-loop at vertex 3"),
+    ("0 1\n4 0\n", r"edge \(0,4\) invalid for n=4"),
+    ("0 99999999999999999999999\n", r"edge \(0,99999999999999999999999\) invalid"),
+    ("0 1\r\n2 x\r\n", "invalid literal for int"),
 ])
 def test_readers_reject_bad_lines(tmp_path, text, message):
     path = tmp_path / "bad.edges"
@@ -202,6 +211,62 @@ def test_readers_reject_bad_lines(tmp_path, text, message):
     for read in (read_edge_list, read_family_edge_lists):
         with pytest.raises(ValueError, match=message):
             read(path, 4)
+
+
+def reference_read(text, n):
+    """The graphs of a family file, read line by line."""
+    graphs, block = [], []
+    for line in text.splitlines():
+        fields = line.split()
+        if not fields:
+            graphs.append(SimpleGraph(n, frozenset(block)))
+            block = []
+            continue
+        j, k = fields
+        block.append(edge_key(n, int(j), int(k)))
+    return graphs + [SimpleGraph(n, frozenset(block))]
+
+
+# lines of an edge file: mostly plain edges and blank lines, which the
+# numpy parse reads, and now and then a line only the text parse reads
+# ("+1", "1_0", a no-break space) or a bad one
+PLAIN_GAPS = st.sampled_from(["", " ", "  ", "\t", " \t"])
+VERTICES = st.integers(0, 4).map(str)
+PLAIN_EDGE = st.tuples(PLAIN_GAPS, VERTICES, PLAIN_GAPS.filter(bool), VERTICES, PLAIN_GAPS).filter(
+    lambda t: t[1] != t[3]).map("".join)
+FIELDS = st.one_of(VERTICES, st.sampled_from(["007", "+1", "-1", "1_0", "x", "1.0", "0" * 19 + "2"]))
+GAPS = st.one_of(PLAIN_GAPS, st.sampled_from(["\x0c", "\u00a0"]))
+ODD_LINE = st.one_of(
+    st.tuples(GAPS, FIELDS, GAPS.filter(bool), FIELDS, GAPS).map("".join),  # "j k"
+    st.tuples(GAPS, FIELDS, GAPS).map("".join),  # one field
+    GAPS,  # blank
+)
+LINES = st.one_of(PLAIN_EDGE, PLAIN_EDGE, PLAIN_EDGE, PLAIN_GAPS, ODD_LINE)
+
+
+@given(st.lists(LINES, max_size=12), st.sampled_from(["\n", "\n", "\r\n", "\r"]),
+       st.booleans(), st.sampled_from([1, 4, 1 << 20]))
+@example(["0 1", "", "2 3", "", "", "1 4"], "\n", True, 1)  # blocks across chunks
+@settings(max_examples=300, deadline=None)
+def test_readers_match_the_line_by_line_reader(tmp_path_factory, lines, end, last_end, chunk):
+    # plain files take the numpy parse, in chunks of whole lines of at least
+    # `chunk` bytes, the others the text one; either way the graphs, or the
+    # ValueError message, are those of a line-by-line read
+    text = end.join(lines) + (end if last_end else "")
+    path = tmp_path_factory.mktemp("edges") / "g.edges"
+    path.write_bytes(text.encode())
+    with mock.patch.object(degseq.io, "_PARSE_CHUNK", chunk):
+        try:
+            want = reference_read(path.read_text(), 5)
+        except ValueError as exc:
+            for read in (read_edge_list, read_family_edge_lists):
+                with pytest.raises(ValueError) as got:
+                    read(path, 5)
+                assert str(got.value) == str(exc)
+            return
+        assert read_family_edge_lists(path, 5) == want
+        union = frozenset().union(*(g.edges for g in want))
+        assert read_edge_list(path, 5) == SimpleGraph(5, union)
 
 
 def test_readers_accept_loose_lines(tmp_path):

@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 from math import exp, factorial, sqrt
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import degseq
 from degseq import (
     AliasTable,
     EtaDenominatorMode,
@@ -33,6 +36,25 @@ STREAM_WEIGHTS = st.one_of(
     st.lists(st.integers(0, 9), min_size=2, max_size=12).filter(
         lambda w: sum(1 for x in w if x > 0) >= 2),
 )
+
+
+# seeds on both sides of 0, 2^32 and 2^64 and out to +-2^70; streams at the
+# ends of a 1024-stream block and of the one- and two-word ranges, and past them
+SEEDS = st.one_of(
+    st.sampled_from([b + o for b in (0, 2**32, 2**64, -(2**32), -(2**64)) for o in (-1, 0, 1)]),
+    st.integers(-(2**70), 2**70),
+)
+STREAMS = st.one_of(
+    st.sampled_from([0, 1023, 1024, 2**32 - 1, 2**32, 2**64 - 1, 2**64]),
+    st.integers(0, 2**66),
+)
+
+
+def degseq_caches() -> list:
+    """Every functools cache at module level in the degseq package."""
+    modules = [importlib.import_module(f"degseq.{m.name}")
+               for m in pkgutil.iter_modules(degseq.__path__)]
+    return [f for m in modules for f in vars(m).values() if hasattr(f, "cache_clear")]
 
 
 class TestRandomSource:
@@ -83,6 +105,37 @@ class TestRandomSource:
         for i, n in below_at:
             ref[i] = int(ref[i] * n)
         assert got == ref
+
+    @given(SEEDS, STREAMS)
+    @settings(max_examples=200, deadline=None)
+    def test_state_is_numpys_seed_sequence(self, seed, stream):
+        # the seed words come from a block of streams, not from SeedSequence
+        state = RandomSource(seed, stream)._gen.bit_generator.state
+        ss = np.random.SeedSequence((seed & (2**64 - 1), stream))
+        assert state == np.random.PCG64(ss).state
+
+    @pytest.mark.parametrize("stream", [-1, -1024, -(2**64)])
+    def test_negative_stream_raises(self, stream):
+        with pytest.raises(ValueError):
+            RandomSource(5, stream)
+
+    def test_clearing_every_cache_mid_stream_changes_no_draw(self):
+        caches = degseq_caches()
+        assert randomness._stream_states in caches
+
+        def draws(clear: bool) -> list[float]:
+            out: list[float] = []
+            for stream in (0, 1, 1023, 1024, 2**32, 2**64 - 1):
+                rng = RandomSource(2**40 + 3, stream)
+                out += [rng.uniform() for _ in range(100)]
+                if clear:
+                    for cache in caches:
+                        cache.cache_clear()
+                out += rng.uniforms(100).tolist()
+                out += [RandomSource(2**40 + 3, stream).uniform()]
+            return out
+
+        assert draws(clear=True) == draws(clear=False)
 
     def test_uniform_is_a_python_float(self):
         rng = RandomSource(5)
