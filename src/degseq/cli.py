@@ -151,12 +151,17 @@ class Command:
 
     # the optional config fields it reads; giving it any other is an error
     fields: tuple[str, ...] = ()
+    # whether it runs the coupling's schedule (`_schedule`)
+    schedule = False
     has_replicas = True
     exit_code = EXIT_OK
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
         self.out = Path(config.out)
+        if self.schedule:
+            # the overrides' domains, checked before anything is written
+            coupling.check_schedule(config.xi, config.zeta, config.zeta_prime)
 
     def preamble(self) -> dict:
         config = self.config
@@ -290,6 +295,7 @@ class SeqApproxP(SampleGnw):
     lower law in place of W, so `sample-gnw`'s loop and report serve it."""
 
     fields = ("xi", "zeta", "zeta_prime", "c_mult", "lam")
+    schedule = True
 
     def setup(self) -> dict:
         self.samples = []
@@ -309,6 +315,7 @@ class Couple(Command):
     """One coupled pair (G_L, G) and its trace line per replica."""
 
     fields = ("xi", "zeta", "zeta_prime", "c_mult")
+    schedule = True
 
     def setup(self) -> dict:
         self.prob = SeqSampleMode(self.config.mode)

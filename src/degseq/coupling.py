@@ -45,6 +45,7 @@ __all__ = [
     "EtaDenominatorMode",
     "CouplingParams",
     "CouplingTrace",
+    "check_schedule",
     "default_params",
     "lambda_matrix",
     "lower_law",
@@ -83,6 +84,21 @@ def lower_law(
     return f_c_transform(hadamard(big_lambda, q_matrix(d)), lam)
 
 
+def check_schedule(
+    xi: float | None = None, zeta: float | None = None, zeta_prime: float | None = None
+) -> None:
+    """Raise ValueError for a schedule value outside its domain: xi in
+    (0, 1/2], zeta and zeta' in [0, 1).  None passes.  `default_params`
+    checks each value it uses here, and the commands check their overrides
+    here before they write anything."""
+    if zeta_prime is not None and not 0.0 <= zeta_prime < 1.0:
+        raise ValueError(f"zeta_prime={zeta_prime} outside [0, 1)")
+    if xi is not None and not 0.0 < xi <= 0.5:
+        raise ValueError(f"xi={xi} outside (0, 1/2]")
+    if zeta is not None and not 0.0 <= zeta < 1.0:
+        raise ValueError(f"zeta={zeta} outside [0, 1)")
+
+
 def default_params(
     d: DegreeSequence | Sequence[int],
     *,
@@ -115,8 +131,7 @@ def default_params(
 
     if zeta_prime is None:
         zeta_prime = max(total ** -0.25, sqrt(top_sum / total))
-    if not 0.0 <= zeta_prime < 1.0:
-        raise ValueError(f"zeta_prime={zeta_prime} outside [0, 1)")
+    check_schedule(zeta_prime=zeta_prime)
     warning = warning or zeta_prime > 0.5
 
     if xi is None:
@@ -125,8 +140,7 @@ def default_params(
         xi_raw = (log(d.n) / (zeta_prime * dmin)) ** (1.0 / 3.0)
         xi = min(0.5, xi_raw)
         warning = warning or xi_raw > 0.5
-    if not 0.0 < xi <= 0.5:
-        raise ValueError(f"xi={xi} outside (0, 1/2]")
+    check_schedule(xi=xi)
 
     if zeta is None:
         if zeta_prime == 0.0:
@@ -134,8 +148,7 @@ def default_params(
         zeta_raw = c_mult * (top_sum / (zeta_prime * total) + xi)
         zeta = min(0.5, zeta_raw)
         warning = warning or zeta_raw > 0.5
-    if not 0.0 <= zeta < 1.0:
-        raise ValueError(f"zeta={zeta} outside [0, 1)")
+    check_schedule(zeta=zeta)
 
     lam = (1.0 - zeta_prime) * total / 2.0
     return CouplingParams(
@@ -329,10 +342,12 @@ def run_coupling(
         if u < lam_jk:
             l_edges.add(e)
         stream.accept_rest(l_edges)
-        # G is redrawn from scratch: free the step loop's partial G first
-        del kernel, g_edges
+        # G is redrawn from scratch: free the step loop's partial G and the
+        # lower graph's set first
+        g_l = SimpleGraph(n, l_edges)
+        del kernel, g_edges, l_edges
         g, trace.approx_g = _redraw_upper(d, rng, cap)
-        return SimpleGraph(n, frozenset(l_edges)), g, trace
+        return g_l, g, trace
 
     # completion: extend G to its full degree sequence with the same kernel
     # the standalone sequential sampler uses
@@ -341,4 +356,4 @@ def run_coupling(
     trace.completion_insertions = len(kernel.edges) - trace.edges_at_step_end
     if not l_edges <= kernel.edges:
         raise InvariantError("lower graph is not a subgraph of the upper graph")
-    return SimpleGraph(n, frozenset(l_edges)), SimpleGraph(n, frozenset(kernel.edges)), trace
+    return SimpleGraph(n, l_edges), SimpleGraph(n, kernel.edges), trace

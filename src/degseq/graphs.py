@@ -1,11 +1,13 @@
 """Core graph objects: degree sequences, simple graphs, symmetric probability matrices.
 
-Vertices are 0-based everywhere (in memory and in every file format).
+Vertices are 0-based everywhere (in memory and in every file format).  A
+simple graph holds its edges as one sorted int64 array of keys j*n + k,
+8 bytes an edge at every size.
 All objects are immutable after construction and safe to share across threads.
 """
 from __future__ import annotations
 
-import operator
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
@@ -155,6 +157,8 @@ def edge_key(n: int, j: int, k: int) -> int:
 # which costs less than numpy's per-call overhead on the small graphs of
 # the oracle and the battery
 _KEY_TABLE_MAX_N = 64
+# sets of up to this many keys are sorted by `sorted`, larger ones by numpy
+_PY_SORT_MAX = 256
 
 
 @lru_cache(maxsize=_KEY_TABLE_MAX_N + 1)
@@ -162,70 +166,130 @@ def _valid_keys(n: int) -> frozenset[int]:
     return frozenset(j * n + k for j in range(n) for k in range(j + 1, n))
 
 
-@dataclass(frozen=True)
+def _key_bytes(n: int, edges: Iterable[int]) -> bytes:
+    """The distinct keys of `edges` as sorted int64 bytes, or ValueError for a
+    key that is not an integer j*n + k with 0 <= j < k < n."""
+    if isinstance(edges, np.ndarray):
+        return _array_key_bytes(n, edges)
+    try:
+        if not isinstance(edges, (set, frozenset)):
+            edges = set(edges)
+        if not edges:
+            return b""
+        # array() takes only ints, by __index__
+        if len(edges) <= _PY_SORT_MAX:
+            keys = array("q", sorted(edges))
+        else:
+            keys = array("q", edges)
+            np.frombuffer(keys, np.int64).sort()
+    except (TypeError, OverflowError):
+        raise ValueError(f"edge keys must be integers in [0, {n}^2)") from None
+    if n > _KEY_TABLE_MAX_N or not edges <= _valid_keys(n):
+        _checked(n, np.frombuffer(keys, np.int64))
+    return keys.tobytes()
+
+
+def _array_key_bytes(n: int, edges: np.ndarray) -> bytes:
+    if edges.ndim != 1 or not np.can_cast(edges.dtype, np.int64, "same_kind"):
+        raise ValueError(f"edge keys must be integers in [0, {n}^2)")
+    keys = edges.astype(np.int64, copy=False)
+    # files this package writes, and `tri_to_key`, give their keys sorted
+    if keys.size > 1 and not (keys[1:] > keys[:-1]).all():
+        keys = np.unique(keys)
+    return _checked(n, keys).tobytes()
+
+
+def _checked(n: int, keys: np.ndarray) -> np.ndarray:
+    j, k = np.divmod(keys, max(n, 1))
+    bad = (keys < 0) | (j >= k)
+    if bad.any():
+        key = int(keys[bad.argmax()])
+        raise ValueError(f"edge key {key} is not j*n + k with 0 <= j < k < n={n}")
+    return keys
+
+
+_setattr = object.__setattr__
+
+
 class SimpleGraph:
     """Labeled simple graph on the vertices {0..n-1}.
 
     Each edge {j, k}, j < k, is held as the integer key j*n + k; keys sort
-    as the (j, k) pairs do.  `from_edges`, `has_edge` and `pairs` speak in
-    pairs.  Keys may be any integer type; anything else is rejected.
+    as the (j, k) pairs do.  `edges` is the keys as one read-only, sorted,
+    duplicate-free int64 array, 8 bytes an edge, and a graph hashes and
+    compares by n and those bytes.  The constructor takes any iterable of
+    integer keys (a set, a list with repeats, an integer array), collapses
+    repeats and rejects anything else; `from_edges`, `has_edge` and `pairs`
+    speak in pairs.  Code that builds a graph an edge at a time keeps a
+    Python set of keys and hands it over at the end.
     """
 
-    n: int
-    edges: frozenset[int]
+    __slots__ = ("n", "_keys")
 
-    def __post_init__(self) -> None:
-        # C-level passes over the keys, with no Python loop per edge
-        edges, n = self.edges, self.n
-        if not edges:
-            return
-        try:
-            if n <= _KEY_TABLE_MAX_N:
-                # operator.index raises TypeError on a non-integer key
-                sum(map(operator.index, edges))
-                if edges <= _valid_keys(n):
-                    return
-                keys = np.fromiter(edges, np.int64, len(edges))
-            else:
-                keys = np.fromiter(map(operator.index, edges), np.int64, len(edges))
-        except (TypeError, OverflowError):
-            raise ValueError(f"edge keys must be integers in [0, {n}^2)") from None
-        j, k = np.divmod(keys, max(n, 1))
-        bad = (keys < 0) | (j >= k)
-        if bad.any():
-            key = int(keys[bad.argmax()])
-            raise ValueError(f"edge key {key} is not j*n + k with 0 <= j < k < n={n}")
+    def __init__(self, n: int, edges: Iterable[int] = ()):
+        _setattr(self, "n", n)
+        _setattr(self, "_keys", _key_bytes(n, edges))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SimpleGraph is immutable: cannot set {name!r}")
+
+    def __reduce__(self):
+        return SimpleGraph, (self.n, self.edges)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SimpleGraph):
+            return NotImplemented
+        return self.n == other.n and self._keys == other._keys
+
+    def __hash__(self) -> int:
+        return hash((self.n, self._keys))
+
+    def __repr__(self) -> str:
+        return f"SimpleGraph({self.n}, {self.edges.tolist()})"
 
     @staticmethod
+    @lru_cache(maxsize=64)
     def empty(n: int) -> SimpleGraph:
-        return SimpleGraph(n, frozenset())
+        # every sampler and coupling run starts from one
+        return SimpleGraph(n)
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> SimpleGraph:
-        return SimpleGraph(n, frozenset(edge_key(n, j, k) for j, k in edges))
+        return SimpleGraph(n, {edge_key(n, j, k) for j, k in edges})
+
+    @property
+    def edges(self) -> np.ndarray:
+        """The edge keys, ascending, as a read-only int64 array."""
+        return np.frombuffer(self._keys, np.int64)
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self._keys) >> 3
 
     def has_edge(self, j: int, k: int) -> bool:
-        return edge_key(self.n, j, k) in self.edges
-
-    def key_array(self) -> np.ndarray:
-        """The edge keys as an int64 array, in set order."""
-        return np.fromiter(self.edges, np.int64, len(self.edges))
+        key, keys = edge_key(self.n, j, k), self.edges
+        i = keys.searchsorted(key)
+        return bool(i < keys.size and keys[i] == key)
 
     def pairs(self) -> list[Edge]:
         """The edges as (j, k) pairs, j < k, in ascending order."""
-        j, k = np.divmod(np.sort(self.key_array()), self.n)
+        j, k = np.divmod(self.edges, self.n)
         return list(zip(j.tolist(), k.tolist()))
 
     def degree_vector(self) -> tuple[int, ...]:
-        j, k = np.divmod(self.key_array(), self.n)
+        j, k = np.divmod(self.edges, self.n)
         return tuple(np.bincount(np.concatenate((j, k)), minlength=self.n).tolist())
 
     def is_subgraph_of(self, other: SimpleGraph) -> bool:
-        return self.n == other.n and self.edges <= other.edges
+        if self.n != other.n:
+            return False
+        mine, theirs = self.edges, other.edges
+        if not mine.size:
+            return True
+        if mine.size > theirs.size or mine[-1] > theirs[-1]:
+            return False
+        # every key of mine is at most theirs[-1], so each lands on an index of theirs
+        return bool((theirs[theirs.searchsorted(mine)] == mine).all())
 
 
 def remaining_degrees(

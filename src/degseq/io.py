@@ -43,7 +43,7 @@ def write_degree_file(path: str | Path, d: DegreeSequence | Sequence[int]) -> No
 
 def read_edge_list(path: str | Path, n: int) -> SimpleGraph:
     keys, _ = _edge_lines(path, n)
-    return SimpleGraph(n, frozenset(keys.tolist()))
+    return SimpleGraph(n, keys)
 
 
 # a plain edge file holds only digits, spaces, tabs and newlines; numpy
@@ -114,9 +114,8 @@ def write_edge_list(path: str | Path, g: SimpleGraph) -> None:
 
 
 def _edge_block(g: SimpleGraph) -> str:
-    # keys j*n + k order edges as the (j, k) pairs do
-    n = g.n
-    keys = np.sort(g.key_array())
+    # keys j*n + k, which a graph holds sorted, order edges as the (j, k) pairs do
+    n, keys = g.n, g.edges
     heads, tails = _vertex_labels(n)
     lines = np.empty((len(keys), 2), dtype=object)
     lines[:, 0] = heads[keys // n]
@@ -190,7 +189,7 @@ def write_family(path: str | Path, fam: GraphFamily) -> None:
 def read_family_edge_lists(path: str | Path, n: int) -> list[SimpleGraph]:
     # each blank line ends a block; the text after the last one is a block too
     keys, cuts = _edge_lines(path, n)
-    return [SimpleGraph(n, frozenset(part.tolist())) for part in np.split(keys, cuts)]
+    return [SimpleGraph(n, part) for part in np.split(keys, cuts)]
 
 
 def write_trace_ndjson(path: str | Path, traces: Iterable[dict]) -> None:

@@ -99,7 +99,9 @@ def bit_rows(masks: Sequence[int], width: int) -> Iterator[np.ndarray]:
 
 
 def mask_of_edges(n: int, keys: Iterable[int]) -> int:
-    """The bitmask of a set of edge keys j*n + k."""
+    """The bitmask, a Python int, of edge keys j*n + k (an iterable or an array)."""
+    if isinstance(keys, np.ndarray):
+        keys = keys.tolist()
     mask = 0
     for key in keys:
         mask |= 1 << tri_index(n, *divmod(key, n))
@@ -108,7 +110,7 @@ def mask_of_edges(n: int, keys: Iterable[int]) -> int:
 
 def graph_of_mask(n: int, mask: int) -> SimpleGraph:
     pairs = tri_pairs(n)
-    return SimpleGraph(n, frozenset(j * n + k for j, k in map(pairs.__getitem__, set_bits(mask))))
+    return SimpleGraph(n, [j * n + k for j, k in map(pairs.__getitem__, set_bits(mask))])
 
 
 @dataclass(frozen=True)
@@ -311,7 +313,7 @@ def exact_conditional_edge_prob(
     j, k = normalize_edge(*jk)
     if h.has_edge(j, k):
         raise ValueError(f"edge ({j},{k}) already in the conditioning graph")
-    kernel = OracleKernel(enumerate_graphs(d), h.edges)
+    kernel = OracleKernel(enumerate_graphs(d), h.edges.tolist())
     return kernel.candidate_counts().get(tri_index(d.n, j, k), 0) / len(kernel.sub)
 
 

@@ -76,7 +76,7 @@ def sample_gnw(w: SymmetricProbMatrix, rng: RandomSource) -> SimpleGraph:
     """Include each pair (j,k) independently with probability W_{jk}."""
     u = rng.uniforms(tri_size(w.n))
     hits = np.flatnonzero(u < w.tri)
-    return SimpleGraph(w.n, frozenset(tri_to_key(w.n, hits).tolist()))
+    return SimpleGraph(w.n, tri_to_key(w.n, hits))
 
 
 def seq_approx_p(
@@ -101,7 +101,7 @@ def seq_approx_p(
     steps = sample_poisson(lam, rng)
     edges: set[int] = set()
     CandidateStream(alias_table(d.degrees), big_lambda, steps, rng).accept_rest(edges)
-    return SimpleGraph(d.n, frozenset(edges))
+    return SimpleGraph(d.n, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +312,12 @@ def make_kernel(
     """The insertion kernel for `mode`, holding the partial graph `state`."""
     if state.n != d.n:
         raise ValueError(f"graph on {state.n} vertices vs sequence of length {d.n}")
+    # kernels test and add Python ints in their loops
     if mode is SeqSampleMode.EXACT_ORACLE:
-        return OracleKernel(enumerate_graphs(d, cap=cap), state.edges)
+        return OracleKernel(enumerate_graphs(d, cap=cap), state.edges.tolist())
     if mode is SeqSampleMode.ASYMPTOTIC:
         t, _ = remaining_degrees(d, state)
-        return AsymptoticKernel(d.degrees, set(state.edges), list(t.degrees))
+        return AsymptoticKernel(d.degrees, set(state.edges.tolist()), list(t.degrees))
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -354,5 +355,5 @@ def seq_sample_d(
     if diagnostics is not None:
         diagnostics.restarts += restarts
     order = kernel.history
-    final = SimpleGraph(d.n, frozenset(kernel.edges))
-    return final, [SimpleGraph(d.n, frozenset(order[:m])) for m in want]
+    final = SimpleGraph(d.n, kernel.edges)
+    return final, [SimpleGraph(d.n, order[:m]) for m in want]

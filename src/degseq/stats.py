@@ -7,8 +7,7 @@ given fixed seeds upstream; nothing here draws randomness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -47,7 +46,7 @@ class VerifyThresholds:
 
 THRESHOLDS = VerifyThresholds()
 
-# edge keys converted per numpy call when counting marginals
+# edge keys counted per numpy call when counting marginals
 _KEY_BLOCK = 1 << 16
 
 
@@ -58,11 +57,25 @@ def indicator_matrix(samples: Sequence[SimpleGraph]) -> np.ndarray:
     n = samples[0].n
     if any(g.n != n for g in samples):
         raise ValueError("samples mix different vertex counts")
-    sizes = [len(g.edges) for g in samples]
-    keys = np.fromiter(chain.from_iterable(g.edges for g in samples), np.int64, sum(sizes))
+    sizes = [g.num_edges for g in samples]
+    keys = np.concatenate([g.edges for g in samples])
     out = np.zeros((len(samples), tri_size(n)), dtype=np.float64)
     out[np.repeat(np.arange(len(samples)), sizes), key_to_tri(n, keys)] = 1.0
     return out
+
+
+def _key_blocks(samples: Iterable[SimpleGraph]) -> Iterator[np.ndarray]:
+    """The samples' edge keys, a few graphs' worth at a time: each block is
+    cut once it holds `_KEY_BLOCK` keys, so no array grows with the run count."""
+    block, size = [], 0
+    for g in samples:
+        block.append(g.edges)
+        size += g.num_edges
+        if size >= _KEY_BLOCK:
+            yield np.concatenate(block)
+            block, size = [], 0
+    if block:
+        yield np.concatenate(block)
 
 
 def _pairs_at(n: int, idx: np.ndarray) -> list[Edge]:
@@ -106,9 +119,7 @@ def empirical_marginals(
         raise ValueError("samples must all have the reference's vertex count")
     n_runs = len(samples)
     counts = np.zeros(tri_size(n), dtype=np.int64)
-    keys = chain.from_iterable(g.edges for g in samples)
-    # keys are read in fixed-size blocks, so no array grows with the run count
-    while (block := np.fromiter(islice(keys, _KEY_BLOCK), np.int64)).size:
+    for block in _key_blocks(samples):
         np.add.at(counts, key_to_tri(n, block), 1)
     freq = counts / n_runs
     ref = reference.tri
@@ -184,7 +195,7 @@ def chi_square_gof(
     correctness failure of the sampler under test.
     """
     # edge keys sort as their (j, k) pairs do, so graphs order by their pair lists
-    keys = sorted(law, key=lambda g: tuple(sorted(g.edges)))
+    keys = sorted(law, key=lambda g: g.edges.tolist())
     index = {g: i for i, g in enumerate(keys)}
     counts = [0] * len(keys)
     for g in samples:
@@ -251,12 +262,12 @@ def subgraph_check(
     for i, (lo, hi) in enumerate(pairs):
         if lo.n != hi.n:
             raise ValueError(f"pair {i}: vertex counts differ")
-        extra = lo.edges - hi.edges
-        if extra:
-            # the smallest key is the smallest (j, k) pair
-            violations.append((i, divmod(min(extra), lo.n)))
-        else:
+        if lo.is_subgraph_of(hi):
             contained += 1
+        else:
+            # the smallest key missing from hi is the smallest such (j, k) pair
+            extra = np.setdiff1d(lo.edges, hi.edges, assume_unique=True)
+            violations.append((i, divmod(int(extra[0]), lo.n)))
     return contained, violations
 
 

@@ -325,6 +325,29 @@ class TestConfigValidation:
         assert len(err) == 1 and ">= 0" in err[0]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["couple", "seq-approx-p"])
+    @pytest.mark.parametrize(
+        "flag, config",
+        [("--zeta=1.5", None), ("--xi=0.9", None), ("--zeta-prime=1", None),
+         (None, {"zeta": 1.0}), (None, {"xi": 0})],
+        ids=["zeta-flag", "xi-flag", "zeta-prime-flag", "zeta-config", "xi-config"],
+    )
+    def test_out_of_domain_schedule_exits_1_before_writing(self, tmp_path, capsys, command,
+                                                           flag, config):
+        # positive values past the schedule's domain were rejected only by
+        # default_params, after degrees.txt was written
+        out = tmp_path / "o"
+        args = [command, "--degrees", "regular(6,2)", "--out", str(out)]
+        if flag is not None:
+            args.append(flag)
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            args += ["--config", str(tmp_path / "cfg.json")]
+        assert run(args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "outside" in err[0]
+        assert not out.exists() or not any(out.iterdir())
+
 
 # each command's numeric flags and config keys, and what they are fed:
 # non-finite, zero and negative numbers, and values of the wrong type

@@ -1,4 +1,5 @@
 import os
+import pickle
 import subprocess
 import sys
 from itertools import combinations
@@ -416,3 +417,109 @@ class TestKeyRoundTrips:
         extra = set(lo.pairs()) - set(hi.pairs())
         _, violations = subgraph_check([(lo, hi)])
         assert violations == ([(0, min(extra))] if extra else [])
+
+
+# the forms a graph's keys arrive in: a set, a list with repeats, an int32 or
+# int64 array, and an edge file
+KEY_FORMS = ("set", "list", "int32", "int64", "file")
+
+
+def keys_in_form(form, n, keys, path):
+    """`SimpleGraph(n, keys)` built from `keys` (a list, repeats allowed) in `form`."""
+    if form == "set":
+        return SimpleGraph(n, set(keys))
+    if form == "list":
+        return SimpleGraph(n, keys)
+    if form in ("int32", "int64"):
+        return SimpleGraph(n, np.array(keys, dtype=form))
+    # every other line names its edge the other way round
+    path.write_text("".join(f"{j} {k}\n" if i % 2 else f"{k} {j}\n"
+                            for i, (j, k) in enumerate(divmod(key, n) for key in keys)))
+    return read_edge_list(path, n)
+
+
+@st.composite
+def key_lists(draw):
+    """(n, keys, other keys): two key lists, repeats allowed, the second mostly
+    drawn from the first; n on both sides of the small-n key table."""
+    n = draw(st.integers(2, 12) | st.integers(65, 70))
+    key = st.sampled_from([j * n + k for j, k in tri_pairs(n)])
+    keys = draw(st.lists(key, max_size=30))
+    other = draw(st.lists(st.sampled_from(keys) if keys else key, max_size=30))
+    return n, keys, other + draw(st.lists(key, max_size=2))
+
+
+def reference_degrees(n, ref):
+    degrees = [0] * n
+    for key in ref:
+        degrees[key // n] += 1
+        degrees[key % n] += 1
+    return tuple(degrees)
+
+
+class TestGraphMatchesFrozensetReference:
+    """Every form of a key collection gives the graph a frozenset of the same
+    keys describes, and it answers every query as the frozenset does."""
+
+    @given(key_lists(), st.sampled_from(KEY_FORMS), st.sampled_from(KEY_FORMS))
+    @settings(deadline=None)
+    def test_queries_agree(self, tmp_path_factory, case, form, other_form):
+        n, keys, other_keys = case
+        path = tmp_path_factory.mktemp("forms") / "g.edges"
+        g = keys_in_form(form, n, keys, path)
+        h = keys_in_form(other_form, n, other_keys, path)
+        ref, other_ref = frozenset(keys), frozenset(other_keys)
+        assert g == SimpleGraph(n, ref) and hash(g) == hash(SimpleGraph(n, ref))
+        assert pickle.loads(pickle.dumps(g)) == g
+        assert g.edges.dtype == np.int64 and not g.edges.flags.writeable
+        assert g.edges.tolist() == sorted(ref) and g.num_edges == len(ref)
+        assert g.pairs() == sorted(divmod(key, n) for key in ref)
+        assert g.degree_vector() == reference_degrees(n, ref)
+        assert all(g.has_edge(k, j) == g.has_edge(j, k) == (j * n + k in ref)
+                   for j, k in tri_pairs(n))
+        mask = mask_of_edges(n, g.edges)
+        assert type(mask) is int and mask == mask_of_edges(n, ref)
+        assert (g == h) == (ref == other_ref)
+        if ref == other_ref:
+            assert hash(g) == hash(h)
+        assert g.is_subgraph_of(h) == (ref <= other_ref)
+        extra = ref - other_ref
+        assert subgraph_check([(g, h)]) == (
+            (0, [(0, divmod(min(extra), n))]) if extra else (1, []))
+
+    @given(key_lists(), st.data())
+    @settings(deadline=None)
+    def test_bad_keys_raise_the_same_error(self, case, data):
+        n, keys, _ = case
+        bad = data.draw(st.sampled_from([
+            -1, -n - 1, 2 * n + 2, 3 * n + 1, n * n, n * n + n - 1, 1.5, 1.0, "1", None,
+        ]))
+        if isinstance(bad, int):
+            message = f"edge key {bad} is not j*n + k with 0 <= j < k < n={n}"
+            forms = ("set", "list", "int32", "int64")
+        else:
+            message = f"edge keys must be integers in [0, {n}^2)"
+            forms = ("set", "list")
+        with pytest.raises(ValueError) as reference:
+            SimpleGraph(n, frozenset(keys + [bad]))
+        assert str(reference.value) == message
+        for form in forms:
+            with pytest.raises(ValueError) as raised:
+                keys_in_form(form, n, keys + [bad], None)
+            assert str(raised.value) == message, form
+        if isinstance(bad, float):
+            with pytest.raises(ValueError, match="must be integers"):
+                SimpleGraph(n, np.array(keys + [bad]))
+
+    def test_passes_under_python_O(self, tmp_path):
+        # the constructor's checks are explicit raises, which python -O keeps
+        src = str(Path(degseq.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "-W", "ignore", f"{__file__}::TestGraphMatchesFrozensetReference",
+             "-k", "not python_O"],
+            env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert out.returncode == 0, out.stdout + out.stderr
+        assert "2 passed" in out.stdout, out.stdout

@@ -277,3 +277,21 @@ def test_readers_accept_loose_lines(tmp_path):
     assert read_family_edge_lists(path, 4) == [
         SimpleGraph.from_edges(4, [(0, 2)]), SimpleGraph.from_edges(4, [(1, 3)])
     ]
+
+
+def test_read_graph_keeps_int64_keys(tmp_path):
+    # the reader hands its parsed key array to the graph: 8 bytes an edge,
+    # where a frozenset of int keys kept about 70
+    n = 2000
+    keys = np.random.default_rng(3).choice(tri_size(n), 20_000, replace=False)
+    path = tmp_path / "g.edges"
+    write_edge_list(path, SimpleGraph(n, set(degseq.graphs.tri_to_key(n, keys).tolist())))
+    read_edge_list(path, n)
+    tracemalloc.start()
+    try:
+        g = read_edge_list(path, n)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.num_edges == 20_000
+    assert kept / g.num_edges <= 16, kept / g.num_edges

@@ -323,6 +323,22 @@ def test_returned_graph_bytes_per_edge():
     assert kept / g.num_edges < 108, kept / g.num_edges
 
 
+def test_returned_graph_keeps_int64_keys():
+    # a sorted int64 key array is 8 bytes an edge; a frozenset of int keys
+    # kept about 84
+    seq_sample_d([20] * 50, SeqSampleMode.ASYMPTOTIC, RandomSource(65))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        g, _ = seq_sample_d([20] * 2000, SeqSampleMode.ASYMPTOTIC, RandomSource(66))
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.num_edges == 20_000
+    assert kept / g.num_edges <= 16, kept / g.num_edges
+
+
 class TestAsymptoticKernelFrames:
     """The query-time heap, the one-frame completion and the open-pair scan
     change no number."""
