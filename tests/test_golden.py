@@ -11,7 +11,8 @@ phased, thinned proposals.  The metadata digests, and the oracle
 and `--runs 100` marginal cases, were recorded from the per-command `if/elif`
 runner.  The `-block` cases, whose candidate streams run past 64 steps, were
 recorded from the loop that drew each candidate step with `sample_pair`,
-`entry` and `uniform()`.  A refactor that changes the order of random draws, a
+`entry` and `uniform()`.  The `sample-gnw-chung-lu` digests were recorded
+from the dense-triangle W, before W was held as degree classes.  A refactor that changes the order of random draws, a
 weight, a file format or a metadata entry changes a digest.
 """
 import hashlib
@@ -98,6 +99,13 @@ CASES = {
         ["sample-gnw", "--degrees", "powerlaw(150,2.5,2,20)", "--seed", "7", "--runs", "3"],
         "470cd61f4a1c242c57e9a26ac10f7547ce124c3ad939cafdaac08eb5b3ce634b",
         "47ce42685138948cd241c862cd843103fbbbffebd69a20d18809698467e07757",
+    ),
+    # twelve distinct degrees, so W has twelve degree classes
+    "sample-gnw-chung-lu": (
+        ["sample-gnw", "--degrees", "powerlaw(150,2.5,2,20)", "--w-kind", "chung-lu",
+         "--seed", "7", "--runs", "3"],
+        "868e8fe25fa8d4ecd2b9f92816abeb830a61e9d5d74d35a992b79cbe0cdff3f3",
+        "c7d738aa1cddcb21502954bf88b05b688e4ae2a63cc85af2201728942ee3df23",
     ),
     "seq-approx-p": (
         ["seq-approx-p", "--degrees", "regular(10,3)", "--seed", "2", "--runs", "5"],
