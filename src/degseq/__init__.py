@@ -7,6 +7,7 @@ from .graphs import (
     NonGraphicalError,
     SimpleGraph,
     SymmetricProbMatrix,
+    acceptance_matrix,
     chung_lu_matrix,
     degree_stats,
     f_c_transform,
@@ -41,7 +42,6 @@ from .coupling import (
     EtaDenominatorMode,
     default_params,
     eta_denominator,
-    lambda_matrix,
     lower_law,
     rho,
     run_coupling,

@@ -307,7 +307,7 @@ class SeqApproxP(SampleGnw):
         return samplers.seq_approx_p(self.d, self.lam, self.params.big_lambda, rng)
 
     def reference(self) -> SymmetricProbMatrix:
-        # dense, so built only for the report
+        # built only for the report, which reads every entry through `tri`
         return coupling.lower_law(self.d, self.params.big_lambda, self.lam)
 
 

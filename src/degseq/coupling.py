@@ -22,9 +22,9 @@ from .graphs import (
     DegreeSequence,
     InvariantError,
     NonGraphicalError,
-    ProductLambda,
     SimpleGraph,
     SymmetricProbMatrix,
+    acceptance_matrix,
     degree_stats,
     is_graphical,
     normalize_edge,
@@ -47,7 +47,6 @@ __all__ = [
     "CouplingTrace",
     "check_schedule",
     "default_params",
-    "lambda_matrix",
     "lower_law",
     "rho",
     "eta_denominator",
@@ -64,22 +63,16 @@ class CouplingParams:
     zeta: float
     zeta_prime: float
     lam: float
-    big_lambda: SymmetricProbMatrix | ProductLambda
+    big_lambda: SymmetricProbMatrix
     regime_warning: bool = False
 
 
-def lambda_matrix(d: DegreeSequence | Sequence[int], zeta: float) -> SymmetricProbMatrix:
-    """Acceptance matrix with entries (1 - zeta) * ||d||_1 / (||d||_1 + d_j d_k),
-    stored dense; `default_params` holds the same entries in closed form."""
-    lam = ProductLambda(d, zeta)
-    return SymmetricProbMatrix(lam.n, lam.tri)
+# the name `benchmarks/tracing.py` wraps; nothing in the package calls it
+lambda_matrix = acceptance_matrix
 
 
-def lower_law(
-    d: DegreeSequence | Sequence[int],
-    big_lambda: SymmetricProbMatrix | ProductLambda,
-    lam: float,
-) -> SymmetricProbMatrix:
+def lower_law(d: DegreeSequence | Sequence[int], big_lambda: SymmetricProbMatrix,
+              lam: float) -> SymmetricProbMatrix:
     """The lower graph's independent-edge law: entries 1 - exp(-lam * Lambda_jk * Q_jk)."""
     return f_c_transform(hadamard(big_lambda, q_matrix(d)), lam)
 
@@ -156,7 +149,7 @@ def default_params(
         zeta=zeta,
         zeta_prime=zeta_prime,
         lam=lam,
-        big_lambda=ProductLambda(d, zeta),
+        big_lambda=acceptance_matrix(d, zeta),
         regime_warning=warning,
     )
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isfinite
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -317,7 +318,7 @@ def remaining_degrees(
 
 
 # ---------------------------------------------------------------------------
-# Symmetric probability matrices (upper-triangular dense storage)
+# Symmetric probability matrices: vertex classes and one class table
 # ---------------------------------------------------------------------------
 
 
@@ -345,112 +346,102 @@ def tri_to_key(n: int, idx: np.ndarray) -> np.ndarray:
     return idx + (j + 1) * (j + 2) // 2
 
 
-def tri_products(vec: np.ndarray) -> np.ndarray:
-    """vec[j] * vec[k] for every pair j < k, in the flat storage order."""
-    j, k = np.triu_indices(len(vec), k=1)
-    return vec[j] * vec[k]
-
-
 @lru_cache(maxsize=64)
 def tri_pairs(n: int) -> tuple[Edge, ...]:
     """All pairs (j, k), j < k, in the flat storage order."""
     return tuple((j, k) for j in range(n) for k in range(j + 1, n))
 
 
-@dataclass(frozen=True, eq=False)
+@lru_cache(maxsize=16)
+def _classes_of(values: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry's class, its index among the distinct values in ascending
+    order, and those values as floats."""
+    distinct = sorted(set(values))
+    index = {v: c for c, v in enumerate(distinct)}
+    return np.array([index[v] for v in values], dtype=np.intp), np.array(distinct, dtype=float)
+
+
 class SymmetricProbMatrix:
     """Symmetric n x n matrix of probabilities with zero diagonal.
 
-    Only the strict upper triangle is stored (row-major).  Entries are
-    validated into [0, 1] at construction; treat instances as immutable.
+    Vertex j has class cls[j], and entry (j, k), j != k, is table[cls[j],
+    cls[k]] of a symmetric K x K table, validated into [0, 1].  The laws of a
+    degree sequence have one class per distinct degree (a class of one vertex
+    holds no pair, so its diagonal entry is never read); per-pair data, the
+    strict upper triangle `tri` in row-major order, has a class per vertex.
     """
 
-    n: int
-    tri: np.ndarray
+    __slots__ = ("n", "cls", "table", "_classes", "_tri")
 
-    def __post_init__(self) -> None:
-        if self.tri.shape != (tri_size(self.n),):
-            raise ValueError(
-                f"storage length {self.tri.shape} does not match n={self.n}"
-            )
+    def __init__(self, n: int, tri: np.ndarray):
+        if tri.shape != (tri_size(n),):
+            raise ValueError(f"storage length {tri.shape} does not match n={n}")
+        table = np.zeros((n, n))
+        j, k = np.triu_indices(n, k=1)
+        table[j, k] = table[k, j] = tri
+        self._set(np.arange(n), table)
+
+    @staticmethod
+    def _of(cls: np.ndarray, table: np.ndarray) -> SymmetricProbMatrix:
+        return object.__new__(SymmetricProbMatrix)._set(cls, table)
+
+    def _set(self, cls: np.ndarray, table: np.ndarray) -> SymmetricProbMatrix:
         # phrased so that a NaN entry, which fails every comparison, is rejected
-        if self.tri.size and not (self.tri.min() >= 0.0 and self.tri.max() <= 1.0):
+        if table.size and not (table.min() >= 0.0 and table.max() <= 1.0):
             raise ValueError("entries must lie in [0, 1]")
-        self.tri.setflags(write=False)
+        cls.setflags(write=False)
+        table.setflags(write=False)
+        self.n, self.cls, self.table = len(cls), cls, table
+        self._classes, self._tri = cls.tolist(), None
+        return self
 
     @staticmethod
     def zeros(n: int) -> SymmetricProbMatrix:
-        return SymmetricProbMatrix(n, np.zeros(tri_size(n)))
+        return SymmetricProbMatrix.full(n, 0.0)
 
     @staticmethod
     def full(n: int, value: float) -> SymmetricProbMatrix:
-        return SymmetricProbMatrix(n, np.full(tri_size(n), float(value)))
+        return SymmetricProbMatrix._of(np.zeros(n, np.intp), np.full((1, 1), float(value)))
 
     def __getitem__(self, jk: tuple[int, int]) -> float:
         j, k = jk
-        if j == k:
+        if j == k and 0 <= j < self.n:
             return 0.0
-        return float(self.entry(*normalize_edge(j, k)))
+        return self.entry(min(j, k), max(j, k))
 
     def entry(self, j: int, k: int) -> float:
-        """Entry (j, k) for j < k, read from storage."""
-        return self.tri[tri_index(self.n, j, k)]
-
-    def entries(self, j: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """Entries (j, k) for index arrays with j < k, read from storage."""
-        return self.tri[key_to_tri(self.n, j * self.n + k)]
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        iu = np.triu_indices(self.n, k=1)
-        out[iu] = self.tri
-        return out + out.T
-
-
-class ProductLambda:
-    """The coupling's acceptance matrix Lambda in closed form, from O(n) numbers.
-
-    Entry (j, k) is (1 - zeta) ||d||_1 / (||d||_1 + d_j d_k).  `entry` and
-    the array `entries` compute it on each read with the same operations, in
-    the same order, as `tri`, so all three agree bit for bit.  `tri` builds the
-    dense triangle on every access and keeps nothing, for callers that need
-    all entries at once.
-    """
-
-    __slots__ = ("n", "d", "vec", "total", "num")
-
-    def __init__(self, d: DegreeSequence | Sequence[int], zeta: float):
-        d = DegreeSequence.of(d)
-        if not 0.0 <= zeta <= 1.0:
-            raise ValueError("zeta must lie in [0, 1]")
-        self.n = d.n
-        self.d = tuple(float(x) for x in d.degrees)
-        self.vec = np.array(self.d)
-        total = float(d.total)
-        self.num = (1.0 - zeta) * total
-        # with every degree 0 the numerator is 0, and a unit denominator
-        # makes every entry 0.0
-        self.total = total if total > 0 else 1.0
-
-    def __getitem__(self, jk: tuple[int, int]) -> float:
-        j, k = jk
-        if j == k:
-            return 0.0
-        return self.entry(*normalize_edge(j, k))
-
-    def entry(self, j: int, k: int) -> float:
-        """Entry (j, k) for j < k."""
+        """Entry (j, k) for 0 <= j < k < n."""
         if not 0 <= j < k < self.n:
             raise ValueError(f"pair ({j},{k}) invalid for n={self.n}")
-        return self.num / (self.total + self.d[j] * self.d[k])
+        return self.table.item(self._classes[j], self._classes[k])
 
     def entries(self, j: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """Entries (j, k) for index arrays with j < k."""
-        return self.num / (self.total + self.vec[j] * self.vec[k])
+        """Entries (j, k) for index arrays with j != k, equal to `entry` bit for bit."""
+        return self.table.ravel()[self.cls[j] * len(self.table) + self.cls[k]]
+
+    def row(self, j: int) -> np.ndarray:
+        """Entries (j, k) for k = j + 1, ..., n - 1: row j of the triangle."""
+        return self.table[self._classes[j], self.cls[j + 1:]]
 
     @property
     def tri(self) -> np.ndarray:
-        return self.num / (self.total + tri_products(self.vec))
+        """The strict upper triangle in row-major order, read-only: built on
+        first read and kept."""
+        if self._tri is None:
+            # a row at a time, so the only O(n^2) array is the result
+            n = self.n
+            tri = np.empty(tri_size(n))
+            for j in range(n - 1):
+                start = j * n - j * (j + 1) // 2
+                tri[start:start + n - 1 - j] = self.row(j)
+            tri.setflags(write=False)
+            self._tri = tri
+        return self._tri
+
+    def to_dense(self) -> np.ndarray:
+        out = self.table[np.ix_(self.cls, self.cls)]
+        np.fill_diagonal(out, 0.0)
+        return out
 
 
 def p_matrix(d: DegreeSequence | Sequence[int]) -> SymmetricProbMatrix:
@@ -458,12 +449,11 @@ def p_matrix(d: DegreeSequence | Sequence[int]) -> SymmetricProbMatrix:
     d = DegreeSequence.of(d)
     if d.n < 2:
         raise ValueError("need n >= 2")
-    vec = np.asarray(d.degrees, dtype=float)
-    total = vec.sum()
-    prod = tri_products(vec)
+    cls, vals = _classes_of(d.degrees)
+    prod = np.multiply.outer(vals, vals)
     with np.errstate(invalid="ignore"):
-        tri = np.where(prod > 0, prod / (total + prod), 0.0)
-    return SymmetricProbMatrix(d.n, tri)
+        table = np.where(prod > 0, prod / (float(d.total) + prod), 0.0)
+    return SymmetricProbMatrix._of(cls, table)
 
 
 def q_matrix(d: DegreeSequence | Sequence[int]) -> SymmetricProbMatrix:
@@ -471,13 +461,29 @@ def q_matrix(d: DegreeSequence | Sequence[int]) -> SymmetricProbMatrix:
     d = DegreeSequence.of(d)
     if d.n < 2:
         raise ValueError("need n >= 2")
-    prod = tri_products(np.asarray(d.degrees, dtype=float))
-    denom = prod.sum()
+    # the sum of d_j d_k over pairs j < k, in integers
+    denom = (d.total ** 2 - sum(x * x for x in d.degrees)) // 2
     if denom <= 0:
-        raise DegenerateSequenceError(
-            "sequence needs at least two positive degrees"
-        )
-    return SymmetricProbMatrix(d.n, prod / denom)
+        raise DegenerateSequenceError("sequence needs at least two positive degrees")
+    cls, vals = _classes_of(d.degrees)
+    table = np.multiply.outer(vals, vals) / float(denom)
+    # d_j^2 / denom may exceed 1 on a class of one vertex, which no pair reads
+    lone = np.flatnonzero(np.bincount(cls) == 1)
+    table[lone, lone] = 0.0
+    return SymmetricProbMatrix._of(cls, table)
+
+
+def acceptance_matrix(d: DegreeSequence | Sequence[int], zeta: float) -> SymmetricProbMatrix:
+    """The coupling's acceptance matrix Lambda: entry (j, k) is
+    (1 - zeta) ||d||_1 / (||d||_1 + d_j d_k)."""
+    d = DegreeSequence.of(d)
+    if not 0.0 <= zeta <= 1.0:
+        raise ValueError("zeta must lie in [0, 1]")
+    total = float(d.total)
+    # with every degree 0 the numerator is 0, and a unit denominator makes every entry 0.0
+    num, total = (1.0 - zeta) * total, total if total > 0 else 1.0
+    cls, vals = _classes_of(d.degrees)
+    return SymmetricProbMatrix._of(cls, num / (total + np.multiply.outer(vals, vals)))
 
 
 def chung_lu_matrix(w: Sequence[float]) -> SymmetricProbMatrix:
@@ -485,24 +491,31 @@ def chung_lu_matrix(w: Sequence[float]) -> SymmetricProbMatrix:
     vec = np.asarray(list(w), dtype=float)
     if vec.ndim != 1 or vec.size < 2:
         raise ValueError("need a vector of length >= 2")
-    if np.any(vec < 0):
-        raise ValueError("weights must be non-negative")
+    bad = ~(np.isfinite(vec) & (vec >= 0))
+    if bad.any():
+        raise ValueError(f"weights must be finite and >= 0, got {vec[bad][0]}")
     total = vec.sum()
     if total <= 0:
         raise ValueError("all-zero weight vector")
-    tri = np.minimum(tri_products(vec) / total, 1.0)
-    return SymmetricProbMatrix(vec.size, tri)
+    cls, vals = _classes_of(tuple(vec.tolist()))
+    return SymmetricProbMatrix._of(cls, np.minimum(np.multiply.outer(vals, vals) / total, 1.0))
 
 
 def f_c_transform(m: SymmetricProbMatrix, scale: float) -> SymmetricProbMatrix:
     """Entrywise 1 - exp(-scale * entry); maps [0,1] into [0,1) for finite scale."""
-    if scale < 0:
-        raise ValueError("scale must be >= 0")
-    return SymmetricProbMatrix(m.n, -np.expm1(-scale * m.tri))
+    if not (isfinite(scale) and scale >= 0):
+        raise ValueError(f"scale must be finite and >= 0, got {scale}")
+    return SymmetricProbMatrix._of(m.cls, -np.expm1(-scale * m.table))
 
 
 def hadamard(a: SymmetricProbMatrix, b: SymmetricProbMatrix) -> SymmetricProbMatrix:
-    """Entrywise product of two matrices of the same dimension."""
+    """Entrywise product of two matrices of the same dimension.  On different
+    partitions the classes are the (a class, b class) pairs that occur."""
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    return SymmetricProbMatrix(a.n, a.tri * b.tri)
+    if a.cls is b.cls:  # Lambda and Q of one sequence share their classes
+        return SymmetricProbMatrix._of(a.cls, a.table * b.table)
+    kb = len(b.table)
+    cls, pairs = _classes_of(tuple(x * kb + y for x, y in zip(a._classes, b._classes)))
+    ra, rb = np.divmod(pairs.astype(np.intp), kb)
+    return SymmetricProbMatrix._of(cls, a.table[ra[:, None], ra] * b.table[rb[:, None], rb])

@@ -135,17 +135,14 @@ def _vertex_labels(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_matrix_csv(path: str | Path, m: SymmetricProbMatrix) -> None:
-    # the storage order is row-major over j < k; one row's lines are built at
+    # row-major over j < k; one row's lines are built from the class table at
     # a time, so memory stays O(n) however large the triangle
-    n, tri = m.n, m.tri
+    n = m.n
     with open(path, "w") as fh:
         fh.write("i,j,value\n")
-        start = 0
         for j in range(n - 1):
-            stop = start + n - 1 - j
             fh.write("".join(f"{j},{k},{v!r}\n"
-                             for k, v in zip(range(j + 1, n), tri[start:stop].tolist())))
-            start = stop
+                             for k, v in zip(range(j + 1, n), m.row(j).tolist())))
 
 
 def read_matrix_csv(path: str | Path) -> SymmetricProbMatrix:

@@ -249,8 +249,8 @@ class CandidateStream:
     takes four uniforms and each step at least five (its accepted attempt and
     its coin), so a pass asks `rng.uniforms` for five per step it still owes,
     less what the previous pass left: never more than the step-by-step loop
-    would consume.  `big_lambda` needs `n`, `entry(j, k)` and an array
-    `entries(j, k)` equal to `entry` bit for bit.
+    would consume.  `big_lambda` is a `graphs.SymmetricProbMatrix`, whose
+    `entries(j, k)` equal its `entry(j, k)` bit for bit.
     """
 
     __slots__ = ("table", "big_lambda", "rng", "left", "_chunk", "_tail", "_prob", "_alias",

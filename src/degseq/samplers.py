@@ -25,7 +25,6 @@ from .graphs import (
     DegreeSequence,
     InvariantError,
     NonGraphicalError,
-    ProductLambda,
     SimpleGraph,
     SymmetricProbMatrix,
     is_graphical,
@@ -79,12 +78,8 @@ def sample_gnw(w: SymmetricProbMatrix, rng: RandomSource) -> SimpleGraph:
     return SimpleGraph(w.n, tri_to_key(w.n, hits))
 
 
-def seq_approx_p(
-    d: DegreeSequence | Sequence[int],
-    lam: float,
-    big_lambda: SymmetricProbMatrix | ProductLambda,
-    rng: RandomSource,
-) -> SimpleGraph:
+def seq_approx_p(d: DegreeSequence | Sequence[int], lam: float,
+                 big_lambda: SymmetricProbMatrix, rng: RandomSource) -> SimpleGraph:
     """Poissonized sequential sampler.
 
     Draws a Poisson(lam) number of candidate pairs, each proportional to

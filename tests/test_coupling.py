@@ -21,15 +21,18 @@ from degseq import (
     enumerate_graphs,
     eta_denominator,
     f_c_transform,
+    acceptance_matrix,
+    chung_lu_matrix,
     hadamard,
-    lambda_matrix,
+    lower_law,
+    p_matrix,
     q_matrix,
     rho,
     run_coupling,
 )
 from degseq.coupling import _auto_checkpoints
 from degseq.deggen import regular_sequence
-from degseq.graphs import ProductLambda, tri_index, tri_pairs
+from degseq.graphs import SymmetricProbMatrix, tri_pairs
 from degseq.stats import chi_square_gof, empirical_marginals
 
 D4 = (2, 2, 2, 2)
@@ -91,42 +94,73 @@ def graphical_degrees(draw, max_n=30):
     return tuple(deg)
 
 
-class TestProductLambda:
-    @given(graphical_degrees(), st.floats(0.0, 1.0))
-    @example((0, 0, 0), 0.25)  # ||d||_1 = 0
-    @example((2, 2, 2), 1.0)
-    def test_entries_equal_dense_bit_for_bit(self, degrees, zeta):
+def hexes(values) -> list[str]:
+    return [float(x).hex() for x in values]
+
+
+class TestPairLaw:
+    @given(graphical_degrees(), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+           st.floats(0.0, 50.0), st.integers(0, 2**32))
+    @example((0, 0, 0), 0.25, 0.5, 3.0, 1)  # ||d||_1 = 0
+    @example((2, 2, 2), 1.0, 1.0, 0.0, 2)
+    @example((3, 1, 1, 1), 0.1, 0.54, 3.3, 3)  # a lone class whose Q_jj would exceed 1
+    def test_entries_equal_dense_bit_for_bit(self, degrees, zeta, value, lam, seed):
         n = len(degrees)
         vec = np.asarray(degrees, dtype=float)
         total = vec.sum()
-        iu = np.triu_indices(n, k=1)
-        # the dense construction the closed form replaced, as a reference
+        j, k = np.triu_indices(n, k=1)
+        prod = vec[j] * vec[k]
+        per_pair = np.random.default_rng(seed).random(len(j))
+        # the dense triangles every law was built from before it was held as
+        # classes, as the reference
+        with np.errstate(invalid="ignore"):
+            p_ref = np.where(prod > 0, prod / (total + prod), 0.0)
         if total <= 0:
-            ref = np.zeros(len(iu[0]))
+            lam_ref = np.zeros(len(j))
         else:
-            ref = (1.0 - zeta) * total / (total + vec[iu[0]] * vec[iu[1]])
-        dense = lambda_matrix(degrees, zeta)
-        assert np.array_equal(dense.tri, ref)
-        forms = [ProductLambda(degrees, zeta)]
+            lam_ref = (1.0 - zeta) * total / (total + prod)
+        cases = [
+            (p_matrix(degrees), p_ref),
+            (f_c_transform(p_matrix(degrees), 1.0), -np.expm1(-1.0 * p_ref)),
+            (acceptance_matrix(degrees, zeta), lam_ref),
+            (SymmetricProbMatrix.zeros(n), np.zeros(len(j))),
+            (SymmetricProbMatrix.full(n, value), np.full(len(j), value)),
+            (SymmetricProbMatrix(n, per_pair.copy()), per_pair),
+        ]
         if zeta < 1.0 and min(degrees) >= 1:
-            forms.append(default_params(degrees, zeta=zeta).big_lambda)
-        for lam in forms:
-            assert lam.n == n
-            assert np.array_equal(lam.tri, dense.tri)
-            for j, k in tri_pairs(n):
-                expect = dense.tri[tri_index(n, j, k)]
-                assert lam.entry(j, k) == expect
-                assert lam[(k, j)] == expect
-                assert dense.entry(j, k) == dense[(j, k)] == dense[(k, j)] == expect
-            assert lam[(0, 0)] == dense[(0, 0)] == 0.0
+            cases.append((default_params(degrees, zeta=zeta).big_lambda, lam_ref))
+        if total > 0:
+            cases.append((chung_lu_matrix(degrees), np.minimum(prod / total, 1.0)))
+        if prod.sum() > 0:
+            q_ref = prod / prod.sum()
+            big_lambda = acceptance_matrix(degrees, zeta)
+            cases += [
+                (q_matrix(degrees), q_ref),
+                (lower_law(degrees, big_lambda, lam), -np.expm1(-lam * (lam_ref * q_ref))),
+                # two different partitions: C1's constant Lambda, per-pair data
+                (hadamard(SymmetricProbMatrix.full(n, value), q_matrix(degrees)),
+                 np.full(len(j), value) * q_ref),
+                (hadamard(SymmetricProbMatrix(n, per_pair.copy()), q_matrix(degrees)),
+                 per_pair * q_ref),
+            ]
+        for m, ref in cases:
+            expect = hexes(ref)
+            assert m.n == n
+            assert hexes(m.tri) == expect
+            assert hexes(m.entries(j, k)) == expect
+            pairs = list(zip(j.tolist(), k.tolist()))
+            assert hexes(m.entry(a, b) for a, b in pairs) == expect
+            assert hexes(m[(a, b)] for a, b in pairs) == expect
+            assert hexes(m[(b, a)] for a, b in pairs) == expect
+            assert all(m[(v, v)] == 0.0 for v in range(n))
 
     def test_entry_rejects_invalid_pair(self):
-        lam = ProductLambda(D4, 0.1)
-        for j, k in [(1, 0), (0, 4), (-1, 2)]:
+        lam = acceptance_matrix(D4, 0.1)
+        for j, k in [(1, 0), (0, 4), (-1, 2), (2, 2)]:
             with pytest.raises(ValueError):
                 lam.entry(j, k)
         with pytest.raises(ValueError):
-            ProductLambda(D4, 1.5)
+            acceptance_matrix(D4, 1.5)
 
     def test_default_params_memory_is_linear(self):
         d = regular_sequence(4000, 69).degrees
@@ -139,6 +173,22 @@ class TestProductLambda:
         assert params.big_lambda.n == 4000
         # the dense triangle alone would take 8 * 4000 * 3999 / 2 bytes (64 MB)
         assert peak < 4_000_000
+
+    @pytest.mark.parametrize("law", ["q", "p", "lower-law"])
+    def test_laws_memory_is_linear_until_tri_is_read(self, law):
+        d = regular_sequence(4000, 69).degrees
+        params = default_params(d)
+        build = {"q": q_matrix, "p": p_matrix,
+                 "lower-law": lambda d: lower_law(d, params.big_lambda, params.lam)}[law]
+        tracemalloc.start()
+        try:
+            m = build(d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert m.n == 4000
+        assert peak < 4_000_000
+        assert m.tri.shape == (4000 * 3999 // 2,)
 
 
 class TestRho:
@@ -229,7 +279,7 @@ class TestEtaDenominator:
 class TestRunCoupling:
     def test_zero_acceptance_matrix(self):
         params = CouplingParams(
-            xi=0.5, zeta=0.0, zeta_prime=0.1, lam=3.6, big_lambda=lambda_matrix(D4, 1.0)
+            xi=0.5, zeta=0.0, zeta_prime=0.1, lam=3.6, big_lambda=acceptance_matrix(D4, 1.0)
         )
         for s in range(50):
             g_l, g, tr = run_coupling(

@@ -2,6 +2,7 @@ import os
 import pickle
 import subprocess
 import sys
+import warnings
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -17,6 +18,7 @@ from degseq import (
     DegenerateSequenceError,
     DegreeSequence,
     SimpleGraph,
+    acceptance_matrix,
     chung_lu_matrix,
     degree_stats,
     f_c_transform,
@@ -123,6 +125,18 @@ class TestSymmetricProbMatrix:
     def test_accepts_bounds(self):
         assert SymmetricProbMatrix(3, np.array([0.0, 1.0, 0.5])).tri.max() == 1.0
 
+    @pytest.mark.parametrize("m", [
+        SymmetricProbMatrix.zeros(3),
+        acceptance_matrix((1, 1, 2), 0.1),
+        SymmetricProbMatrix(3, np.array([0.1, 0.2, 0.3])),
+    ], ids=["zeros", "classes", "per-pair"])
+    def test_diagonal_outside_range_raises(self, m):
+        # m[(j, j)] read 0.0 for any j, while m[(0, 5)] raised
+        assert m[(2, 2)] == 0.0
+        for v in (5, 3, -1):
+            with pytest.raises(ValueError, match="invalid for n=3"):
+                m[(v, v)]
+
 
 class TestPMatrix:
     def test_regular_triangle(self):
@@ -196,6 +210,14 @@ class TestChungLu:
         with pytest.raises(ValueError):
             chung_lu_matrix((0.0, 0.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_raises_by_name(self, bad):
+        # they ended in "entries must lie in [0, 1]", and inf in a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"weights must be finite and >= 0, got {bad}"):
+                chung_lu_matrix((1.0, bad, 2.0))
+
 
 class TestFcTransform:
     def test_zero_matrix_fixed(self):
@@ -228,6 +250,14 @@ class TestFcTransform:
     def test_negative_scale_raises(self):
         with pytest.raises(ValueError):
             f_c_transform(SymmetricProbMatrix.zeros(3), -0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_scale_raises_by_name(self, bad):
+        # they ended in "entries must lie in [0, 1]", and inf in a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"scale must be finite and >= 0, got {bad}"):
+                f_c_transform(SymmetricProbMatrix.full(3, 0.5), bad)
 
 
 class TestHadamard:

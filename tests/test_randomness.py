@@ -19,7 +19,7 @@ from degseq import (
     seq_approx_p,
 )
 from degseq import randomness
-from degseq.graphs import ProductLambda, SymmetricProbMatrix, tri_size
+from degseq.graphs import SymmetricProbMatrix, acceptance_matrix, tri_size
 from degseq.randomness import CandidateStream
 from degseq.stats import pearson_chi_square
 
@@ -176,10 +176,11 @@ class TestAliasTable:
 
 
 def stream_lambda(weights, kind, seed):
-    """A Lambda of either type on len(weights) vertices, entries in (0, 1)."""
+    """A Lambda on len(weights) vertices with entries in (0, 1): one class per
+    distinct weight, or each vertex its own class."""
     n = len(weights)
-    if kind == "product":
-        return ProductLambda([min(w, n - 1) for w in weights], 0.25)
+    if kind == "classes":
+        return acceptance_matrix([min(w, n - 1) for w in weights], 0.25)
     return SymmetricProbMatrix(n, np.random.default_rng(seed).random(tri_size(n)))
 
 
@@ -212,12 +213,13 @@ def test_alias_table_built_once_per_sequence(monkeypatch):
 
 
 class TestCandidateStream:
-    @given(STREAM_WEIGHTS, st.sampled_from(STREAM_COUNTS), st.sampled_from(["product", "dense"]),
-           st.integers(0, 2**32), st.floats(0.0, 1.0))
+    @given(STREAM_WEIGHTS, st.sampled_from(STREAM_COUNTS),
+           st.sampled_from(["classes", "per-pair"]), st.integers(0, 2**32),
+           st.floats(0.0, 1.0))
     @settings(max_examples=60, deadline=None)
-    @example((1, 1), 10_000, "product", 3, 0.5)
-    @example((5, 1, 1, 0), 4097, "dense", 4, 0.9999)
-    @example((5, 1, 1, 0), 64, "product", 5, 0.0)
+    @example((1, 1), 10_000, "classes", 3, 0.5)
+    @example((5, 1, 1, 0), 4097, "per-pair", 4, 0.9999)
+    @example((5, 1, 1, 0), 64, "classes", 5, 0.0)
     def test_replays_the_scalar_draws(self, weights, count, kind, seed, stop_frac):
         table = AliasTable(weights)
         big_lambda = stream_lambda(weights, kind, seed)
@@ -248,7 +250,7 @@ class TestCandidateStream:
             CandidateStream(AliasTable((2, 0, 0)), SymmetricProbMatrix.full(3, 0.5), count,
                             RandomSource(1))
 
-    @given(STREAM_WEIGHTS, st.sampled_from(["product", "dense"]), st.integers(0, 2**32))
+    @given(STREAM_WEIGHTS, st.sampled_from(["classes", "per-pair"]), st.integers(0, 2**32))
     @settings(max_examples=30, deadline=None)
     def test_entries_match_entry_bit_for_bit(self, weights, kind, seed):
         big_lambda = stream_lambda(weights, kind, seed)
