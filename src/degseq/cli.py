@@ -131,6 +131,8 @@ def run_experiment(config: ExperimentConfig) -> int:
     command = COMMANDS[config.kind](config)
     command.out.mkdir(parents=True, exist_ok=True)
     meta = {"kind": config.kind, "seed": config.seed} | command.preamble() | command.setup()
+    if command.d is not None:
+        io.write_degree_file(command.out / "degrees.txt", command.d)
     for i in range(config.runs if command.has_replicas else 0):
         command.replica(i)
     meta |= command.finish()
@@ -143,25 +145,23 @@ def run_experiment(config: ExperimentConfig) -> int:
 class Command:
     """One command, in the phases `run_experiment` drives once it has made
     the output directory.  `preamble()` reads the degrees (a generator spec
-    or a file) and writes `degrees.txt`; `setup()` writes the set-up files;
-    `replica(i)` draws from `RandomSource(seed, i)`, writes its edge files
-    and returns what it drew; `finish()` writes the closing files.  All but
-    `replica` return metadata entries.  Library calls go through module
-    attributes, so that they can be wrapped."""
+    or a file); `setup()` checks every input, then writes the set-up files,
+    and `run_experiment` then writes `degrees.txt`; `replica(i)` draws from
+    `RandomSource(seed, i)`, writes its edge files and returns what it drew;
+    `finish()` writes the closing files.  All but `replica` return metadata
+    entries.  Library calls go through module attributes, so that they can
+    be wrapped."""
 
     # the optional config fields it reads; giving it any other is an error
     fields: tuple[str, ...] = ()
-    # whether it runs the coupling's schedule (`_schedule`)
-    schedule = False
+    # the degrees `preamble` read, if the command reads any
+    d: graphs.DegreeSequence | None = None
     has_replicas = True
     exit_code = EXIT_OK
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
         self.out = Path(config.out)
-        if self.schedule:
-            # the overrides' domains, checked before anything is written
-            coupling.check_schedule(config.xi, config.zeta, config.zeta_prime)
 
     def preamble(self) -> dict:
         config = self.config
@@ -175,7 +175,6 @@ class Command:
             d = io.read_degree_file(config.degrees)
         if not graphs.is_graphical(d):
             raise NonGraphicalError(f"degree sequence from {config.degrees!r} is not graphical")
-        io.write_degree_file(self.out / "degrees.txt", d)
         self.d = d
         summary = graphs.degree_stats(d)
         return {
@@ -199,6 +198,13 @@ class Command:
     def _save(self, name: str, g: graphs.SimpleGraph) -> None:
         if self.config.save_graphs:
             io.write_edge_list(self.out / name, g)
+
+    def _prob_mode(self) -> SeqSampleMode:
+        # the exact mode's family is enumerated, and its caps checked, in set-up
+        mode = SeqSampleMode(self.config.mode)
+        if mode is SeqSampleMode.EXACT_ORACLE:
+            oracle.enumerate_graphs(self.d)
+        return mode
 
     def _schedule(self) -> dict:
         """Set `params` to the slack schedule; its metadata entries."""
@@ -229,7 +235,8 @@ class SampleGnd(Command):
     fields = ("checkpoints", "xi")
 
     def setup(self) -> dict:
-        self.mode = SeqSampleMode(self.config.mode)
+        samplers.check_checkpoints(self.d, self.config.checkpoints)
+        self.mode = self._prob_mode()
         self.diag = samplers.SamplerDiagnostics()
         self.snapshots: list[tuple[int, graphs.SimpleGraph]] = []
         return {"checkpoints": self.config.checkpoints}
@@ -295,7 +302,6 @@ class SeqApproxP(SampleGnw):
     lower law in place of W, so `sample-gnw`'s loop and report serve it."""
 
     fields = ("xi", "zeta", "zeta_prime", "c_mult", "lam")
-    schedule = True
 
     def setup(self) -> dict:
         self.samples = []
@@ -315,11 +321,11 @@ class Couple(Command):
     """One coupled pair (G_L, G) and its trace line per replica."""
 
     fields = ("xi", "zeta", "zeta_prime", "c_mult")
-    schedule = True
 
     def setup(self) -> dict:
-        self.prob = SeqSampleMode(self.config.mode)
         self.denom = EtaDenominatorMode(self.config.denom)
+        coupling.require_compatible(self.denom, SeqSampleMode(self.config.mode))
+        self.prob = self._prob_mode()
         self.traces: list[dict] = []
         self.fallbacks = self.violations = 0
         return self._schedule() | {"denom": self.config.denom}

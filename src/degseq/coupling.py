@@ -45,7 +45,6 @@ __all__ = [
     "EtaDenominatorMode",
     "CouplingParams",
     "CouplingTrace",
-    "check_schedule",
     "default_params",
     "lower_law",
     "rho",
@@ -75,21 +74,6 @@ def lower_law(d: DegreeSequence | Sequence[int], big_lambda: SymmetricProbMatrix
               lam: float) -> SymmetricProbMatrix:
     """The lower graph's independent-edge law: entries 1 - exp(-lam * Lambda_jk * Q_jk)."""
     return f_c_transform(hadamard(big_lambda, q_matrix(d)), lam)
-
-
-def check_schedule(
-    xi: float | None = None, zeta: float | None = None, zeta_prime: float | None = None
-) -> None:
-    """Raise ValueError for a schedule value outside its domain: xi in
-    (0, 1/2], zeta and zeta' in [0, 1).  None passes.  `default_params`
-    checks each value it uses here, and the commands check their overrides
-    here before they write anything."""
-    if zeta_prime is not None and not 0.0 <= zeta_prime < 1.0:
-        raise ValueError(f"zeta_prime={zeta_prime} outside [0, 1)")
-    if xi is not None and not 0.0 < xi <= 0.5:
-        raise ValueError(f"xi={xi} outside (0, 1/2]")
-    if zeta is not None and not 0.0 <= zeta < 1.0:
-        raise ValueError(f"zeta={zeta} outside [0, 1)")
 
 
 def default_params(
@@ -124,7 +108,8 @@ def default_params(
 
     if zeta_prime is None:
         zeta_prime = max(total ** -0.25, sqrt(top_sum / total))
-    check_schedule(zeta_prime=zeta_prime)
+    if not 0.0 <= zeta_prime < 1.0:
+        raise ValueError(f"zeta_prime={zeta_prime} outside [0, 1)")
     warning = warning or zeta_prime > 0.5
 
     if xi is None:
@@ -133,7 +118,8 @@ def default_params(
         xi_raw = (log(d.n) / (zeta_prime * dmin)) ** (1.0 / 3.0)
         xi = min(0.5, xi_raw)
         warning = warning or xi_raw > 0.5
-    check_schedule(xi=xi)
+    if not 0.0 < xi <= 0.5:
+        raise ValueError(f"xi={xi} outside (0, 1/2]")
 
     if zeta is None:
         if zeta_prime == 0.0:
@@ -141,7 +127,8 @@ def default_params(
         zeta_raw = c_mult * (top_sum / (zeta_prime * total) + xi)
         zeta = min(0.5, zeta_raw)
         warning = warning or zeta_raw > 0.5
-    check_schedule(zeta=zeta)
+    if not 0.0 <= zeta < 1.0:
+        raise ValueError(f"zeta={zeta} outside [0, 1)")
 
     lam = (1.0 - zeta_prime) * total / 2.0
     return CouplingParams(
@@ -184,14 +171,14 @@ def eta_denominator(
     rho = t_h t_l / (d_h d_l (||t||_1 + t_h t_l)) <= (t_h/d_h)(t_l/d_l)/||t||_1.
     """
     d = DegreeSequence.of(d)
-    _require_compatible(denom_mode, prob_mode)
+    require_compatible(denom_mode, prob_mode)
     bound = make_kernel(d, prob_mode, state).denominator(denom_mode)
     if bound <= 0.0:
         raise ValueError("no eligible pair")
     return bound
 
 
-def _require_compatible(denom_mode: EtaDenominatorMode, prob_mode: SeqSampleMode) -> None:
+def require_compatible(denom_mode: EtaDenominatorMode, prob_mode: SeqSampleMode) -> None:
     certified = denom_mode is EtaDenominatorMode.CERTIFIED_BOUND
     if certified and prob_mode is not SeqSampleMode.ASYMPTOTIC:
         raise ValueError("certified bound is only valid for asymptotic probabilities")
@@ -276,7 +263,7 @@ def run_coupling(
         raise ValueError("params built for a different n")
     if not is_graphical(d):
         raise NonGraphicalError(f"{d.degrees} is not graphical")
-    _require_compatible(denom_mode, prob_mode)
+    require_compatible(denom_mode, prob_mode)
 
     trace = CouplingTrace()
     total = d.total

@@ -20,7 +20,7 @@ from .graphs import (
     SimpleGraph,
     SymmetricProbMatrix,
     edge_key,
-    tri_index,
+    key_to_tri,
     tri_pairs,
     tri_size,
 )
@@ -146,25 +146,27 @@ def write_matrix_csv(path: str | Path, m: SymmetricProbMatrix) -> None:
 
 
 def read_matrix_csv(path: str | Path) -> SymmetricProbMatrix:
-    rows = Path(path).read_text().splitlines()
-    if not rows or rows[0].strip() != "i,j,value":
-        raise ValueError("expected header 'i,j,value'")
-    data = [line.split(",") for line in rows[1:] if line.strip()]
-    entries: dict[tuple[int, int], float] = {}
-    n = 0
-    for i, j, value in data:
-        i, j = int(i), int(j)
-        if not 0 <= i < j:
-            raise ValueError("matrix files carry the strict upper triangle only")
-        entries[(i, j)] = float(value)
-        n = max(n, j + 1)
+    # numpy parses the rows after the header into one array, so memory is a
+    # few times the triangle's, not the text's
+    with open(path) as fh:
+        if fh.readline().strip() != "i,j,value":
+            raise ValueError("expected header 'i,j,value'")
+        # a ValueError unless there are rows, each of 3 fields
+        rows, cols, value = np.loadtxt(fh, delimiter=",", ndmin=2, unpack=True)
+    i, j = rows.astype(np.int64), cols.astype(np.int64)
+    if not ((i == rows) & (j == cols)).all():
+        raise ValueError("pair indices must be integers")
+    if not ((0 <= i) & (i < j)).all():
+        raise ValueError("matrix files carry the strict upper triangle only")
+    n = int(j.max()) + 1
+    keys = i * n + j
+    pairs = len(np.unique(keys))
     # a file written by write_matrix_csv lists every pair of its n once
-    if not len(data) == len(entries) == tri_size(n):
+    if not len(keys) == pairs == tri_size(n):
         raise ValueError(f"expected each of the {tri_size(n)} pairs of n={n} once, "
-                         f"got {len(data)} rows for {len(entries)} pairs")
-    tri = np.zeros(tri_size(n))
-    for (i, j), v in entries.items():
-        tri[tri_index(n, i, j)] = v
+                         f"got {len(keys)} rows for {pairs} pairs")
+    tri = np.empty(tri_size(n))
+    tri[key_to_tri(n, keys)] = value
     return SymmetricProbMatrix(n, tri)
 
 

@@ -10,12 +10,14 @@ Python floats, filled lazily: 64 on the first draw, then doubling up to
 8192.  PCG64 doubles do not depend on how they are blocked, so the stream is
 the same whatever the block sizes.  Hot loops call only `rng.uniform` (often
 bound to a local) or the bulk `rng.uniforms(k)`, never the block itself, so a
-subclass overriding both sees every draw.
+subclass overriding both sees every draw.  A caller that reads ahead puts
+back what it did not use with `rng.unread`; a subclass that counts what
+those two hand out counts a put-back draw again.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from math import exp, floor, isfinite, lgamma, log, sqrt
+from math import exp, floor, lgamma, log, sqrt
 from operator import length_hint
 from typing import Iterator
 
@@ -30,6 +32,8 @@ _STREAM_BLOCK_MIN = 64
 _STREAM_WINDOW = 4096
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+# numpy's bound on `Generator.poisson`'s mean, so that a draw fits an int64
+_POISSON_MEAN_MAX = _MASK64 // 2 - sqrt(_MASK64 // 2) * 10
 # streams whose seed words are derived together, in one `_stream_states` call
 _STREAM_BLOCK = 1024
 # numpy's SeedSequence: a pool of 4 words and its hash and mix constants
@@ -144,6 +148,12 @@ class RandomSource:
             return np.array(head, dtype=float)
         return np.concatenate([head, self._gen.random(k - len(head))])
 
+    def unread(self, values) -> None:
+        """Put back draws taken and not used, in the order they were drawn:
+        the next `uniform()` or `uniforms(k)` returns them first."""
+        self._buf = np.asarray(values, dtype=float).tolist() + self._buf[self._pos:]
+        self._pos = 0
+
     def below(self, n: int) -> int:
         """Uniform integer in [0, n)."""
         return int(self.uniform() * n)
@@ -245,16 +255,15 @@ class CandidateStream:
     rest to `accept_rest`.  A step's draws do not depend on what the caller
     does with earlier steps, so streams of at least 64 steps are parsed ahead
     with numpy, a window of at most 4096 steps per pass; shorter ones, where
-    numpy's cost per call would dominate, are drawn step by step.  Each attempt
-    takes four uniforms and each step at least five (its accepted attempt and
-    its coin), so a pass asks `rng.uniforms` for five per step it still owes,
-    less what the previous pass left: never more than the step-by-step loop
-    would consume.  `big_lambda` is a `graphs.SymmetricProbMatrix`, whose
-    `entries(j, k)` equal its `entry(j, k)` bit for bit.
+    numpy's cost per call would dominate, are drawn step by step.  A pass
+    takes five uniforms per step it still owes and puts the draws after its
+    last whole step back with `rng.unread`, so the rng is left where the
+    step-by-step loop would leave it.  `big_lambda` is a
+    `graphs.SymmetricProbMatrix`, whose `entries(j, k)` equal its `entry(j,
+    k)` bit for bit.
     """
 
-    __slots__ = ("table", "big_lambda", "rng", "left", "_chunk", "_tail", "_prob", "_alias",
-                 "_spare")
+    __slots__ = ("table", "big_lambda", "rng", "left", "_chunk", "_tail", "_prob", "_alias")
 
     def __init__(self, table: AliasTable, big_lambda, count: int, rng: RandomSource):
         table.require_pairs()
@@ -264,7 +273,6 @@ class CandidateStream:
         if count >= _STREAM_BLOCK_MIN:
             self._prob = np.array(table.prob)
             self._alias = np.array(table.alias, dtype=np.intp)
-            self._spare = np.empty(0)
             # the current window, and an iterator over its coins that the
             # step iterator advances
             self._chunk: tuple[np.ndarray, ...] | None = None
@@ -307,11 +315,7 @@ class CandidateStream:
 
     def _parse(self) -> tuple[np.ndarray, ...]:
         """The next steps, at most one window: (j, k, Lambda_jk, u) as arrays, j < k."""
-        want = 5 * min(self.left, _STREAM_WINDOW)
-        spare = self._spare
-        buf = self.rng.uniforms(want - len(spare))
-        if len(spare):
-            buf = np.concatenate([spare, buf])
+        buf = self.rng.uniforms(5 * min(self.left, _STREAM_WINDOW))
         # x[p]: the index one alias draw makes from buf[p], buf[p + 1]
         idx = (buf[:-1] * self.table.size).astype(np.intp)
         x = np.where(buf[1:] >= self._prob[idx], self._alias[idx], idx)
@@ -326,7 +330,7 @@ class CandidateStream:
         end = p + 5 * ((len(buf) - p) // 5)
         starts.append(np.arange(p, end, 5))
         at = np.concatenate(starts)
-        self._spare = buf[end:]
+        self.rng.unread(buf[end:])
         self.left -= len(at)
         j, k = x[at], x[at + 2]
         lo, hi = np.minimum(j, k), np.maximum(j, k)
@@ -340,8 +344,9 @@ def sample_poisson(mean: float, rng: RandomSource) -> int:
     transformed-rejection method above; both sample the exact law, never a
     normal approximation.
     """
-    if not (mean >= 0 and isfinite(mean)):
-        raise ValueError(f"mean must be finite and >= 0, got {mean}")
+    if not 0 <= mean <= _POISSON_MEAN_MAX:
+        raise ValueError(f"mean must be finite, >= 0 and at most {_POISSON_MEAN_MAX:.4g}, "
+                         f"got {mean}")
     if mean == 0:
         return 0
     if mean < 30.0:

@@ -130,16 +130,13 @@ class AsymptoticKernel:
     the last rebuild, so on average at least 9/16 of proposals survive it.
 
     Uniforms come in blocks from `rng.uniforms`, and each block is mapped
-    to stub vertices by one numpy gather (`drawn_stubs[i]` is the vertex
-    `drawn[i]` picks from the current stub list; the unread rest is mapped
-    again at each rebuild).  The loop reads a proposal's j and k from
-    `drawn_stubs` and its coin from `drawn`, by position, so a draw's role
-    is still decided as the scalar loop decided it.  An insertion reads at
-    least 3 uniforms, and a refill asks for at most 3 per insertion still
-    owed, less what is held unread: a call that makes all its insertions
-    reads every uniform it drew, and the stream is the same as one
-    `rng.uniform()` per draw.  Draws held at a dead end stay on the kernel,
-    for the same rng's next call to read first.
+    to stub vertices by one numpy gather.  The loop reads a proposal's j and
+    k from the mapped block and its coin from the block itself, by position,
+    so a draw's role is still decided as the scalar loop decided it.  The
+    block is local to one `insert_step` call: a rebuild of the stub list, and
+    every return, hands its unread rest back with `rng.unread`, so the rng
+    is left where one `rng.uniform()` per draw would leave it and the kernel
+    holds no draw between calls.
 
     `complete` makes all of its insertions in one frame, one `insert_step`
     call per attempt; a plain `insert_step` makes one.  The stub list is
@@ -149,8 +146,7 @@ class AsymptoticKernel:
     entry overstates its ratio and is replaced by its current one.
     """
 
-    __slots__ = ("d", "n", "t", "tsum", "edges", "history", "stubs", "t_r", "tsum_r", "heap",
-                 "drawn", "drawn_stubs", "read")
+    __slots__ = ("d", "n", "t", "tsum", "edges", "history", "stubs", "t_r", "tsum_r", "heap")
 
     def __init__(self, d: Sequence[int], edges: set[int], t: list[int]):
         self.d = d
@@ -165,10 +161,6 @@ class AsymptoticKernel:
         # entries (-t_h/d_h, h, t_h) carry the t value they were made with,
         # so stale ones can be told apart
         self.heap: list[tuple[float, int, int]] | None = None
-        # uniforms drawn so far; those from `read` on are not yet used
-        self.drawn: list[float] = []
-        self.drawn_stubs: list[int] = []
-        self.read = 0
 
     def weight(self, j: int, k: int) -> float:
         prod = self.t[j] * self.t[k]
@@ -218,31 +210,27 @@ class AsymptoticKernel:
         # neighbours, so the first row finds a non-edge when len(pos) > max(d)
         return next(self._open_pairs(), None) is not None
 
-    def _stub_vertices(self, u: np.ndarray) -> list[int]:
-        """The vertex each uniform in u picks from the current stub list."""
-        return self.stubs[(u * len(self.stubs)).astype(np.intp)].tolist()
-
     def insert_step(self, rng: RandomSource, count: int = 1) -> int | None:
         """`count` accepted insertions in one frame; the key of the last edge
         inserted, or None as soon as no eligible pair remains (checked once
         512 proposals in a row have failed)."""
         n, t, edges, append = self.n, self.t, self.edges, self.history.append
         stubs, t_r, tsum, tsum_r = self.stubs, self.t_r, self.tsum, self.tsum_r
-        drawn, drawn_stubs, p = self.drawn, self.drawn_stubs, self.read
-        end = len(drawn)
+        # the block of uniforms, each one's stub vertex, the next to read and the end
+        drawn, drawn_stubs, p, end = [], [], 0, 0
         e = None
         try:
             for owed in range(count, 0, -1):
                 if tsum < 2:
                     return None
                 if stubs is None or 4 * tsum < 3 * tsum_r:
+                    # the block was mapped on the old list: refill, handing its rest back
+                    end = p
                     # drop the old list first
                     stubs = self.stubs = None
                     t_r = self.t_r = list(t)
                     tsum_r = self.tsum_r = tsum
                     stubs = self.stubs = np.repeat(np.arange(len(t_r)), t_r)
-                    drawn = drawn[p:]
-                    drawn_stubs, p, end = self._stub_vertices(np.array(drawn)), 0, len(drawn)
                 attempts = 0
                 while True:
                     attempts += 1
@@ -251,10 +239,12 @@ class AsymptoticKernel:
                             return None
                         attempts = 0
                     if end - p < 3:
-                        # at most 3 uniforms per insertion still owed, less those held
-                        u = np.concatenate(
-                            [drawn[p:], rng.uniforms(min(_DRAW_BLOCK, 3 * owed - (end - p)))])
-                        drawn, drawn_stubs, p, end = u.tolist(), self._stub_vertices(u), 0, len(u)
+                        # at most 3 uniforms per insertion still owed
+                        rng.unread(drawn[p:])
+                        u = rng.uniforms(min(_DRAW_BLOCK, 3 * owed))
+                        drawn, p, end = u.tolist(), 0, len(u)
+                        # the vertex each uniform picks from the stub list
+                        drawn_stubs = stubs[(u * len(stubs)).astype(np.intp)].tolist()
                     j = drawn_stubs[p]
                     k = drawn_stubs[p + 1]
                     tj, tk = t[j], t[k]
@@ -276,7 +266,7 @@ class AsymptoticKernel:
                 self.tsum = tsum = tsum - 2
             return e
         finally:
-            self.drawn, self.drawn_stubs, self.read = drawn, drawn_stubs, p
+            rng.unread(drawn[p:])
 
     def complete(self, rng: RandomSource) -> int:
         """Insert until every degree is met.  A run that paints itself into a
@@ -316,6 +306,16 @@ def make_kernel(
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def check_checkpoints(d: DegreeSequence, checkpoints: Sequence[int]) -> list[int]:
+    """The checkpoints as ints; ValueError for one outside [0, ||d||_1 / 2]."""
+    m_total = d.total // 2
+    want = [int(m) for m in checkpoints]
+    for m in want:
+        if not 0 <= m <= m_total:
+            raise ValueError(f"checkpoint {m} outside [0, {m_total}]")
+    return want
+
+
 def seq_sample_d(
     d: DegreeSequence | Sequence[int],
     mode: SeqSampleMode,
@@ -340,11 +340,7 @@ def seq_sample_d(
     d = DegreeSequence.of(d)
     if not is_graphical(d):
         raise NonGraphicalError(f"{d.degrees} is not graphical")
-    m_total = d.total // 2
-    want = [int(m) for m in checkpoints]
-    for m in want:
-        if not 0 <= m <= m_total:
-            raise ValueError(f"checkpoint {m} outside [0, {m_total}]")
+    want = check_checkpoints(d, checkpoints)
     kernel = make_kernel(d, mode, SimpleGraph.empty(d.n))
     restarts = kernel.complete(rng)
     if diagnostics is not None:

@@ -348,6 +348,37 @@ class TestConfigValidation:
         assert len(err) == 1 and err[0].startswith("error: ") and "outside" in err[0]
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_poisson_mean_past_bound_exits_1(self, tmp_path, capsys, seed):
+        # seed 1 ended in an OverflowError traceback; seeds 2 and 3 drew
+        # about 1e308 candidate steps and ran until killed
+        args = ["seq-approx-p", "--degrees", "regular(6,2)", "--lam", "1e308",
+                "--seed", str(seed), "--out", str(tmp_path / "o")]
+        assert run(args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "at most" in err[0]
+
+    @pytest.mark.parametrize(
+        "args, code, message",
+        [(["couple", "--degrees", "regular(6,2)", "--mode", "exact", "--denom", "certified-bound"],
+          1, "certified bound"),
+         (["sample-gnd", "--degrees", "regular(6,2)", "--checkpoints", "1,7"],
+          1, "checkpoint 7 outside [0, 6]"),
+         (["oracle", "--degrees", "regular(12,3)"], 3, "exceeds enumeration cap"),
+         (["couple", "--degrees", "regular(12,3)", "--mode", "exact", "--denom", "exact-max"],
+          3, "exceeds enumeration cap"),
+         (["sample-gnd", "--degrees", "regular(12,3)", "--mode", "exact"],
+          3, "exceeds enumeration cap")],
+        ids=["couple-denom", "gnd-checkpoint", "oracle-cap", "couple-cap", "gnd-cap"],
+    )
+    def test_bad_setup_exits_before_writing(self, tmp_path, capsys, args, code, message):
+        # each wrote degrees.txt before the set-up or the first replica failed
+        out = tmp_path / "o"
+        assert run(args + ["--out", str(out)]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+        assert not out.exists() or not any(out.iterdir())
+
 
 # each command's numeric flags and config keys, and what they are fed:
 # non-finite, zero and negative numbers, and values of the wrong type

@@ -101,6 +101,30 @@ def test_matrix_csv_write_memory_is_a_row_not_the_file(tmp_path):
     assert peak < 2_000_000
 
 
+def test_matrix_csv_read_memory_is_the_triangle_not_the_text(tmp_path):
+    # the same 14.4 MB file: reading its lines and a dict of its pairs
+    # peaked at about 311 MB; numpy's parse of it peaks near 46 MB
+    m = p_matrix((10,) * 1000)
+    write_matrix_csv(tmp_path / "w.csv", m)
+    tracemalloc.start()
+    try:
+        back = read_matrix_csv(tmp_path / "w.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.tri, m.tri)
+    assert peak < 100_000_000
+
+
+@pytest.mark.parametrize("body", ["0.5,1,0.5\n", "0,1\n", "0,1,0.5,2\n", "0,1,x\n"],
+                         ids=["fractional-index", "two-fields", "four-fields", "bad-value"])
+def test_matrix_csv_rejects_malformed_rows(tmp_path, body):
+    path = tmp_path / "bad.csv"
+    path.write_text("i,j,value\n" + body)
+    with pytest.raises(ValueError):
+        read_matrix_csv(path)
+
+
 def test_matrix_csv_rejects_nan(tmp_path):
     path = tmp_path / "nan.csv"
     path.write_text("i,j,value\n0,1,nan\n")

@@ -137,6 +137,27 @@ class TestRandomSource:
 
         assert draws(clear=True) == draws(clear=False)
 
+    @given(st.integers(0, 2**32), st.sampled_from(BLOCK_SIZES + DRAW_RUNS),
+           st.sampled_from(["uniform", "uniforms"]), st.sampled_from(["uniform", "uniforms"]),
+           st.integers(0, 20_000), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_unread_draws_come_out_again(self, seed, taken, take, read, ahead, data):
+        # draws taken either way, some put back, come out again in order from
+        # either method; the stream then goes on as an untouched source's
+        rng, ref = RandomSource(seed), RandomSource(seed)
+        rng.uniforms(ahead)
+        ref.uniforms(ahead)
+        drawn = (rng.uniforms(taken).tolist() if take == "uniforms"
+                 else [rng.uniform() for _ in range(taken)])
+        back = data.draw(st.integers(0, taken))
+        rng.unread(drawn[taken - back:] if take == "uniform" else np.array(drawn[taken - back:]))
+        again = (rng.uniforms(taken).tolist() if read == "uniforms"
+                 else [rng.uniform() for _ in range(taken)])
+        assert drawn[:taken - back] + again == ref.uniforms(2 * taken - back).tolist()
+        assert all(type(x) is float for x in again)
+        assert [rng.uniform() for _ in range(100)] == [ref.uniform() for _ in range(100)]
+        assert rng.uniforms(9000).tolist() == ref.uniforms(9000).tolist()
+
     def test_uniform_is_a_python_float(self):
         rng = RandomSource(5)
         assert type(rng.uniform()) is float
@@ -274,6 +295,16 @@ class TestSamplePoisson:
         # inf was an OverflowError from the rejection branch
         with pytest.raises(ValueError, match="finite"):
             sample_poisson(mean, RandomSource(0))
+
+    @pytest.mark.parametrize("mean", [9.3e18, 1e308])
+    def test_mean_past_numpys_bound_raises(self, mean):
+        # 1e308 was an OverflowError from lgamma, or a draw of about 1e308 steps
+        with pytest.raises(ValueError, match="at most"):
+            sample_poisson(mean, RandomSource(1))
+
+    def test_mean_at_numpys_bound_draws(self):
+        mean = randomness._POISSON_MEAN_MAX
+        assert abs(sample_poisson(mean, RandomSource(1)) - mean) < 1e12
 
     def test_moments_small_mean(self):
         # inversion branch; 3-sigma bands around mean 4 over 1e6 draws

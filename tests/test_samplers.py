@@ -3,7 +3,7 @@ import tracemalloc
 from math import expm1, sqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degseq import (
@@ -270,10 +270,7 @@ class TestAsymptoticStepLaw:
         index = {e: i for i, e in enumerate(pairs)}
         counts = [0] * len(pairs)
         # every draw starts from base's state: t, the edges and the history are
-        # copied, and the stub list is shared read only; the build read every
-        # uniform it drew, so no held draw is left to copy
-        if base.read != len(base.drawn):
-            raise InvariantError("the build left uniforms unread")
+        # copied, and the stub list is shared read only
         base.stubs.setflags(write=False)
         for s in range(self.DRAWS):
             kernel = AsymptoticKernel(self.D, set(base.edges), list(base.t))
@@ -490,15 +487,37 @@ class TestBlockDrawsReplayScalarLoop:
         d = list(parse_generator_spec(spec, 5).degrees)
         require_same_completion(d, lambda: RandomSource(5, 1))
 
-    @given(graphical_degrees(max_n=12), st.integers(0, 2**32 - 1), st.data())
+    @given(graphical_degrees(max_n=12), st.integers(0, 2**32 - 1), st.integers(1, 40))
     @settings(deadline=None)
-    def test_full_call_reads_every_draw(self, degrees, seed, data):
-        count = data.draw(st.integers(1, max(1, sum(degrees) // 2)))
+    @example((1, 1, 2), 25, 2)  # a dead end after the first insertion
+    def test_full_call_reads_every_draw(self, degrees, seed, count):
+        count = min(count, max(1, sum(degrees) // 2))
         kernel = AsymptoticKernel(degrees, set(), list(degrees))
         reference = ScalarKernel(degrees, set(), list(degrees))
         rng, rng_ref = RandomSource(seed), RandomSource(seed)
         e = kernel.insert_step(rng, count)
         if e != reference.insert_step(rng_ref, count) or kernel.history != reference.history:
             raise InvariantError("one call of count insertions left the scalar stream")
-        if e is not None and (kernel.read != len(kernel.drawn) or rng.uniform() != rng_ref.uniform()):
-            raise InvariantError(f"a full call of {count} insertions left draws unread")
+        # a full call and a dead end alike leave the rng where the scalar loop does
+        if rng.uniform() != rng_ref.uniform():
+            raise InvariantError(f"a call of {count} insertions left the rng elsewhere")
+
+    @pytest.mark.parametrize("second", range(16))
+    def test_dead_end_keeps_no_draw_for_another_rng(self, second):
+        # (1, 1, 2) dead-ends at seed 25 once it inserts (0, 1); the restarted
+        # kernel must then read the second rng alone, as a fresh kernel does.
+        # With seed 2 it once returned edge 2, history [5, 2], for [2, 5]
+        degrees = (1, 1, 2)
+        kernel = AsymptoticKernel(degrees, set(), list(degrees))
+        if kernel.insert_step(RandomSource(25), count=2) is not None:
+            raise InvariantError("(1, 1, 2) at seed 25 no longer dead-ends")
+        kernel.edges.clear()
+        kernel.t[:] = degrees
+        kernel.tsum = sum(degrees)
+        kernel.history.clear()
+        kernel.stubs = None
+        fresh = AsymptoticKernel(degrees, set(), list(degrees))
+        got = kernel.insert_step(RandomSource(second), count=2), kernel.history
+        want = fresh.insert_step(RandomSource(second), count=2), fresh.history
+        if got != want:
+            raise InvariantError(f"after a dead end, seed {second} gave {got} for {want}")
