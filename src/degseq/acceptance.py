@@ -25,7 +25,7 @@ from .graphs import (
     SymmetricProbMatrix,
     degree_stats,
     is_graphical,
-    tri_index,
+    key_to_tri,
 )
 from .oracle import (
     edge_counts,
@@ -276,11 +276,8 @@ def criterion_c7() -> CriterionResult:
                     graphical += 1
                     counts = edge_counts(fam)
                     for j in range(n):
-                        row = sum(
-                            counts[tri_index(n, min(j, k), max(j, k))]
-                            for k in range(n)
-                            if k != j
-                        )
+                        row = sum(counts[key_to_tri(n, min(j, k) * n + max(j, k))]
+                                  for k in range(n) if k != j)
                         if row != len(fam) * degrees[j]:
                             return False, f"row-sum mismatch at {degrees}, vertex {j}"
         return True, f"{checked} sequences checked, {graphical} graphical, all consistent"

@@ -307,6 +307,7 @@ class SeqApproxP(SampleGnw):
         self.samples = []
         meta = self._schedule()
         self.lam = self.config.lam if self.config.lam is not None else self.params.lam
+        randomness.check_poisson_mean(self.lam, "lam")
         return meta | {"lam_used": self.lam}
 
     def draw(self, rng: randomness.RandomSource) -> graphs.SimpleGraph:
@@ -326,6 +327,8 @@ class Couple(Command):
         self.denom = EtaDenominatorMode(self.config.denom)
         coupling.require_compatible(self.denom, SeqSampleMode(self.config.mode))
         self.prob = self._prob_mode()
+        # run_coupling reads the cap in every replica: a bad one fails here, before any file
+        oracle.oracle_cap()
         self.traces: list[dict] = []
         self.fallbacks = self.violations = 0
         return self._schedule() | {"denom": self.config.denom}

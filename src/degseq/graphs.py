@@ -326,15 +326,10 @@ def tri_size(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def tri_index(n: int, j: int, k: int) -> int:
-    """Flat index of pair (j, k), j < k, in row-major upper-triangular order."""
-    if not (0 <= j < k < n):
-        raise ValueError(f"pair ({j},{k}) invalid for n={n}")
-    return j * n - j * (j + 1) // 2 + (k - j - 1)
-
-
-def key_to_tri(n: int, key: np.ndarray) -> np.ndarray:
-    """Flat indices, in the order of `tri_index`, of valid edge keys j*n + k."""
+def key_to_tri(n: int, key: np.ndarray | int) -> np.ndarray | int:
+    """Flat index, in row-major upper-triangular order, of edge key j*n + k, j < k:
+    the one pair-to-slot map, for a Python int or an int64 array of valid keys.
+    Row j starts at the slot of (j, j + 1), key j*(n + 1) + 1."""
     j = key // n
     return key - (j + 1) * (j + 2) // 2
 
@@ -342,7 +337,7 @@ def key_to_tri(n: int, key: np.ndarray) -> np.ndarray:
 def tri_to_key(n: int, idx: np.ndarray) -> np.ndarray:
     """Edge keys j*n + k of the pairs at flat indices `idx` (the inverse of `key_to_tri`)."""
     rows = np.arange(max(n - 1, 0), dtype=np.int64)
-    j = np.searchsorted(rows * n - rows * (rows + 1) // 2, idx, side="right") - 1
+    j = np.searchsorted(key_to_tri(n, rows * (n + 1) + 1), idx, side="right") - 1
     return idx + (j + 1) * (j + 2) // 2
 
 
@@ -432,7 +427,7 @@ class SymmetricProbMatrix:
             n = self.n
             tri = np.empty(tri_size(n))
             for j in range(n - 1):
-                start = j * n - j * (j + 1) // 2
+                start = key_to_tri(n, j * (n + 1) + 1)
                 tri[start:start + n - 1 - j] = self.row(j)
             tri.setflags(write=False)
             self._tri = tri

@@ -24,8 +24,8 @@ from .graphs import (
     NonGraphicalError,
     SimpleGraph,
     SymmetricProbMatrix,
+    key_to_tri,
     normalize_edge,
-    tri_index,
     tri_pairs,
     tri_size,
 )
@@ -104,7 +104,7 @@ def mask_of_edges(n: int, keys: Iterable[int]) -> int:
         keys = keys.tolist()
     mask = 0
     for key in keys:
-        mask |= 1 << tri_index(n, *divmod(key, n))
+        mask |= 1 << key_to_tri(n, key)
     return mask
 
 
@@ -162,14 +162,14 @@ def _choices(tail: tuple[int, ...], n: int) -> Iterator[tuple[int, tuple[int, ..
     degrees `tail` (of vertices n - len(tail) .. n - 1) can take its r
     neighbours among the higher vertices: an r-subset of those with residual
     degree left.  Its pairs (v, k), k > v, are row v of `tri_pairs(n)`,
-    consecutive bits from tri_index(n, v, v + 1), so each choice is one
+    consecutive bits from the slot of (v, v + 1), so each choice is one
     shifted bit pattern.  The empty tail has one choice, of nothing."""
     if not tail:
         yield 0, ()
         return
     r, rest = tail[0], tail[1:]
     v = n - len(tail)
-    base = v * n - v * (v + 1) // 2
+    base = key_to_tri(n, v * (n + 1) + 1) if v < n - 1 else 0  # row n - 1 is empty
     for chosen in combinations([i for i, x in enumerate(rest) if x], r):
         left = list(rest)
         pattern = 0
@@ -314,7 +314,7 @@ def exact_conditional_edge_prob(
     if h.has_edge(j, k):
         raise ValueError(f"edge ({j},{k}) already in the conditioning graph")
     kernel = OracleKernel(enumerate_graphs(d), h.edges.tolist())
-    return kernel.candidate_counts().get(tri_index(d.n, j, k), 0) / len(kernel.sub)
+    return kernel.candidate_counts().get(key_to_tri(d.n, j * d.n + k), 0) / len(kernel.sub)
 
 
 def exact_uniform_sample(
@@ -388,7 +388,7 @@ class OracleKernel:
         return self._counts
 
     def weight(self, j: int, k: int) -> float:
-        i = tri_index(self.n, j, k)
+        i = key_to_tri(self.n, j * self.n + k)
         return self._weight(i, self.candidate_counts().get(i, 0))
 
     def denominator(self, mode: EtaDenominatorMode) -> float:
@@ -402,7 +402,8 @@ class OracleKernel:
         return count / len(self.sub) / (self.d[j] * self.d[k])
 
     def insert(self, j: int, k: int) -> None:
-        e, bit = j * self.n + k, 1 << tri_index(self.n, j, k)
+        e = j * self.n + k
+        bit = 1 << key_to_tri(self.n, e)
         self.edges.add(e)
         self.history.append(e)
         self.gmask |= bit

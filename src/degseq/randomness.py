@@ -337,6 +337,13 @@ class CandidateStream:
         return lo, hi, self.big_lambda.entries(lo, hi), buf[at + 4]
 
 
+def check_poisson_mean(mean: float, name: str = "mean") -> None:
+    """Raise ValueError, naming the value `name`, unless `sample_poisson` takes this mean."""
+    if not 0 <= mean <= _POISSON_MEAN_MAX:
+        raise ValueError(f"{name} must be finite, >= 0 and at most {_POISSON_MEAN_MAX:.4g}, "
+                         f"got {mean}")
+
+
 def sample_poisson(mean: float, rng: RandomSource) -> int:
     """Exact Poisson draw.
 
@@ -344,9 +351,7 @@ def sample_poisson(mean: float, rng: RandomSource) -> int:
     transformed-rejection method above; both sample the exact law, never a
     normal approximation.
     """
-    if not 0 <= mean <= _POISSON_MEAN_MAX:
-        raise ValueError(f"mean must be finite, >= 0 and at most {_POISSON_MEAN_MAX:.4g}, "
-                         f"got {mean}")
+    check_poisson_mean(mean)
     if mean == 0:
         return 0
     if mean < 30.0:

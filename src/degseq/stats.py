@@ -302,22 +302,18 @@ def degree_concentration_check(
     """
     d = DegreeSequence.of(d)
     total = d.total
+    target = np.array(d.degrees, dtype=np.int64)
     bands = []
     for m, g in checkpoints:
         if g.n != d.n:
             raise ValueError("checkpoint graph size mismatch")
         p_m = (total - 2 * m) / total if total else 0.0
-        deg = g.degree_vector()
-        violations = 0
-        worst = 0.0
-        for j in range(d.n):
-            tj = d[j] - deg[j]
-            center = p_m * d[j]
-            dev = abs(tj - center)
-            if dev > xi * center:
-                violations += 1
-            if center > 0:
-                worst = max(worst, dev / center)
+        center = p_m * target
+        # |t_j - p_m d_j|, with t_j = d_j - deg_j taken in integers
+        dev = np.abs(target - np.array(g.degree_vector(), dtype=np.int64) - center)
+        positive = center > 0
+        worst = float(np.max(dev[positive] / center[positive], initial=0.0))
+        violations = int(np.count_nonzero(dev > xi * center))
         bands.append(CheckpointBand(m, p_m, violations / d.n, worst))
     return ConcentrationReport(xi, bands)
 

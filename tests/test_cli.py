@@ -368,8 +368,11 @@ class TestConfigValidation:
          (["couple", "--degrees", "regular(12,3)", "--mode", "exact", "--denom", "exact-max"],
           3, "exceeds enumeration cap"),
          (["sample-gnd", "--degrees", "regular(12,3)", "--mode", "exact"],
-          3, "exceeds enumeration cap")],
-        ids=["couple-denom", "gnd-checkpoint", "oracle-cap", "couple-cap", "gnd-cap"],
+          3, "exceeds enumeration cap"),
+         (["seq-approx-p", "--degrees", "regular(6,2)", "--lam", "1e308"],
+          1, "lam must be finite, >= 0 and at most")],
+        ids=["couple-denom", "gnd-checkpoint", "oracle-cap", "couple-cap", "gnd-cap",
+             "approx-p-lam"],
     )
     def test_bad_setup_exits_before_writing(self, tmp_path, capsys, args, code, message):
         # each wrote degrees.txt before the set-up or the first replica failed
@@ -377,6 +380,15 @@ class TestConfigValidation:
         assert run(args + ["--out", str(out)]) == code
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_bad_oracle_cap_exits_before_writing(self, tmp_path, capsys, monkeypatch):
+        # an asymptotic couple read the cap only in replica 0, after degrees.txt
+        monkeypatch.setenv("DEGSEQ_ORACLE_CAP", "abc")
+        out = tmp_path / "o"
+        assert run(["couple", "--degrees", "regular(40,4)", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "DEGSEQ_ORACLE_CAP" in err[0]
         assert not out.exists() or not any(out.iterdir())
 
 

@@ -4,7 +4,6 @@ import subprocess
 import sys
 import warnings
 from itertools import combinations
-from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,6 @@ from degseq import (
 from degseq.graphs import (
     SymmetricProbMatrix,
     key_to_tri,
-    tri_index,
     tri_pairs,
     tri_size,
     tri_to_key,
@@ -328,20 +326,17 @@ class TestSimpleGraph:
         g = SimpleGraph.from_edges(4, [(0, 1), (1, 2)])
         assert g.degree_vector() == (1, 2, 1, 0)
 
-    def test_tri_index_bijection(self):
-        n = 7
-        seen = set()
-        for j, k in tri_pairs(n):
-            idx = tri_index(n, j, k)
-            assert idx not in seen
-            seen.add(idx)
-        assert seen == set(range(comb(n, 2)))
-
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 12, 65, 300])
     def test_tri_keys_match_pairs(self, n):
+        pair_keys = [j * n + k for j, k in tri_pairs(n)]
         keys = tri_to_key(n, np.arange(tri_size(n)))
-        assert keys.tolist() == [j * n + k for j, k in tri_pairs(n)]
+        assert keys.tolist() == pair_keys
         assert key_to_tri(n, keys).tolist() == list(range(tri_size(n)))
+        # Python-int keys, as the oracle passes them, map to the same slots
+        assert [key_to_tri(n, key) for key in pair_keys] == list(range(tri_size(n)))
+        # the order SymmetricProbMatrix.__init__ reads `tri` in
+        rows, cols = np.triu_indices(n, 1)
+        assert (rows * n + cols).tolist() == pair_keys
 
 
 # (n, bad key): the n <= 64 and n > 64 validation paths, each with every kind of bad key

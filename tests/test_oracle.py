@@ -23,7 +23,7 @@ from degseq import (
 )
 from degseq import oracle
 from degseq.cli import main
-from degseq.graphs import InvariantError, tri_index, tri_pairs
+from degseq.graphs import InvariantError, key_to_tri, tri_pairs
 from degseq.oracle import (
     OracleKernel,
     bit_counts,
@@ -231,7 +231,7 @@ class TestExactEdgeMarginals:
             return
         counts = edge_counts(fam)
         for j in range(n):
-            row = sum(counts[tri_index(n, min(j, k), max(j, k))] for k in range(n) if k != j)
+            row = sum(counts[key_to_tri(n, min(j, k) * n + max(j, k))] for k in range(n) if k != j)
             assert row == len(fam) * d[j]
 
 
@@ -273,7 +273,7 @@ class TestExactConditional:
         assume(non_edges)
         j, k = data.draw(st.sampled_from(non_edges))
         # a filter-and-count over the whole family, as a reference
-        hmask, bit = mask_of_edges(n, h.edges), 1 << tri_index(n, j, k)
+        hmask, bit = mask_of_edges(n, h.edges), 1 << key_to_tri(n, j * n + k)
         sub = [m for m in fam.masks if m & hmask == hmask]
         hit = sum(1 for m in sub if m & bit)
         assert exact_conditional_edge_prob(d, h, (j, k)) == hit / len(sub)
@@ -401,7 +401,7 @@ class TestOracleCompletion:
             mask = mask_of_edges(n, kernel.edges)
             members[sub.index(mask)] += 1
             missing = set_bits(mask ^ gmask)
-            firsts[missing.index(tri_index(n, *divmod(kernel.history[0], n)))] += 1
+            firsts[missing.index(key_to_tri(n, kernel.history[0]))] += 1
         assert pearson_chi_square(members, [1 / 28] * 28).p_value > THRESHOLDS.p_min
         assert pearson_chi_square(firsts, [1 / 5] * 5).p_value > THRESHOLDS.p_min
 
