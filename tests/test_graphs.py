@@ -4,6 +4,7 @@ import subprocess
 import sys
 import warnings
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -325,6 +326,16 @@ class TestSimpleGraph:
     def test_degree_vector(self):
         g = SimpleGraph.from_edges(4, [(0, 1), (1, 2)])
         assert g.degree_vector() == (1, 2, 1, 0)
+
+    def test_tri_index_bijection(self):
+        # the pair-to-slot map is one-to-one and onto the n(n-1)/2 slots
+        n = 7
+        seen = set()
+        for j, k in tri_pairs(n):
+            idx = key_to_tri(n, j * n + k)
+            assert idx not in seen
+            seen.add(idx)
+        assert seen == set(range(comb(n, 2)))
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 12, 65, 300])
     def test_tri_keys_match_pairs(self, n):
