@@ -39,12 +39,15 @@ def powerlaw_sequence(
     n: int, exponent: float, d_min: int, d_max: int, rng: RandomSource
 ) -> GeneratedSequence:
     """i.i.d. draws from p(k) proportional to k^(-exponent) on [d_min, d_max]."""
-    if exponent <= 1:
-        raise ValueError("exponent must exceed 1")
+    if not 1 < exponent < np.inf:
+        raise ValueError(f"exponent must be a finite number above 1, got {exponent!r}")
     if not 1 <= d_min <= d_max < n:
         raise ValueError(f"need 1 <= d_min <= d_max < n, got [{d_min}, {d_max}], n={n}")
     support = np.arange(d_min, d_max + 1, dtype=float)
     weights = support ** (-exponent)
+    if not weights.any():
+        raise ValueError(f"exponent {exponent!r} puts every weight on [{d_min}, {d_max}] "
+                         "below the smallest float")
     cdf = np.cumsum(weights / weights.sum())
     u = rng.uniforms(n)
     draws = d_min + np.searchsorted(cdf, u, side="right")
@@ -134,4 +137,6 @@ def parse_generator_spec(spec: str, seed: int) -> GeneratedSequence:
     n, d = int(args[0]), int(args[1])
     fraction = float(args[2])
     use_seed = int(args[3]) if len(args) > 3 else seed
+    if not 0 <= use_seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {use_seed!r}")
     return perturbed_regular_sequence(n, d, fraction, RandomSource(use_seed, stream=0))

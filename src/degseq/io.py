@@ -1,9 +1,13 @@
 """File formats.
 
 Degree files: one non-negative integer per line, vertex = 0-based line number.
-Graph files: one edge per line as "j k" with j < k, 0-based.
+Graph files: one edge per line as "j k" with j < k, 0-based.  Readers take
+  either order and skip blank lines and extra spaces or tabs.  numpy parses a
+  plain graph file (digits, spaces, tabs, newlines); other files, and any
+  file with a bad line, are read line by line, so every bad line gets the
+  same ValueError from the same code.
 Matrix files: CSV with header "i,j,value", strict upper triangle only.
-Family files: edge-list blocks separated by blank lines.
+Family files: edge-list blocks separated by blank lines, read line by line.
 Trace files: one JSON object per line.
 """
 from __future__ import annotations
@@ -42,30 +46,42 @@ def write_degree_file(path: str | Path, d: DegreeSequence | Sequence[int]) -> No
 
 
 def read_edge_list(path: str | Path, n: int) -> SimpleGraph:
+    """The graph of the "j k" lines of an edge file, taken in either order.
+
+    A plain file is parsed by numpy; any other file, and one numpy refuses
+    or with a bad pair, is read line by line, which raises ValueError for
+    the first bad line.
+    """
+    if _is_plain(path):
+        try:
+            pairs = np.loadtxt(path, dtype=np.int64, ndmin=2)
+        except ValueError:  # lines of unequal length, or a field past int64
+            pairs = np.zeros((0, 0), np.int64)
+        if pairs.shape[1] == 2:
+            pairs.sort(axis=1)
+            lo, hi = pairs.T
+            if ((lo < hi) & (hi < n)).all():
+                return SimpleGraph(n, lo * n + hi)
     keys, _ = _edge_lines(path, n)
     return SimpleGraph(n, keys)
 
 
-# a plain edge file holds only digits, spaces, tabs and newlines; numpy
-# parses it a chunk of whole lines at a time, so its temporary arrays stay a
-# few MB whatever the file's size
+# a plain edge file holds only digits, spaces, tabs and newlines: numpy
+# splits it into the same lines and fields as `str.splitlines` and
+# `str.split` do, where it would not at, say, "\x0c" or "\x85"
 _PLAIN_BYTES = b"0123456789 \t\n"
-_PARSE_CHUNK = 1 << 20
+
+
+def _is_plain(path: str | Path) -> bool:
+    """Whether the file is plain and has a non-blank line."""
+    raw = Path(path).read_bytes()
+    return bool(raw.strip()) and not raw.translate(None, _PLAIN_BYTES)
 
 
 def _edge_lines(path: str | Path, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The key of the edge on each non-blank "j k" line of the file, taken in
-    either order, and the number of edges before each blank line.
-
-    A plain file is parsed with numpy from its bytes.  Any other file, and any
-    file with a bad line, is read line by line as text, which raises
-    ValueError for the first bad line.
-    """
-    raw = Path(path).read_bytes()
-    if not raw.translate(None, _PLAIN_BYTES):
-        parsed = _plain_edge_lines(raw, n)
-        if parsed is not None:
-            return parsed
+    either order, and the number of edges before each blank line; ValueError
+    for the first bad line."""
     keys, cuts = [], []
     for line in Path(path).read_text().splitlines():
         fields = line.split()
@@ -75,38 +91,6 @@ def _edge_lines(path: str | Path, n: int) -> tuple[np.ndarray, np.ndarray]:
         else:
             cuts.append(len(keys))
     return np.array(keys, dtype=np.int64), np.array(cuts, dtype=np.int64)
-
-
-def _plain_edge_lines(raw: bytes, n: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """`_edge_lines` of a plain file, or None if a line is bad or a field is
-    over 18 digits long."""
-    keys, cuts = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
-    edges = start = 0
-    while start < len(raw):
-        stop = raw.find(b"\n", start + _PARSE_CHUNK) + 1 or len(raw)
-        data = np.frombuffer(raw, np.uint8, stop - start, start)
-        start = stop
-        # a field is a run of digits; its value is read digit by digit
-        step = np.diff((data >= 48).view(np.int8), prepend=0, append=0)
-        starts, ends = np.flatnonzero(step == 1), np.flatnonzero(step == -1)
-        length = ends - starts
-        newlines = np.flatnonzero(data == 10)
-        lines = len(newlines) + (data[-1] != 10)
-        width = np.bincount(np.searchsorted(newlines, starts), minlength=lines)
-        blank = width == 0
-        if not (blank | (width == 2)).all() or length.max(initial=0) > 18:
-            return None
-        value = np.zeros(len(starts), dtype=np.int64)
-        for i in range(length.max(initial=0)):
-            more = length > i
-            value[more] = 10 * value[more] + (data[starts[more] + i] - 48)
-        lo, hi = np.minimum(value[0::2], value[1::2]), np.maximum(value[0::2], value[1::2])
-        if not ((lo < hi) & (hi < n)).all():
-            return None
-        keys.append(lo * n + hi)
-        cuts.append(edges + np.cumsum(width)[blank] // 2)
-        edges += len(lo)
-    return np.concatenate(keys), np.concatenate(cuts)
 
 
 def write_edge_list(path: str | Path, g: SimpleGraph) -> None:
@@ -151,7 +135,12 @@ def read_matrix_csv(path: str | Path) -> SymmetricProbMatrix:
     with open(path) as fh:
         if fh.readline().strip() != "i,j,value":
             raise ValueError("expected header 'i,j,value'")
-        # a ValueError unless there are rows, each of 3 fields
+        # numpy only warns on a file with no rows, so look for one first
+        rows_at = fh.tell()
+        if not any(line.strip() for line in fh):
+            raise ValueError("matrix file has no rows after its header")
+        fh.seek(rows_at)
+        # a ValueError unless every row has 3 fields
         rows, cols, value = np.loadtxt(fh, delimiter=",", ndmin=2, unpack=True)
     i, j = rows.astype(np.int64), cols.astype(np.int64)
     if not ((i == rows) & (j == cols)).all():

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from math import isfinite
 from pathlib import Path
 
@@ -15,11 +16,16 @@ from hypothesis import strategies as st
 
 import degseq.cli as cli
 from degseq.acceptance import CriterionResult
+from degseq.deggen import parse_generator_spec
 from degseq.io import read_degree_file
 
 
 def run(args):
     return cli.main(args)
+
+
+def parse_spec(spec):
+    return parse_generator_spec(spec, seed=0).degrees.degrees
 
 
 def read_meta(out):
@@ -47,6 +53,35 @@ class TestGeneratorSpec:
         err = capsys.readouterr().err.splitlines()
         if code:
             assert len(err) == 1 and err[0].startswith("error: ") and "arguments" in err[0]
+
+    @pytest.mark.parametrize("spec, word", [
+        # each ran to exit 0 with every degree at d_min, the last two after
+        # a numpy RuntimeWarning on NaN or all-zero weights
+        ("powerlaw(10,nan,2,3)", "exponent"),
+        ("powerlaw(10,inf,2,3)", "exponent"),
+        ("powerlaw(10,2000,2,3)", "exponent"),
+        # the spec's seed was reduced mod 2^64: -1 ran as 2^64 - 1
+        ("perturbed-regular(10,3,0.5,-1)", "seed must be an integer in [0, 2^64), got -1"),
+        ("perturbed-regular(10,3,0.5,18446744073709551616)", "got 18446744073709551616"),
+    ], ids=["nan-exponent", "inf-exponent", "underflow-exponent", "seed-minus-1", "seed-2-to-64"])
+    def test_bad_values_exit_1_before_writing(self, tmp_path, capsys, spec, word):
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["sample-gnd", "--degrees", spec, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and word in err[0]
+        assert not (out / "degrees.txt").exists()
+
+    def test_spec_seed_below_2_to_the_64_is_its_own(self, tmp_path):
+        # 2^64 - 1 is accepted and is not 2^65 - 1 in disguise
+        top = parse_spec("perturbed-regular(40,3,0.5,18446744073709551615)")
+        assert top == parse_spec("perturbed-regular(40,3,0.5,18446744073709551615)")
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^64\)"):
+            parse_spec("perturbed-regular(40,3,0.5,36893488147419103231)")
+        assert run(["sample-gnd", "--degrees", "perturbed-regular(40,3,0.5,18446744073709551615)",
+                    "--out", str(tmp_path / "o")]) == 0
+        assert read_degree_file(tmp_path / "o" / "degrees.txt").degrees == top
 
 
 class TestOracleCommand:

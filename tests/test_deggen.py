@@ -52,6 +52,10 @@ class TestPowerlaw:
             powerlaw_sequence(100, 2.5, 10, 9, RandomSource(0))
         with pytest.raises(ValueError):
             powerlaw_sequence(10, 2.5, 3, 10, RandomSource(0))
+        # NaN passed `exponent <= 1`; inf and 2000 left every weight 0
+        for exponent in (float("nan"), float("inf"), 2000.0):
+            with pytest.raises(ValueError, match="exponent"):
+                powerlaw_sequence(10, exponent, 2, 3, RandomSource(0))
 
     def test_graphical_at_experiment_scale(self):
         gen = powerlaw_sequence(1000, 2.5, 9, 16, RandomSource(7, 0))

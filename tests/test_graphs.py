@@ -114,6 +114,36 @@ class TestIsGraphical:
         d = [min(x, n - 1) for x in raw]
         assert is_graphical(d) == brute_force_realizable(d)
 
+    @given(st.one_of(
+        # any degrees in [0, n - 1]: zeros, odd sums and failed inequalities
+        st.integers(1, 60).flatmap(lambda n: st.lists(st.integers(0, n - 1), min_size=n, max_size=n)),
+        # the degrees of a graph, so graphical ones with every shape of tail
+        st.integers(2, 60).flatmap(lambda n: st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=200,
+        ).map(lambda pairs: graph_degrees(n, pairs))),
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_textbook_statement(self, d):
+        assert is_graphical(d) == textbook_erdos_gallai(d)
+
+
+def graph_degrees(n, pairs):
+    degrees = [0] * n
+    for j, k in {frozenset(p) for p in pairs if p[0] != p[1]}:
+        degrees[j] += 1
+        degrees[k] += 1
+    return degrees
+
+
+def textbook_erdos_gallai(d):
+    """Erdős–Gallai as stated: an even sum, and for every k the k largest
+    degrees sum to at most k(k-1) + sum over the rest of min(d_i, k)."""
+    d = sorted(d, reverse=True)
+    return sum(d) % 2 == 0 and all(
+        sum(d[:k]) <= k * (k - 1) + sum(min(x, k) for x in d[k:])
+        for k in range(1, len(d) + 1)
+    )
+
 
 class TestSymmetricProbMatrix:
     @pytest.mark.parametrize("bad", [-0.1, 1.5, np.nan], ids=["negative", "above-1", "nan"])

@@ -1,7 +1,7 @@
 import os
 import tracemalloc
+import warnings
 from itertools import product
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -123,6 +123,17 @@ def test_matrix_csv_rejects_malformed_rows(tmp_path, body):
     path.write_text("i,j,value\n" + body)
     with pytest.raises(ValueError):
         read_matrix_csv(path)
+
+
+@pytest.mark.parametrize("body", ["", "\n", "\n \n"], ids=["header-only", "blank-line", "blank-lines"])
+def test_matrix_csv_rejects_a_file_without_rows(tmp_path, body):
+    # numpy once warned of no data, then unpacking its empty array failed
+    path = tmp_path / "empty.csv"
+    path.write_text("i,j,value\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^matrix file has no rows after its header$"):
+            read_matrix_csv(path)
 
 
 def test_matrix_csv_rejects_nan(tmp_path):
@@ -269,28 +280,48 @@ LINES = st.one_of(PLAIN_EDGE, PLAIN_EDGE, PLAIN_EDGE, PLAIN_GAPS, ODD_LINE)
 
 
 @given(st.lists(LINES, max_size=12), st.sampled_from(["\n", "\n", "\r\n", "\r"]),
-       st.booleans(), st.sampled_from([1, 4, 1 << 20]))
-@example(["0 1", "", "2 3", "", "", "1 4"], "\n", True, 1)  # blocks across chunks
+       st.booleans())
+@example(["0 1", "", "2 3", "", "", "1 4"], "\n", True)  # blocks between blank lines
+@example([], "\n", False)  # numpy warns on a file with no data, and is never
+@example([" \t", ""], "\n", True)  # handed an empty or blank-only one
+@example(["0\x0c1"], "\n", True)  # two lines to splitlines, one line of two
+@example(["0\x851"], "\n", True)  # fields to numpy: kept out of numpy
 @settings(max_examples=300, deadline=None)
-def test_readers_match_the_line_by_line_reader(tmp_path_factory, lines, end, last_end, chunk):
-    # plain files take the numpy parse, in chunks of whole lines of at least
-    # `chunk` bytes, the others the text one; either way the graphs, or the
-    # ValueError message, are those of a line-by-line read
+def test_readers_match_the_line_by_line_reader(tmp_path_factory, lines, end, last_end):
+    # plain files take the numpy parse, the others the text one; either way
+    # the graphs, or the ValueError message, are those of a line-by-line read
     text = end.join(lines) + (end if last_end else "")
     path = tmp_path_factory.mktemp("edges") / "g.edges"
     path.write_bytes(text.encode())
-    with mock.patch.object(degseq.io, "_PARSE_CHUNK", chunk):
-        try:
-            want = reference_read(path.read_text(), 5)
-        except ValueError as exc:
-            for read in (read_edge_list, read_family_edge_lists):
-                with pytest.raises(ValueError) as got:
-                    read(path, 5)
-                assert str(got.value) == str(exc)
-            return
-        assert read_family_edge_lists(path, 5) == want
-        union = frozenset().union(*(g.edges for g in want))
-        assert read_edge_list(path, 5) == SimpleGraph(5, union)
+    try:
+        want = reference_read(path.read_text(), 5)
+    except ValueError as exc:
+        for read in (read_edge_list, read_family_edge_lists):
+            with pytest.raises(ValueError) as got:
+                read(path, 5)
+            assert str(got.value) == str(exc)
+        return
+    assert read_family_edge_lists(path, 5) == want
+    union = frozenset().union(*(g.edges for g in want))
+    assert read_edge_list(path, 5) == SimpleGraph(5, union)
+
+
+def test_read_edge_list_memory_is_a_few_arrays_of_its_edges(tmp_path):
+    # a couple-large edge file: 430k edges at n = 1e4, 4.2 MB of text; the
+    # digit-by-digit parse this reader replaced peaked at 41 MB
+    n = 10_000
+    keys = np.sort(np.random.default_rng(5).choice(tri_size(n), 430_000, replace=False))
+    g = SimpleGraph(n, degseq.graphs.tri_to_key(n, keys))
+    path = tmp_path / "g.edges"
+    write_edge_list(path, g)
+    tracemalloc.start()
+    try:
+        back = read_edge_list(path, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back == g
+    assert peak < 30_000_000, peak
 
 
 def test_readers_accept_loose_lines(tmp_path):
