@@ -12,8 +12,11 @@ and `--runs 100` marginal cases, were recorded from the per-command `if/elif`
 runner.  The `-block` cases, whose candidate streams run past 64 steps, were
 recorded from the loop that drew each candidate step with `sample_pair`,
 `entry` and `uniform()`.  The `sample-gnw-chung-lu` digests were recorded
-from the dense-triangle W, before W was held as degree classes.  A refactor that changes the order of random draws, a
-weight, a file format or a metadata entry changes a digest.
+from the dense-triangle W, before W was held as degree classes.  The
+`couple-exact-regular-8-3` digests were recorded from the exact kernel that
+recounted every sub-family with the Python bit loop `bit_counts`.  A refactor
+that changes the order of random draws, a weight, a file format or a metadata
+entry changes a digest.
 """
 import hashlib
 import json
@@ -72,6 +75,14 @@ CASES = {
          "--denom", "exact-max", "--seed", "1", "--runs", "10"],
         "7410219ab1becc1c5688c28a111083e16af278082b93e403992deb6383348ef9",
         "b81dd78ae022bcaae9f94a53d464558391fbc32a618d94e4ee0aae135cc174af",
+    ),
+    # 19,355 members; the first recount after an insertion covers about
+    # 8,300 of them, so the step loop counts sub-families of every size
+    "couple-exact-regular-8-3": (
+        ["couple", "--degrees", "regular(8,3)", "--mode", "exact",
+         "--denom", "exact-max", "--seed", "1", "--runs", "10"],
+        "aa23720c86870efb8cc475afd5d80ec94ba2e3e7188ffb3fee9c1ffba4dd82f2",
+        "c0ba4e2d985a39e3b6884d897aaf12384b6693575a3f979d2a4093f23f1f8776",
     ),
     "sample-gnd-exact-checkpoints": (
         ["sample-gnd", "--degrees", "regular(6,2)", "--mode", "exact",
