@@ -40,6 +40,10 @@ CAP_ENV_VAR = "DEGSEQ_ORACLE_CAP"
 # masks per bit matrix: at regular(9,2), 1024 counted pairs as fast as 4096
 # did, with a quarter of the transient memory
 BIT_ROWS_CHUNK = 1024
+# sub-families of more members are counted by `column_counts`: at regular(8,3)
+# and regular(9,2) `bit_counts` takes 2-4 us a member and `column_counts`
+# 11-19 us a call on 1-12 members, so they break even at 5-8 members
+BIT_COUNTS_MAX = 8
 
 
 class OracleCapError(RuntimeError):
@@ -74,7 +78,9 @@ def set_bits(mask: int) -> list[int]:
 
 def bit_counts(masks: Iterable[int]) -> dict[int, int]:
     """Bit position -> the number of `masks` with that bit set."""
-    # one loop rather than set_bits per mask: the exact kernel recounts after every insertion
+    # one loop rather than set_bits per mask: the exact kernel counts its
+    # sub-families of at most BIT_COUNTS_MAX members here, where a bit
+    # matrix's fixed cost would dominate
     counts: dict[int, int] = {}
     get = counts.get
     for mask in masks:
@@ -96,6 +102,17 @@ def bit_rows(masks: Sequence[int], width: int) -> Iterator[np.ndarray]:
         part = masks[start:start + BIT_ROWS_CHUNK]
         raw = np.frombuffer(b"".join([m.to_bytes(size, "little") for m in part]), dtype=np.uint8)
         yield np.unpackbits(raw.reshape(len(part), size), axis=1, count=width, bitorder="little")
+
+
+def column_counts(masks: Sequence[int], width: int, drop: int = 0) -> dict[int, int]:
+    """Bit position -> the number of `masks` with that bit set, over bits
+    0 .. width - 1 less those set in `drop`; summed a bit matrix at a time."""
+    counts = np.zeros(width, dtype=np.int64)
+    for bits in bit_rows(masks, width):
+        counts += bits.sum(axis=0, dtype=np.int64)
+    counts[set_bits(drop)] = 0
+    hit = np.flatnonzero(counts)
+    return dict(zip(hit.tolist(), counts[hit].tolist()))
 
 
 def mask_of_edges(n: int, keys: Iterable[int]) -> int:
@@ -131,11 +148,7 @@ class GraphFamily:
     @cached_property
     def pair_counts(self) -> Mapping[int, int]:
         """Pair index -> the number of members with that edge; shared, so read only."""
-        counts = np.zeros(tri_size(self.n), dtype=np.int64)
-        for bits in bit_rows(self.masks, len(counts)):
-            counts += bits.sum(axis=0, dtype=np.int64)
-        hit = np.flatnonzero(counts)
-        return MappingProxyType(dict(zip(hit.tolist(), counts[hit].tolist())))
+        return MappingProxyType(column_counts(self.masks, tri_size(self.n)))
 
 
 def _family_masks(degrees: tuple[int, ...]) -> list[int]:
@@ -361,8 +374,11 @@ class OracleKernel:
     Keeps the sub-family of enumerated graphs containing the current state;
     the weight of candidate edge jk is the fraction of those graphs that also
     contain jk, over d_j d_k.  Candidate counts are cached until the next
-    insert.  `complete` draws a uniform compatible member and inserts its
-    missing edges in uniform order, which is the law of exact one-edge steps.
+    insert.  The empty state's are the family's `pair_counts`; a sub-family
+    of more than `BIT_COUNTS_MAX` members is counted by `column_counts`, a
+    smaller one by `bit_counts`, and both give the same integers.  `complete`
+    draws a uniform compatible member and inserts its missing edges in
+    uniform order, which is the law of exact one-edge steps.
     (The kernel interface is set out in `samplers`.)
     """
 
@@ -384,7 +400,10 @@ class OracleKernel:
     def candidate_counts(self) -> Mapping[int, int]:
         """Pair index -> number of compatible members containing that missing edge."""
         if self._counts is None:
-            self._counts = bit_counts(map(self.gmask.__xor__, self.sub))
+            if len(self.sub) > BIT_COUNTS_MAX:
+                self._counts = column_counts(self.sub, len(self.pairs), self.gmask)
+            else:
+                self._counts = bit_counts(map(self.gmask.__xor__, self.sub))
         return self._counts
 
     def weight(self, j: int, k: int) -> float:

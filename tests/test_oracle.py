@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 from collections import Counter
 from math import sqrt
+from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import degseq
 from degseq import (
     EtaDenominatorMode,
     NonGraphicalError,
@@ -27,6 +32,7 @@ from degseq.graphs import InvariantError, key_to_tri, tri_pairs
 from degseq.oracle import (
     OracleKernel,
     bit_counts,
+    column_counts,
     edge_counts,
     graph_of_mask,
     mask_of_edges,
@@ -278,6 +284,26 @@ class TestExactConditional:
         hit = sum(1 for m in sub if m & bit)
         assert exact_conditional_edge_prob(d, h, (j, k)) == hit / len(sub)
 
+    @pytest.mark.parametrize("d, state", [
+        ((3,) * 8, [(0, 1)]),
+        ((3,) * 8, [(0, 1), (2, 5)]),
+        ((2,) * 9, [(3, 4)]),
+        ((2,) * 9, [(0, 8), (1, 2)]),
+    ])
+    def test_large_sub_family_matches_filter_and_count(self, d, state):
+        # one- and two-edge states leave thousands of members, which
+        # `column_counts` counts
+        n = len(d)
+        h = SimpleGraph.from_edges(n, state)
+        hmask = mask_of_edges(n, h.edges)
+        sub = [m for m in enumerate_graphs(d).masks if m & hmask == hmask]
+        assert len(sub) > oracle.BIT_COUNTS_MAX
+        for j, k in tri_pairs(n):
+            if not h.has_edge(j, k):
+                bit = 1 << key_to_tri(n, j * n + k)
+                hit = sum(1 for m in sub if m & bit)
+                assert exact_conditional_edge_prob(d, h, (j, k)) == hit / len(sub)
+
     def test_edge_already_present_raises(self):
         h = SimpleGraph.from_edges(4, [(0, 1)])
         with pytest.raises(ValueError):
@@ -352,18 +378,22 @@ class TestFamilyCountsOnce:
         # family's edge counts; a second replica must reuse them.  The
         # completion draws a member and counts nothing; the coupling's step
         # loop recounts the sub-family after each insertion, never the family.
+        # Both counters are watched: large sub-families go to column_counts.
         d = (3,) * 8
         size = len(enumerate_graphs(d))
         params = default_params(d)
         seq_sample_d(d, SeqSampleMode.EXACT_ORACLE, RandomSource(9, 0))
         covered = []
 
-        def counting(masks):
-            masks = list(masks)
-            covered.append(len(masks))
-            return bit_counts(masks)
+        def watched(counter):
+            def counting(masks, *args):
+                masks = list(masks)
+                covered.append(len(masks))
+                return counter(masks, *args)
+            return counting
 
-        monkeypatch.setattr(oracle, "bit_counts", counting)
+        monkeypatch.setattr(oracle, "column_counts", watched(column_counts))
+        monkeypatch.setattr(oracle, "bit_counts", watched(bit_counts))
         seq_sample_d(d, SeqSampleMode.EXACT_ORACLE, RandomSource(9, 1))
         assert covered == []
         _, _, trace = run_coupling(d, params, SeqSampleMode.EXACT_ORACLE,
@@ -380,6 +410,62 @@ class TestFamilyCountsOnce:
             fam.pair_counts[0] = 0
         recount = [sum(m >> i & 1 for m in fam.masks) for i in range(len(tri_pairs(7)))]
         assert list(edge_counts(fam)) == recount
+
+
+COUNTER_FAMILIES = [(3,) * 8, (2,) * 9, (2,) * 6, (3, 3, 2, 2, 2, 2, 1, 1)]
+
+
+def cut_patches(d):
+    """The cut at 0, so every non-empty state is counted by `column_counts`,
+    then at the family's size, so every one is counted by `bit_counts`."""
+    return [0, len(enumerate_graphs(d))]
+
+
+class TestKernelCounters:
+    @given(st.sampled_from(COUNTER_FAMILIES), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_candidate_counts_match_bin(self, d, data):
+        n = len(d)
+        fam = enumerate_graphs(d)
+        keys = graph_of_mask(n, data.draw(st.sampled_from(fam.masks))).edges.tolist()
+        kept = data.draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)))
+        state = {e for e, keep in zip(keys, kept) if keep}
+        gmask = mask_of_edges(n, state)
+        want = Counter(i for m in fam.masks if m & gmask == gmask
+                       for i in bin_positions(m ^ gmask))
+        for cut in cut_patches(d):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(oracle, "BIT_COUNTS_MAX", cut)
+                assert OracleKernel(fam, state).candidate_counts() == want
+
+    @pytest.mark.parametrize("d", COUNTER_FAMILIES)
+    def test_coupling_same_under_either_counter(self, monkeypatch, d):
+        params = default_params(d)
+        runs = []
+        for cut in cut_patches(d):
+            monkeypatch.setattr(oracle, "BIT_COUNTS_MAX", cut)
+            runs.append([run_coupling(d, params, SeqSampleMode.EXACT_ORACLE,
+                                      EtaDenominatorMode.EXACT_MAX, RandomSource(23, i))
+                         for i in range(20)])
+        assert runs[0] == runs[1]
+        # the step loop inserted, so it recounted
+        assert any(trace.edges_at_step_end > 0 for _, _, trace in runs[0])
+
+    def test_passes_under_python_O(self, tmp_path):
+        # insert's InvariantError and both counters are explicit code, which
+        # python -O keeps
+        src = str(Path(degseq.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "-W", "ignore",
+             f"{__file__}::TestKernelCounters::test_candidate_counts_match_bin",
+             f"{__file__}::TestOracleCompletion::test_insert_outside_every_member_raises",
+             f"{__file__}::TestFamilyPast64Bits::test_pair_counts_match_bit_counts"],
+            env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert out.returncode == 0, out.stdout + out.stderr
+        assert "3 passed" in out.stdout, out.stdout
 
 
 class TestOracleCompletion:
