@@ -373,12 +373,16 @@ class OracleKernel:
 
     Keeps the sub-family of enumerated graphs containing the current state;
     the weight of candidate edge jk is the fraction of those graphs that also
-    contain jk, over d_j d_k.  Candidate counts are cached until the next
-    insert.  The empty state's are the family's `pair_counts`; a sub-family
-    of more than `BIT_COUNTS_MAX` members is counted by `column_counts`, a
-    smaller one by `bit_counts`, and both give the same integers.  `complete`
-    draws a uniform compatible member and inserts its missing edges in
-    uniform order, which is the law of exact one-edge steps.
+    contain jk, over d_j d_k.  The empty state's sub-family is the family's
+    own mask tuple, not a copy, and its counts are the family's `pair_counts`.
+    `insert` keeps the members that contain the new state in one pass, so
+    every kept member contains G by construction.  Candidate counts are
+    cached until the next insert: a sub-family of more than `BIT_COUNTS_MAX`
+    members is counted by `column_counts`, a smaller one by `bit_counts`, and
+    both give the same integers.  `complete` draws a uniform compatible
+    member and adds its missing edges in uniform order, which is the law of
+    exact one-edge steps; it then takes that member as the state at once, as
+    a full edge set names one member, and refilters nothing.
     (The kernel interface is set out in `samplers`.)
     """
 
@@ -390,12 +394,13 @@ class OracleKernel:
         self.pairs = tri_pairs(self.n)
         self.edges = set(edges)
         self.history: list[int] = []
-        self.gmask = mask_of_edges(self.n, self.edges)
-        self.sub = [m for m in family.masks if m & self.gmask == self.gmask]
+        g = self.gmask = mask_of_edges(self.n, self.edges)
+        # the empty state reads the family's own tuple and counts, which it
+        # keeps: insert and complete replace sub, never mutate it
+        self.sub = [m for m in family.masks if m & g == g] if g else family.masks
         if not self.sub:
             raise ValueError("conditioning event is empty")
-        # the empty state's counts are the family's, which it keeps
-        self._counts = None if self.gmask else family.pair_counts
+        self._counts = None if g else family.pair_counts
 
     def candidate_counts(self) -> Mapping[int, int]:
         """Pair index -> number of compatible members containing that missing edge."""
@@ -407,7 +412,7 @@ class OracleKernel:
         return self._counts
 
     def weight(self, j: int, k: int) -> float:
-        i = key_to_tri(self.n, j * self.n + k)
+        i = key_to_tri(self.n, j * self.n + k if j < k else k * self.n + j)
         return self._weight(i, self.candidate_counts().get(i, 0))
 
     def denominator(self, mode: EtaDenominatorMode) -> float:
@@ -421,15 +426,13 @@ class OracleKernel:
         return count / len(self.sub) / (self.d[j] * self.d[k])
 
     def insert(self, j: int, k: int) -> None:
-        e = j * self.n + k
-        bit = 1 << key_to_tri(self.n, e)
+        e = j * self.n + k if j < k else k * self.n + j
         self.edges.add(e)
         self.history.append(e)
-        self.gmask |= bit
-        g = self.gmask
-        self.sub = [m for m in self.sub if m & bit]
+        g = self.gmask = self.gmask | 1 << key_to_tri(self.n, e)
+        self.sub = [m for m in self.sub if m & g == g]
         self._counts = None
-        if not self.sub or any(m & g != g for m in self.sub):
+        if not self.sub:
             raise InvariantError(f"inserting ({j},{k}) left the enumerated sub-family")
 
     def complete(self, rng: RandomSource) -> int:
@@ -439,11 +442,19 @@ class OracleKernel:
         This is the law of inserting one exact conditional edge at a time:
         with c(H) the number of members containing H and r missing edges, the
         i-th step (from 0) takes e with probability c(G_i + e) / (c(G_i) (r - i)),
-        and over an order the product telescopes to 1 / (c(G) r!)."""
-        missing = set_bits(self.sub[rng.below(len(self.sub))] ^ self.gmask)
+        and over an order the product telescopes to 1 / (c(G) r!).  The edges
+        go into `edges` and `history` in one step, and the state becomes the
+        member itself, the one member that contains it."""
+        member = self.sub[rng.below(len(self.sub))]
+        missing = set_bits(member ^ self.gmask)
         for i in range(len(missing) - 1, 0, -1):
             a = rng.below(i + 1)
             missing[i], missing[a] = missing[a], missing[i]
-        for i in missing:
-            self.insert(*self.pairs[i])
+        n = self.n
+        keys = [j * n + k for j, k in map(self.pairs.__getitem__, missing)]
+        self.edges.update(keys)
+        self.history.extend(keys)
+        self.gmask = member
+        self.sub = [member]
+        self._counts = None
         return 0

@@ -107,9 +107,11 @@ def seq_approx_p(d: DegreeSequence | Sequence[int], lam: float,
 #   denominator(mode)  a bound on rho over all non-edges (EtaDenominatorMode)
 #   insert(j, k)       add jk to G
 #   complete(rng)      extend G to degrees d; returns the dead-end restarts
-# `oracle.OracleKernel` (whose `complete` draws a uniform member containing G
-# and inserts its missing edges in uniform order) and `AsymptoticKernel`
-# implement it; `make_kernel` picks one.
+# Both take a pair in either order.  `oracle.OracleKernel` (whose empty state
+# reads the family's masks in place, whose `insert` refilters its sub-family
+# in one pass, and whose `complete` draws a uniform member containing G, adds
+# its missing edges in uniform order at once and takes the member as G) and
+# `AsymptoticKernel` implement it; `make_kernel` picks one.
 # ---------------------------------------------------------------------------
 
 

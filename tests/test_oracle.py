@@ -28,7 +28,7 @@ from degseq import (
 )
 from degseq import oracle
 from degseq.cli import main
-from degseq.graphs import InvariantError, key_to_tri, tri_pairs
+from degseq.graphs import DegreeSequence, InvariantError, key_to_tri, tri_pairs
 from degseq.oracle import (
     OracleKernel,
     bit_counts,
@@ -40,6 +40,7 @@ from degseq.oracle import (
     raw_scan_masks,
     set_bits,
 )
+from degseq.samplers import make_kernel
 from degseq.stats import THRESHOLDS, pearson_chi_square
 from test_coupling import graphical_degrees
 
@@ -452,20 +453,46 @@ class TestKernelCounters:
         assert any(trace.edges_at_step_end > 0 for _, _, trace in runs[0])
 
     def test_passes_under_python_O(self, tmp_path):
-        # insert's InvariantError and both counters are explicit code, which
-        # python -O keeps
+        # insert's InvariantError, both counters and the direct completion
+        # are explicit code, which python -O keeps
         src = str(Path(degseq.__file__).resolve().parents[1])
         out = subprocess.run(
             [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
              "-W", "ignore",
              f"{__file__}::TestKernelCounters::test_candidate_counts_match_bin",
              f"{__file__}::TestOracleCompletion::test_insert_outside_every_member_raises",
-             f"{__file__}::TestFamilyPast64Bits::test_pair_counts_match_bit_counts"],
+             f"{__file__}::TestFamilyPast64Bits::test_pair_counts_match_bit_counts",
+             f"{__file__}::TestOracleCompletion::test_complete_equals_inserting_one_at_a_time"],
             env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
             capture_output=True, text=True, timeout=300,
         )
         assert out.returncode == 0, out.stdout + out.stderr
-        assert "3 passed" in out.stdout, out.stdout
+        assert "4 passed" in out.stdout, out.stdout
+
+
+def kernel_state(kernel) -> list:
+    return [getattr(kernel, name) for name in type(kernel).__slots__]
+
+
+class TestKernelPairOrder:
+    @pytest.mark.parametrize("mode", list(SeqSampleMode))
+    @pytest.mark.parametrize("d, start", [((2,) * 5, []), ((3, 3, 2, 2, 1, 1), [(0, 1)])])
+    def test_either_order_gives_one_weight_and_one_state(self, mode, d, start):
+        # (k, j) names the pair (j, k): at n = 5, insert(3, 1) must store
+        # the key 8 of (1, 3), and weight(3, 1) read its slot, not (1, 4)'s
+        d = DegreeSequence.of(d)
+        n = d.n
+        state = SimpleGraph.from_edges(n, start)
+        for j, k in tri_pairs(n):
+            if state.has_edge(j, k):
+                continue
+            fwd, back = make_kernel(d, mode, state), make_kernel(d, mode, state)
+            assert fwd.weight(j, k) == back.weight(k, j)
+            if fwd.weight(j, k) > 0:
+                fwd.insert(j, k)
+                back.insert(k, j)
+                assert fwd.history == back.history == [j * n + k]
+                assert kernel_state(fwd) == kernel_state(back)
 
 
 class TestOracleCompletion:
@@ -510,6 +537,27 @@ class TestOracleCompletion:
         assert mask_of_edges(n, kernel.edges) in fam.masks
         assert state <= kernel.edges
         assert sorted(kernel.history) == sorted(kernel.edges - state)
+
+    @given(graphical_degrees(max_n=6), st.data(), st.integers(0, 2**32 - 1))
+    def test_complete_equals_inserting_one_at_a_time(self, d, data, seed):
+        # complete takes the drawn member as its state at once; inserting
+        # the same shuffled edges one at a time must reach the same state
+        n = len(d)
+        fam = enumerate_graphs(d)
+        assert OracleKernel(fam, []).sub is fam.masks
+        keys = graph_of_mask(n, data.draw(st.sampled_from(fam.masks))).edges.tolist()
+        kept = data.draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)))
+        state = {e for e, keep in zip(keys, kept) if keep}
+        kernel, ref = OracleKernel(fam, state), OracleKernel(fam, state)
+        kernel.candidate_counts()  # a cached count must not outlive complete
+        assert kernel.complete(RandomSource(seed)) == 0
+        for e in kernel.history:
+            ref.insert(*divmod(e, n))
+        assert kernel.edges == ref.edges
+        assert kernel.history == ref.history
+        assert kernel.gmask == ref.gmask
+        assert list(kernel.sub) == list(ref.sub)
+        assert kernel.candidate_counts() == ref.candidate_counts()
 
     def test_insert_outside_every_member_raises(self):
         # no perfect matching of K4 holds both (0, 1) and (0, 2)
