@@ -40,10 +40,11 @@ CAP_ENV_VAR = "DEGSEQ_ORACLE_CAP"
 # masks per bit matrix: at regular(9,2), 1024 counted pairs as fast as 4096
 # did, with a quarter of the transient memory
 BIT_ROWS_CHUNK = 1024
-# sub-families of more members are counted by `column_counts`: at regular(8,3)
-# and regular(9,2) `bit_counts` takes 2-4 us a member and `column_counts`
-# 11-19 us a call on 1-12 members, so they break even at 5-8 members
-BIT_COUNTS_MAX = 8
+# sub-families of more members are counted by `column_counts`: on the exact
+# kernel's states at regular(8,3) and regular(9,2) (2-core VM), `bit_counts`
+# takes 0.7-0.9 us a member and `column_counts` a near-fixed 11-14 us a call
+# on 2-18 members (to_bytes within 1.5 us of it): break-even at 15-16 members
+BIT_COUNTS_MAX = 14
 
 
 class OracleCapError(RuntimeError):
@@ -96,11 +97,15 @@ def bit_rows(masks: Sequence[int], width: int) -> Iterator[np.ndarray]:
     """Bits 0 .. width - 1 of each mask as a uint8 row, in matrices of at most
     `BIT_ROWS_CHUNK` rows.
 
-    Goes through `int.to_bytes`, so masks of any width take the same path."""
-    size = width // 8 + 1
+    Masks of at most 64 bits, every family on at most 11 vertices, are read
+    as little-endian uint64 words; wider ones go through `int.to_bytes`."""
+    size = 8 if width <= 64 else width // 8 + 1
     for start in range(0, len(masks), BIT_ROWS_CHUNK):
         part = masks[start:start + BIT_ROWS_CHUNK]
-        raw = np.frombuffer(b"".join([m.to_bytes(size, "little") for m in part]), dtype=np.uint8)
+        if width <= 64:
+            raw = np.fromiter(part, dtype="<u8", count=len(part)).view(np.uint8)
+        else:
+            raw = np.frombuffer(b"".join([m.to_bytes(size, "little") for m in part]), dtype=np.uint8)
         yield np.unpackbits(raw.reshape(len(part), size), axis=1, count=width, bitorder="little")
 
 
@@ -252,19 +257,26 @@ def raw_scan_masks(d: DegreeSequence | Sequence[int]) -> list[int]:
     vertex elimination so the two can validate each other.
     """
     d = DegreeSequence.of(d)
-    n = d.n
-    if n > 6:
+    if d.n > 6:
         raise OracleCapError("raw scan supported only for n <= 6")
+    masks, deg = _subset_degrees(d.n)
+    hit = np.all(deg == np.asarray(d.degrees, dtype=np.int8), axis=1)
+    return masks[hit].tolist()
+
+
+@lru_cache(maxsize=7)
+def _subset_degrees(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every edge subset on n <= 6 vertices as a uint32 mask, and its degree
+    vector as a row; built once per n and read only."""
     pairs = tri_pairs(n)
-    npairs = len(pairs)
-    masks = np.arange(1 << npairs, dtype=np.uint32)
-    deg = np.zeros((1 << npairs, n), dtype=np.int8)
+    masks = np.arange(1 << len(pairs), dtype=np.uint32)
+    deg = np.zeros((len(masks), n), dtype=np.int8)
     for i, (j, k) in enumerate(pairs):
         bit = ((masks >> np.uint32(i)) & np.uint32(1)).astype(np.int8)
         deg[:, j] += bit
         deg[:, k] += bit
-    hit = np.all(deg == np.asarray(d.degrees, dtype=np.int8), axis=1)
-    return [int(m) for m in masks[hit]]
+    masks.flags.writeable = deg.flags.writeable = False
+    return masks, deg
 
 
 @lru_cache(maxsize=256)

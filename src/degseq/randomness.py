@@ -228,14 +228,6 @@ class AliasTable:
         if self.positive < 2:
             raise ValueError("pair draws need at least two positive weights")
 
-    def exact_probability(self, i: int) -> float:
-        """Reconstruct P(sample() == i) from the table itself (for validation)."""
-        p = self.prob[i]
-        for j in range(self.size):
-            if self.alias[j] == i and j != i:
-                p += 1.0 - self.prob[j]
-        return p / self.size
-
 
 @lru_cache(maxsize=8)
 def alias_table(weights: tuple[float, ...]) -> AliasTable:

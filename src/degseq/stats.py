@@ -284,10 +284,6 @@ class ConcentrationReport:
     xi: float
     bands: list[CheckpointBand]
 
-    @property
-    def worst_fraction(self) -> float:
-        return max((b.violating_fraction for b in self.bands), default=0.0)
-
 
 def degree_concentration_check(
     d: DegreeSequence | Sequence[int],

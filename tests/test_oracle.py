@@ -5,6 +5,7 @@ from collections import Counter
 from math import sqrt
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -32,6 +33,7 @@ from degseq.graphs import DegreeSequence, InvariantError, key_to_tri, tri_pairs
 from degseq.oracle import (
     OracleKernel,
     bit_counts,
+    bit_rows,
     column_counts,
     edge_counts,
     graph_of_mask,
@@ -60,6 +62,22 @@ def test_set_bits_matches_bin(mask):
 @example([0, 0])
 def test_bit_counts_matches_bin(masks):
     assert bit_counts(masks) == Counter(i for m in masks for i in bin_positions(m))
+
+
+@given(st.sampled_from([0, 1, 36, 55, 64, 66]), st.sampled_from([0, 1, 3, 1024, 1025]),
+       st.booleans(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_bit_rows_match_per_bit_reference(width, rows, top, rnd):
+    # widths up to 64 take the uint64 words, 66 takes int.to_bytes; 1025
+    # rows cross the seam between two bit matrices
+    high = 1 << (width - 1) if top and width else 0
+    masks = [rnd.getrandbits(width) | high for _ in range(rows)]
+    chunks = list(bit_rows(masks, width))
+    assert [len(c) for c in chunks] == [min(oracle.BIT_ROWS_CHUNK, rows - start)
+                                        for start in range(0, rows, oracle.BIT_ROWS_CHUNK)]
+    assert all(c.dtype == np.uint8 and c.shape[1] == width for c in chunks)
+    got = [row.tolist() for c in chunks for row in c]
+    assert got == [[(m >> i) & 1 for i in range(width)] for m in masks]
 
 
 class TestOracleCapVariable:
@@ -118,6 +136,13 @@ class TestEnumerateGraphs:
         n = len(raw)
         d = tuple(min(x, n - 1) for x in raw)
         assert list(enumerate_graphs(d).masks) == sorted(raw_scan_masks(d))
+
+    def test_raw_scan_table_built_once_and_read_only(self):
+        raw_scan_masks((2, 2, 2, 2)).clear()
+        assert raw_scan_masks((2, 2, 2, 2)) == list(enumerate_graphs((2, 2, 2, 2)).masks)
+        masks, deg = oracle._subset_degrees(4)
+        assert oracle._subset_degrees(4)[1] is deg
+        assert not masks.flags.writeable and not deg.flags.writeable
 
     def test_family_cap_raised_from_the_count(self, monkeypatch):
         # regular(8,3) has 19355 members: the count alone must refuse it,

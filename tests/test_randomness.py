@@ -182,8 +182,18 @@ class TestAliasTable:
     def test_table_encodes_exact_probabilities(self, weights):
         table = AliasTable(weights)
         total = sum(weights)
+
+        def exact_probability(i):
+            # P(sample() == i), read back from the table: slot i kept, plus
+            # every other slot that aliases to i
+            p = table.prob[i]
+            for j in range(table.size):
+                if table.alias[j] == i and j != i:
+                    p += 1.0 - table.prob[j]
+            return p / table.size
+
         for i, w in enumerate(weights):
-            assert table.exact_probability(i) == pytest.approx(w / total, abs=1e-12)
+            assert exact_probability(i) == pytest.approx(w / total, abs=1e-12)
 
     def test_zero_weight_never_sampled(self):
         table = AliasTable([3, 0, 1])
