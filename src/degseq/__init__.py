@@ -22,7 +22,6 @@ from .oracle import (
     OracleCapError,
     count_graphs,
     enumerate_graphs,
-    exact_conditional_edge_prob,
     exact_edge_marginals,
     exact_subgraph_law,
     exact_uniform_sample,

@@ -21,7 +21,7 @@ class NonGraphicalError(ValueError):
 
 
 class DegenerateSequenceError(ValueError):
-    """Raised when a sequence has fewer than two positive degrees."""
+    """Raised when a sequence has fewer than two positive degrees (or weights)."""
 
 
 class InvariantError(RuntimeError):
@@ -372,10 +372,6 @@ class SymmetricProbMatrix:
         self.n, self.cls, self.table = len(cls), cls, table
         self._classes, self._tri = cls.tolist(), None
         return self
-
-    @staticmethod
-    def zeros(n: int) -> SymmetricProbMatrix:
-        return SymmetricProbMatrix.full(n, 0.0)
 
     @staticmethod
     def full(n: int, value: float) -> SymmetricProbMatrix:

@@ -25,7 +25,6 @@ from .graphs import (
     SimpleGraph,
     SymmetricProbMatrix,
     key_to_tri,
-    normalize_edge,
     tri_pairs,
     tri_size,
 )
@@ -324,22 +323,6 @@ def edge_counts(fam: GraphFamily) -> np.ndarray:
     bits = fam.pair_counts
     counts[list(bits)] = list(bits.values())
     return counts
-
-
-def exact_conditional_edge_prob(
-    d: DegreeSequence | Sequence[int],
-    h: SimpleGraph,
-    jk: tuple[int, int],
-) -> float:
-    """P(jk present | graph contains h), over uniform graphs with degrees d."""
-    d = DegreeSequence.of(d)
-    if h.n != d.n:
-        raise ValueError(f"graph on {h.n} vertices vs sequence of length {d.n}")
-    j, k = normalize_edge(*jk)
-    if h.has_edge(j, k):
-        raise ValueError(f"edge ({j},{k}) already in the conditioning graph")
-    kernel = OracleKernel(enumerate_graphs(d), h.edges.tolist())
-    return kernel.candidate_counts().get(key_to_tri(d.n, j * d.n + k), 0) / len(kernel.sub)
 
 
 def exact_uniform_sample(

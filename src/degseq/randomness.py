@@ -24,6 +24,8 @@ from typing import Iterator
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from .graphs import DegenerateSequenceError
+
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 8192
 # candidate streams of at least _STREAM_BLOCK_MIN steps are parsed with numpy,
@@ -177,7 +179,7 @@ class AliasTable:
             raise ValueError("negative weight")
         total = sum(w)
         if total <= 0:
-            raise ValueError("all weights zero")
+            raise DegenerateSequenceError("all weights zero; pairs need two positive weights")
         self.size = n
         self.positive = n - w.count(0.0)
         scaled = [x * n / total for x in w]
@@ -210,7 +212,7 @@ class AliasTable:
         """Distinct indices (j, k), j < k, with probability exactly proportional
         to w_j w_k: two independent draws (each as `sample`), redrawn while
         equal.  Needs at least two positive weights: without them the first
-        redraw raises ValueError."""
+        redraw raises DegenerateSequenceError."""
         uniform, size, prob, alias = rng.uniform, self.size, self.prob, self.alias
         while True:
             j = int(uniform() * size)
@@ -224,9 +226,11 @@ class AliasTable:
             self.require_pairs()
 
     def require_pairs(self) -> None:
-        """Raise ValueError unless two indices can be drawn distinct."""
+        """Raise DegenerateSequenceError unless two indices can be drawn distinct:
+        the one check, for every caller that draws pairs, of a degree sequence
+        with fewer than two positive degrees."""
         if self.positive < 2:
-            raise ValueError("pair draws need at least two positive weights")
+            raise DegenerateSequenceError("pair draws need at least two positive weights")
 
 
 @lru_cache(maxsize=8)

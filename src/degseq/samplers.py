@@ -15,13 +15,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from enum import Enum
-from math import isfinite
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .graphs import (
-    DegenerateSequenceError,
     DegreeSequence,
     InvariantError,
     NonGraphicalError,
@@ -33,7 +31,13 @@ from .graphs import (
     tri_to_key,
 )
 from .oracle import OracleKernel, enumerate_graphs
-from .randomness import CandidateStream, RandomSource, alias_table, sample_poisson
+from .randomness import (
+    CandidateStream,
+    RandomSource,
+    alias_table,
+    check_poisson_mean,
+    sample_poisson,
+)
 
 # the most uniforms one refill of `AsymptoticKernel.insert_step` asks for
 _DRAW_BLOCK = 8192
@@ -66,11 +70,6 @@ class SamplerDiagnostics:
     restarts: int = 0
 
 
-def _require_two_positive(d: DegreeSequence) -> None:
-    if sum(1 for x in d.degrees if x > 0) < 2:
-        raise DegenerateSequenceError("need at least two positive degrees")
-
-
 def sample_gnw(w: SymmetricProbMatrix, rng: RandomSource) -> SimpleGraph:
     """Include each pair (j,k) independently with probability W_{jk}."""
     u = rng.uniforms(tri_size(w.n))
@@ -88,11 +87,9 @@ def seq_approx_p(d: DegreeSequence | Sequence[int], lam: float,
     1 - exp(-lam * Lambda_jk * Q_jk).
     """
     d = DegreeSequence.of(d)
-    if not (lam >= 0 and isfinite(lam)):
-        raise ValueError(f"lam must be finite and >= 0, got {lam}")
+    check_poisson_mean(lam, "lam")
     if big_lambda.n != d.n:
         raise ValueError("Lambda dimension does not match degree sequence")
-    _require_two_positive(d)
     steps = sample_poisson(lam, rng)
     edges: set[int] = set()
     CandidateStream(alias_table(d.degrees), big_lambda, steps, rng).accept_rest(edges)

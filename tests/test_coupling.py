@@ -123,7 +123,7 @@ class TestPairLaw:
             (p_matrix(degrees), p_ref),
             (f_c_transform(p_matrix(degrees), 1.0), -np.expm1(-1.0 * p_ref)),
             (acceptance_matrix(degrees, zeta), lam_ref),
-            (SymmetricProbMatrix.zeros(n), np.zeros(len(j))),
+            (SymmetricProbMatrix.full(n, 0.0), np.zeros(len(j))),
             (SymmetricProbMatrix.full(n, value), np.full(len(j), value)),
             (SymmetricProbMatrix(n, per_pair.copy()), per_pair),
         ]

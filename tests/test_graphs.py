@@ -155,7 +155,7 @@ class TestSymmetricProbMatrix:
         assert SymmetricProbMatrix(3, np.array([0.0, 1.0, 0.5])).tri.max() == 1.0
 
     @pytest.mark.parametrize("m", [
-        SymmetricProbMatrix.zeros(3),
+        SymmetricProbMatrix.full(3, 0.0),
         acceptance_matrix((1, 1, 2), 0.1),
         SymmetricProbMatrix(3, np.array([0.1, 0.2, 0.3])),
     ], ids=["zeros", "classes", "per-pair"])
@@ -250,7 +250,7 @@ class TestChungLu:
 
 class TestFcTransform:
     def test_zero_matrix_fixed(self):
-        m = f_c_transform(SymmetricProbMatrix.zeros(4), 3.7)
+        m = f_c_transform(SymmetricProbMatrix.full(4, 0.0), 3.7)
         assert m.tri.max() == 0.0
 
     def test_zero_scale(self):
@@ -278,7 +278,7 @@ class TestFcTransform:
 
     def test_negative_scale_raises(self):
         with pytest.raises(ValueError):
-            f_c_transform(SymmetricProbMatrix.zeros(3), -0.1)
+            f_c_transform(SymmetricProbMatrix.full(3, 0.0), -0.1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_scale_raises_by_name(self, bad):
@@ -297,7 +297,7 @@ class TestHadamard:
 
     def test_annihilator(self):
         a = q_matrix((2, 1, 1))
-        assert hadamard(a, SymmetricProbMatrix.zeros(3)).tri.max() == 0.0
+        assert hadamard(a, SymmetricProbMatrix.full(3, 0.0)).tri.max() == 0.0
 
     def test_scalar_product(self):
         a = SymmetricProbMatrix.full(3, 0.4)
@@ -306,7 +306,7 @@ class TestHadamard:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            hadamard(SymmetricProbMatrix.zeros(3), SymmetricProbMatrix.zeros(4))
+            hadamard(SymmetricProbMatrix.full(3, 0.0), SymmetricProbMatrix.full(4, 0.0))
 
 
 class TestRemainingDegrees:

@@ -20,10 +20,10 @@ from degseq import (
     SimpleGraph,
     default_params,
     enumerate_graphs,
-    exact_conditional_edge_prob,
     exact_edge_marginals,
     exact_subgraph_law,
     exact_uniform_sample,
+    rho,
     run_coupling,
     seq_sample_d,
 )
@@ -268,30 +268,33 @@ class TestExactEdgeMarginals:
 
 
 class TestExactConditional:
+    """`rho(d, h, jk, EXACT_ORACLE)`, the exact kernel's weight: the share of
+    members containing h that also contain jk, over d_j d_k."""
+
     def test_forced_complement(self):
         h = SimpleGraph.from_edges(4, [(0, 1)])
-        assert exact_conditional_edge_prob((1, 1, 1, 1), h, (2, 3)) == 1.0
+        assert rho((1, 1, 1, 1), h, (2, 3), SeqSampleMode.EXACT_ORACLE) == 1.0
 
     def test_equals_marginal_when_unconditioned(self):
         m = exact_edge_marginals((2, 2, 2, 2))
         for jk in [(0, 1), (1, 3)]:
-            p = exact_conditional_edge_prob((2, 2, 2, 2), SimpleGraph.empty(4), jk)
+            p = rho((2, 2, 2, 2), SimpleGraph.empty(4), jk, SeqSampleMode.EXACT_ORACLE) * 4
             assert p == pytest.approx(m[jk])
 
     def test_triangle_completion(self):
         h = SimpleGraph.from_edges(3, [(0, 1)])
-        assert exact_conditional_edge_prob((2, 2, 2), h, (0, 2)) == 1.0
+        assert rho((2, 2, 2), h, (0, 2), SeqSampleMode.EXACT_ORACLE) == 1 / 4
 
     def test_empty_conditioning_raises(self):
         h = SimpleGraph.from_edges(4, [(0, 1), (2, 3)])
         # no matching contains a third edge; conditioning on a non-member
         # superset is fine, but an unrealizable one must raise
         bad = SimpleGraph.from_edges(4, [(0, 1), (0, 2)])
-        with pytest.raises(ValueError):
-            exact_conditional_edge_prob((1, 1, 1, 1), bad, (1, 3))
+        with pytest.raises(ValueError, match="conditioning event is empty"):
+            rho((1, 1, 1, 1), bad, (1, 3), SeqSampleMode.EXACT_ORACLE)
         # a full member leaves no room, so conditioning is fine but the
         # candidate edge probability is 0
-        assert exact_conditional_edge_prob((1, 1, 1, 1), h, (0, 2)) == 0.0
+        assert rho((1, 1, 1, 1), h, (0, 2), SeqSampleMode.EXACT_ORACLE) == 0.0
 
     @given(graphical_degrees(max_n=6), st.data())
     def test_matches_filter_and_count(self, d, data):
@@ -301,14 +304,15 @@ class TestExactConditional:
         keys = member.edges.tolist()
         kept = data.draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)))
         h = SimpleGraph(n, frozenset(e for e, keep in zip(keys, kept) if keep))
-        non_edges = [p for p in tri_pairs(n) if not h.has_edge(*p)]
+        # rho is defined on non-edges between positive degrees
+        non_edges = [(j, k) for j, k in tri_pairs(n) if not h.has_edge(j, k) and d[j] and d[k]]
         assume(non_edges)
         j, k = data.draw(st.sampled_from(non_edges))
         # a filter-and-count over the whole family, as a reference
         hmask, bit = mask_of_edges(n, h.edges), 1 << key_to_tri(n, j * n + k)
         sub = [m for m in fam.masks if m & hmask == hmask]
         hit = sum(1 for m in sub if m & bit)
-        assert exact_conditional_edge_prob(d, h, (j, k)) == hit / len(sub)
+        assert rho(d, h, (j, k), SeqSampleMode.EXACT_ORACLE) == hit / len(sub) / (d[j] * d[k])
 
     @pytest.mark.parametrize("d, state", [
         ((3,) * 8, [(0, 1)]),
@@ -328,12 +332,13 @@ class TestExactConditional:
             if not h.has_edge(j, k):
                 bit = 1 << key_to_tri(n, j * n + k)
                 hit = sum(1 for m in sub if m & bit)
-                assert exact_conditional_edge_prob(d, h, (j, k)) == hit / len(sub)
+                weight = rho(d, h, (j, k), SeqSampleMode.EXACT_ORACLE)
+                assert weight == hit / len(sub) / (d[j] * d[k])
 
     def test_edge_already_present_raises(self):
         h = SimpleGraph.from_edges(4, [(0, 1)])
-        with pytest.raises(ValueError):
-            exact_conditional_edge_prob((1, 1, 1, 1), h, (0, 1))
+        with pytest.raises(ValueError, match="already present"):
+            rho((1, 1, 1, 1), h, (0, 1), SeqSampleMode.EXACT_ORACLE)
 
 
 class TestExactUniformSample:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import degseq
 from degseq import (
     AliasTable,
+    DegenerateSequenceError,
     EtaDenominatorMode,
     RandomSource,
     SeqSampleMode,
@@ -20,7 +21,7 @@ from degseq import (
 )
 from degseq import randomness
 from degseq.graphs import SymmetricProbMatrix, acceptance_matrix, tri_size
-from degseq.randomness import CandidateStream
+from degseq.randomness import CandidateStream, alias_table
 from degseq.stats import pearson_chi_square
 
 # sizes that end a block, cross one, and outgrow the largest; runs of single
@@ -173,7 +174,7 @@ class TestAliasTable:
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
             AliasTable([])
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateSequenceError):
             AliasTable([0.0, 0.0])
         with pytest.raises(ValueError):
             AliasTable([1.0, -0.5])
@@ -202,7 +203,7 @@ class TestAliasTable:
 
     def test_pair_draw_needs_two_positive_weights(self):
         # one positive weight: every attempt would draw j == k, for ever
-        with pytest.raises(ValueError, match="two positive weights"):
+        with pytest.raises(DegenerateSequenceError, match="two positive weights"):
             AliasTable((2, 0, 0)).sample_pair(RandomSource(1))
 
 
@@ -277,8 +278,8 @@ class TestCandidateStream:
 
     @pytest.mark.parametrize("count", [5, 100])
     def test_needs_two_positive_weights(self, count):
-        with pytest.raises(ValueError, match="two positive weights"):
-            CandidateStream(AliasTable((2, 0, 0)), SymmetricProbMatrix.full(3, 0.5), count,
+        with pytest.raises(DegenerateSequenceError, match="two positive weights"):
+            CandidateStream(alias_table((2, 0, 0)), SymmetricProbMatrix.full(3, 0.5), count,
                             RandomSource(1))
 
     @given(STREAM_WEIGHTS, st.sampled_from(["classes", "per-pair"]), st.integers(0, 2**32))

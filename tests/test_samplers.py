@@ -76,7 +76,7 @@ class TestSampleWeightedEdge:
 
 class TestSampleGnw:
     def test_all_zero(self):
-        g = sample_gnw(SymmetricProbMatrix.zeros(5), RandomSource(2))
+        g = sample_gnw(SymmetricProbMatrix.full(5, 0.0), RandomSource(2))
         assert g.num_edges == 0
 
     def test_all_one(self):
@@ -104,7 +104,7 @@ class TestSeqApproxP:
         assert g.num_edges == 0
 
     def test_zero_acceptance(self):
-        g = seq_approx_p((2, 2, 2), 5.0, SymmetricProbMatrix.zeros(3), RandomSource(3))
+        g = seq_approx_p((2, 2, 2), 5.0, SymmetricProbMatrix.full(3, 0.0), RandomSource(3))
         assert g.num_edges == 0
 
     @pytest.mark.parametrize("lam", [float("inf"), float("nan")])
@@ -113,9 +113,16 @@ class TestSeqApproxP:
         with pytest.raises(ValueError, match="lam must be finite"):
             seq_approx_p((2, 2, 2), lam, SymmetricProbMatrix.full(3, 0.5), RandomSource(3))
 
+    def test_lambda_past_poisson_bound_names_lam(self):
+        with pytest.raises(ValueError, match="^lam must be finite, >= 0 and at most"):
+            seq_approx_p((2, 2, 2, 2), 1e300, SymmetricProbMatrix.full(4, 0.5), RandomSource(1))
+
     def test_degenerate_raises(self):
-        with pytest.raises(DegenerateSequenceError):
-            seq_approx_p((1, 0, 0), 1.0, SymmetricProbMatrix.zeros(3), RandomSource(3))
+        # raised by the pair draw's guard, `AliasTable.require_pairs`, or by an
+        # all-zero alias table
+        for d in [(1, 0, 0), (0, 0, 0)]:
+            with pytest.raises(DegenerateSequenceError, match="two positive weights"):
+                seq_approx_p(d, 1.0, SymmetricProbMatrix.full(3, 0.0), RandomSource(3))
 
     def test_marginals_match_closed_form(self, approx_p_samples):
         # per-edge law 1 - exp(-lam * Lambda * Q) with lam=2.4, Lambda=0.54, Q=1/3

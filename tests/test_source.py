@@ -1,9 +1,20 @@
 import ast
+import importlib
+import inspect
+import pkgutil
 from pathlib import Path
 
 import degseq
+from degseq import (
+    AliasTable,
+    CouplingTrace,
+    SamplerDiagnostics,
+    SymmetricProbMatrix,
+    seq_sample_d,
+)
 
 PACKAGE = Path(degseq.__file__).resolve().parent
+BENCHMARKS = PACKAGE.parents[1] / "benchmarks"
 
 
 def test_package_has_no_assert_statements():
@@ -17,3 +28,68 @@ def test_package_has_no_assert_statements():
     ]
     assert len(list(PACKAGE.glob("*.py"))) > 5
     assert not found, found
+
+
+def missing_degseq_names(path: Path) -> list[str]:
+    """The names `path` reads from degseq that the package does not have:
+    dotted reads off a name bound to a degseq module, names imported from
+    one, and (module, "name") tuples such as `tracing.WRAPPED`'s entries,
+    which `Tracer.install` looks up with getattr."""
+    tree = ast.parse(path.read_text(), str(path))
+    modules, missing = {}, []
+
+    def need(obj, name, node):
+        if not hasattr(obj, name):
+            missing.append(f"{path.name}:{node.lineno} {obj.__name__}.{name}")
+        return getattr(obj, name, None)
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.partition(".")[0] == "degseq":
+                    # `import a.b` binds a, `import a.b as c` binds a.b
+                    target = alias.name if alias.asname else alias.name.partition(".")[0]
+                    modules[alias.asname or target] = importlib.import_module(target)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("degseq"):
+            home = importlib.import_module(node.module)
+            for alias in node.names:
+                obj = need(home, alias.name, node)
+                if inspect.ismodule(obj):
+                    modules[alias.asname or alias.name] = obj
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            chain, root = [], node
+            while isinstance(root, ast.Attribute):
+                chain.append(root.attr)
+                root = root.value
+            obj = modules.get(root.id) if isinstance(root, ast.Name) else None
+            for name in reversed(chain):
+                if obj is None:
+                    break
+                obj = need(obj, name, node)
+        elif isinstance(node, ast.Tuple) and len(node.elts) >= 2:
+            first, second = node.elts[:2]
+            if (isinstance(first, ast.Name) and first.id in modules
+                    and isinstance(second, ast.Constant) and isinstance(second.value, str)):
+                need(modules[first.id], second.value, node)
+    return sorted(set(missing))
+
+
+def test_benchmarks_read_only_names_degseq_has():
+    # the benchmark scripts pin these names: deleting one breaks a workload
+    # or `--trace 1` only when that script runs
+    for info in pkgutil.iter_modules(degseq.__path__):
+        importlib.import_module(f"degseq.{info.name}")
+    scripts = sorted(BENCHMARKS.glob("*.py"))
+    assert len(scripts) > 5
+    missing = [name for path in scripts for name in missing_degseq_names(path)]
+    assert not missing, missing
+
+
+def test_benchmarks_instance_members_exist():
+    # members the scripts reach through instances, which the walk above cannot follow
+    assert callable(AliasTable((1, 1)).sample)  # worker.probe
+    assert callable(SymmetricProbMatrix.full(3, 0.5).to_dense)  # replay.Oracle
+    assert callable(CouplingTrace.to_json_dict)  # replay.Couple, fidelity
+    assert SamplerDiagnostics().restarts == 0  # replay.SampleGnd, tracing
+    assert "diagnostics" in inspect.signature(seq_sample_d).parameters  # replay.SampleGnd

@@ -29,14 +29,14 @@ from degseq.samplers import AsymptoticKernel
 class TestEmpiricalMarginals:
     def test_all_empty_against_zero_reference(self):
         samples = [SimpleGraph.empty(4) for _ in range(200)]
-        report = empirical_marginals(samples, SymmetricProbMatrix.zeros(4))
+        report = empirical_marginals(samples, SymmetricProbMatrix.full(4, 0.0))
         assert report.worst_abs_z == 0.0
         assert not report.exact_violations
         assert np.isnan(report.z).all()
 
     def test_exact_violation_detected(self):
         samples = [SimpleGraph.from_edges(3, [(0, 1)])] * 150
-        report = empirical_marginals(samples, SymmetricProbMatrix.zeros(3))
+        report = empirical_marginals(samples, SymmetricProbMatrix.full(3, 0.0))
         assert (0, 1) in report.exact_violations
 
     def test_z_formula(self):
@@ -72,12 +72,12 @@ class TestEmpiricalMarginals:
 
     def test_requires_100_runs(self):
         with pytest.raises(ValueError):
-            empirical_marginals([SimpleGraph.empty(3)] * 99, SymmetricProbMatrix.zeros(3))
+            empirical_marginals([SimpleGraph.empty(3)] * 99, SymmetricProbMatrix.full(3, 0.0))
 
     def test_mixed_n_rejected(self):
         samples = [SimpleGraph.empty(3), SimpleGraph.empty(4)] * 60
         with pytest.raises(ValueError):
-            empirical_marginals(samples, SymmetricProbMatrix.zeros(3))
+            empirical_marginals(samples, SymmetricProbMatrix.full(3, 0.0))
 
     def test_memory_does_not_grow_with_runs_times_pairs(self):
         rng = RandomSource(607)
