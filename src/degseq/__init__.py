@@ -15,7 +15,6 @@ from .graphs import (
     is_graphical,
     p_matrix,
     q_matrix,
-    remaining_degrees,
 )
 from .oracle import (
     GraphFamily,

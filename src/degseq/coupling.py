@@ -275,7 +275,7 @@ def run_coupling(
     checkpoint_at = _auto_checkpoints(steps)
 
     cap = oracle_cap()
-    kernel = make_kernel(d, prob_mode, SimpleGraph.empty(n), cap=cap)
+    kernel = make_kernel(d, prob_mode)
     # both graphs hold edge keys j*n + k
     g_edges = kernel.edges
     l_edges: set[int] = set()

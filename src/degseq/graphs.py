@@ -232,9 +232,7 @@ class SimpleGraph:
         return f"SimpleGraph({self.n}, {self.edges.tolist()})"
 
     @staticmethod
-    @lru_cache(maxsize=64)
     def empty(n: int) -> SimpleGraph:
-        # every sampler and coupling run starts from one
         return SimpleGraph(n)
 
     @staticmethod
@@ -274,30 +272,6 @@ class SimpleGraph:
             return False
         # every key of mine is at most theirs[-1], so each lands on an index of theirs
         return bool((theirs[theirs.searchsorted(mine)] == mine).all())
-
-
-def remaining_degrees(
-    d: DegreeSequence | Sequence[int], h: SimpleGraph
-) -> tuple[DegreeSequence, float]:
-    """Degrees still missing from a partial graph, plus the remaining mass fraction.
-
-    Returns (t, p_m) with t = d - deg(h) and p_m = (||d||_1 - 2m) / ||d||_1
-    where m is the edge count of h.  Raises if h over-saturates any vertex.
-    """
-    d = DegreeSequence.of(d)
-    if h.n != d.n:
-        raise ValueError(f"graph on {h.n} vertices vs sequence of length {d.n}")
-    hdeg = h.degree_vector()
-    t = []
-    for j, (dj, hj) in enumerate(zip(d.degrees, hdeg)):
-        if hj > dj:
-            raise ValueError(f"vertex {j}: partial degree {hj} exceeds target {dj}")
-        t.append(dj - hj)
-    total = d.total
-    if total == 0:
-        return DegreeSequence(tuple(t)), 0.0 if h.num_edges else 1.0
-    p_m = (total - 2 * h.num_edges) / total
-    return DegreeSequence(tuple(t)), p_m
 
 
 # ---------------------------------------------------------------------------

@@ -368,8 +368,9 @@ class OracleKernel:
 
     Keeps the sub-family of enumerated graphs containing the current state;
     the weight of candidate edge jk is the fraction of those graphs that also
-    contain jk, over d_j d_k.  The empty state's sub-family is the family's
-    own mask tuple, not a copy, and its counts are the family's `pair_counts`.
+    contain jk, over d_j d_k.  It starts at the empty graph, whose sub-family
+    is the family's own mask tuple, not a copy, and whose counts are the
+    family's `pair_counts`.
     `insert` keeps the members that contain the new state in one pass, so
     every kept member contains G by construction.  Candidate counts are
     cached until the next insert: a sub-family of more than `BIT_COUNTS_MAX`
@@ -383,19 +384,19 @@ class OracleKernel:
 
     __slots__ = ("d", "n", "pairs", "sub", "gmask", "edges", "history", "_counts")
 
-    def __init__(self, family: GraphFamily, edges: Iterable[int]):
+    def __init__(self, family: GraphFamily):
         self.d = family.degrees
         self.n = family.n
         self.pairs = tri_pairs(self.n)
-        self.edges = set(edges)
+        self.edges: set[int] = set()
         self.history: list[int] = []
-        g = self.gmask = mask_of_edges(self.n, self.edges)
-        # the empty state reads the family's own tuple and counts, which it
-        # keeps: insert and complete replace sub, never mutate it
-        self.sub = [m for m in family.masks if m & g == g] if g else family.masks
+        self.gmask = 0
+        # the family's own tuple and counts, which the kernel keeps: insert
+        # and complete replace sub, never mutate it
+        self.sub = family.masks
         if not self.sub:
             raise ValueError("conditioning event is empty")
-        self._counts = None if g else family.pair_counts
+        self._counts = family.pair_counts
 
     def candidate_counts(self) -> Mapping[int, int]:
         """Pair index -> number of compatible members containing that missing edge."""

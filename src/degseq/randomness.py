@@ -17,7 +17,7 @@ those two hand out counts a put-back draw again.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import exp, floor, lgamma, log, sqrt
+from math import exp, floor, isfinite, lgamma, log, sqrt
 from operator import length_hint
 from typing import Iterator
 
@@ -178,6 +178,9 @@ class AliasTable:
         if any(x < 0 for x in w):
             raise ValueError("negative weight")
         total = sum(w)
+        # a NaN or infinite weight, or finite ones that overflow, make it NaN or inf
+        if not isfinite(total):
+            raise ValueError("weights must be finite, with a finite sum")
         if total <= 0:
             raise DegenerateSequenceError("all weights zero; pairs need two positive weights")
         self.size = n

@@ -13,6 +13,7 @@ The insertion kernels are shared with the coupling engine.
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
@@ -26,7 +27,6 @@ from .graphs import (
     SimpleGraph,
     SymmetricProbMatrix,
     is_graphical,
-    remaining_degrees,
     tri_size,
     tri_to_key,
 )
@@ -108,7 +108,9 @@ def seq_approx_p(d: DegreeSequence | Sequence[int], lam: float,
 # reads the family's masks in place, whose `insert` refilters its sub-family
 # in one pass, and whose `complete` draws a uniform member containing G, adds
 # its missing edges in uniform order at once and takes the member as G) and
-# `AsymptoticKernel` implement it; `make_kernel` picks one.
+# `AsymptoticKernel` implement it.  Both start at the empty graph; `make_kernel`
+# builds them and reaches a given state by `insert` on its edges in ascending
+# order, the samplers' path, so the state's edges head `history`.
 # ---------------------------------------------------------------------------
 
 
@@ -147,12 +149,12 @@ class AsymptoticKernel:
 
     __slots__ = ("d", "n", "t", "tsum", "edges", "history", "stubs", "t_r", "tsum_r", "heap")
 
-    def __init__(self, d: Sequence[int], edges: set[int], t: list[int]):
+    def __init__(self, d: Sequence[int]):
         self.d = d
         self.n = len(d)
-        self.t = t
-        self.tsum = sum(t)
-        self.edges = edges
+        self.t = list(d)
+        self.tsum = sum(d)
+        self.edges: set[int] = set()
         self.history: list[int] = []
         self.stubs: np.ndarray | None = None
         self.t_r: list[int] = []
@@ -290,28 +292,47 @@ class AsymptoticKernel:
 def make_kernel(
     d: DegreeSequence,
     mode: SeqSampleMode,
-    state: SimpleGraph,
-    cap: int | None = None,
+    state: SimpleGraph | None = None,
 ) -> AsymptoticKernel | OracleKernel:
-    """The insertion kernel for `mode`, holding the partial graph `state`."""
-    if state.n != d.n:
+    """The insertion kernel for `mode`, at the empty graph or brought to the
+    partial graph `state` by `insert` on each of its edges in ascending order.
+
+    ValueError when `state` lies in no member of the family (exact) or gives
+    a vertex more than its degree (asymptotic)."""
+    if state is not None and state.n != d.n:
         raise ValueError(f"graph on {state.n} vertices vs sequence of length {d.n}")
-    # kernels test and add Python ints in their loops
     if mode is SeqSampleMode.EXACT_ORACLE:
-        return OracleKernel(enumerate_graphs(d, cap=cap), state.edges.tolist())
+        kernel = OracleKernel(enumerate_graphs(d))
+    elif mode is SeqSampleMode.ASYMPTOTIC:
+        kernel = AsymptoticKernel(d.degrees)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    if state is None:
+        return kernel
+    try:
+        for j, k in state.pairs():
+            kernel.insert(j, k)
+    except InvariantError:
+        raise ValueError("conditioning event is empty") from None
     if mode is SeqSampleMode.ASYMPTOTIC:
-        t, _ = remaining_degrees(d, state)
-        return AsymptoticKernel(d.degrees, set(state.edges.tolist()), list(t.degrees))
-    raise ValueError(f"unknown mode {mode!r}")
+        for h, (dh, th) in enumerate(zip(d.degrees, kernel.t)):
+            if th < 0:
+                raise ValueError(f"vertex {h}: partial degree {dh - th} exceeds target {dh}")
+    return kernel
 
 
 def check_checkpoints(d: DegreeSequence, checkpoints: Sequence[int]) -> list[int]:
-    """The checkpoints as ints; ValueError for one outside [0, ||d||_1 / 2]."""
+    """The checkpoints as ints; TypeError for one that is not an integer (a
+    bool or a float included), ValueError for one outside [0, ||d||_1 / 2]."""
     m_total = d.total // 2
-    want = [int(m) for m in checkpoints]
-    for m in want:
+    want = []
+    for m in checkpoints:
+        if isinstance(m, bool):
+            raise TypeError(f"checkpoint {m!r} is not an integer")
+        m = operator.index(m)
         if not 0 <= m <= m_total:
             raise ValueError(f"checkpoint {m} outside [0, {m_total}]")
+        want.append(m)
     return want
 
 
@@ -340,7 +361,7 @@ def seq_sample_d(
     if not is_graphical(d):
         raise NonGraphicalError(f"{d.degrees} is not graphical")
     want = check_checkpoints(d, checkpoints)
-    kernel = make_kernel(d, mode, SimpleGraph.empty(d.n))
+    kernel = make_kernel(d, mode)
     restarts = kernel.complete(rng)
     if diagnostics is not None:
         diagnostics.restarts += restarts

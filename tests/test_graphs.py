@@ -26,7 +26,6 @@ from degseq import (
     is_graphical,
     p_matrix,
     q_matrix,
-    remaining_degrees,
 )
 from degseq.graphs import (
     SymmetricProbMatrix,
@@ -307,41 +306,6 @@ class TestHadamard:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             hadamard(SymmetricProbMatrix.full(3, 0.0), SymmetricProbMatrix.full(4, 0.0))
-
-
-class TestRemainingDegrees:
-    def test_single_edge(self):
-        h = SimpleGraph.from_edges(4, [(0, 1)])
-        t, p_m = remaining_degrees((1, 1, 1, 1), h)
-        assert t.degrees == (0, 0, 1, 1)
-        assert p_m == pytest.approx(0.5)
-
-    def test_empty_graph(self):
-        t, p_m = remaining_degrees((2, 2, 2), SimpleGraph.empty(3))
-        assert t.degrees == (2, 2, 2)
-        assert p_m == 1.0
-
-    def test_saturated(self):
-        triangle = SimpleGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-        t, p_m = remaining_degrees((2, 2, 2), triangle)
-        assert t.degrees == (0, 0, 0)
-        assert p_m == 0.0
-
-    def test_oversaturated_raises(self):
-        h = SimpleGraph.from_edges(3, [(0, 1), (0, 2)])
-        with pytest.raises(ValueError):
-            remaining_degrees((1, 1, 1), h)
-
-    @given(st.integers(2, 6), st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5))))
-    def test_roundtrip(self, n, raw_edges):
-        edges = {(min(j, k), max(j, k)) for j, k in raw_edges if j != k and j < n and k < n}
-        h = SimpleGraph.from_edges(n, edges)
-        hdeg = h.degree_vector()
-        d = tuple(min(hdeg[i] + i % 2, n - 1) for i in range(n))
-        if any(d[i] < hdeg[i] for i in range(n)):
-            return
-        t, _ = remaining_degrees(d, h)
-        assert tuple(a + b for a, b in zip(t.degrees, hdeg)) == d
 
 
 class TestSimpleGraph:

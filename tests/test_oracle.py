@@ -47,6 +47,11 @@ from degseq.stats import THRESHOLDS, pearson_chi_square
 from test_coupling import graphical_degrees
 
 
+def exact_kernel(d, state) -> OracleKernel:
+    """The exact kernel brought to the edge keys `state` by `make_kernel`."""
+    return make_kernel(DegreeSequence.of(d), SeqSampleMode.EXACT_ORACLE, SimpleGraph(len(d), state))
+
+
 def bin_positions(mask: int) -> list[int]:
     return [i for i, c in enumerate(reversed(bin(mask)[2:])) if c == "1"]
 
@@ -467,7 +472,7 @@ class TestKernelCounters:
         for cut in cut_patches(d):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(oracle, "BIT_COUNTS_MAX", cut)
-                assert OracleKernel(fam, state).candidate_counts() == want
+                assert exact_kernel(d, state).candidate_counts() == want
 
     @pytest.mark.parametrize("d", COUNTER_FAMILIES)
     def test_coupling_same_under_either_counter(self, monkeypatch, d):
@@ -521,7 +526,8 @@ class TestKernelPairOrder:
             if fwd.weight(j, k) > 0:
                 fwd.insert(j, k)
                 back.insert(k, j)
-                assert fwd.history == back.history == [j * n + k]
+                # the state's edges head the history, in ascending order
+                assert fwd.history == back.history == state.edges.tolist() + [j * n + k]
                 assert kernel_state(fwd) == kernel_state(back)
 
 
@@ -539,12 +545,12 @@ class TestOracleCompletion:
         members, firsts = [0] * len(sub), [0] * 5
         rng = RandomSource(71)
         for _ in range(5_600):
-            kernel = OracleKernel(fam, start)
+            kernel = exact_kernel(d, start)
             assert kernel.complete(rng) == 0
             mask = mask_of_edges(n, kernel.edges)
             members[sub.index(mask)] += 1
             missing = set_bits(mask ^ gmask)
-            firsts[missing.index(key_to_tri(n, kernel.history[0]))] += 1
+            firsts[missing.index(key_to_tri(n, kernel.history[len(start)]))] += 1
         assert pearson_chi_square(members, [1 / 28] * 28).p_value > THRESHOLDS.p_min
         assert pearson_chi_square(firsts, [1 / 5] * 5).p_value > THRESHOLDS.p_min
 
@@ -562,11 +568,12 @@ class TestOracleCompletion:
         keys = graph_of_mask(n, data.draw(st.sampled_from(fam.masks))).edges.tolist()
         kept = data.draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)))
         state = {e for e, keep in zip(keys, kept) if keep}
-        kernel = OracleKernel(fam, state)
+        kernel = exact_kernel(d, state)
         assert kernel.complete(RandomSource(seed)) == 0
         assert mask_of_edges(n, kernel.edges) in fam.masks
         assert state <= kernel.edges
-        assert sorted(kernel.history) == sorted(kernel.edges - state)
+        assert kernel.history[:len(state)] == sorted(state)
+        assert sorted(kernel.history) == sorted(kernel.edges)
 
     @given(graphical_degrees(max_n=6), st.data(), st.integers(0, 2**32 - 1))
     def test_complete_equals_inserting_one_at_a_time(self, d, data, seed):
@@ -574,14 +581,14 @@ class TestOracleCompletion:
         # the same shuffled edges one at a time must reach the same state
         n = len(d)
         fam = enumerate_graphs(d)
-        assert OracleKernel(fam, []).sub is fam.masks
+        assert OracleKernel(fam).sub is fam.masks
         keys = graph_of_mask(n, data.draw(st.sampled_from(fam.masks))).edges.tolist()
         kept = data.draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)))
         state = {e for e, keep in zip(keys, kept) if keep}
-        kernel, ref = OracleKernel(fam, state), OracleKernel(fam, state)
+        kernel, ref = exact_kernel(d, state), exact_kernel(d, state)
         kernel.candidate_counts()  # a cached count must not outlive complete
         assert kernel.complete(RandomSource(seed)) == 0
-        for e in kernel.history:
+        for e in kernel.history[len(state):]:
             ref.insert(*divmod(e, n))
         assert kernel.edges == ref.edges
         assert kernel.history == ref.history
@@ -591,6 +598,7 @@ class TestOracleCompletion:
 
     def test_insert_outside_every_member_raises(self):
         # no perfect matching of K4 holds both (0, 1) and (0, 2)
-        kernel = OracleKernel(enumerate_graphs((1, 1, 1, 1)), {1})
+        kernel = OracleKernel(enumerate_graphs((1, 1, 1, 1)))
+        kernel.insert(0, 1)
         with pytest.raises(InvariantError, match="left the enumerated sub-family"):
             kernel.insert(0, 2)

@@ -179,6 +179,27 @@ class TestAliasTable:
         with pytest.raises(ValueError):
             AliasTable([1.0, -0.5])
 
+    @pytest.mark.parametrize("weights", [
+        [float("nan"), 1.0],
+        [1.0, float("nan")],
+        [float("inf"), 1.0],
+        [1.0, float("inf"), 2.0],
+        [1e308, 1e308],
+    ])
+    def test_rejects_non_finite_weights(self, weights):
+        # unchecked, NaN builds prob [0.0, 0.0] and draws index 0 for ever,
+        # inf draws 0 and 1 half each; a sum past the largest double is inf
+        with pytest.raises(ValueError, match="finite"):
+            AliasTable(weights)
+
+    def test_negative_infinite_weight_is_negative(self):
+        with pytest.raises(ValueError, match="negative weight"):
+            AliasTable([float("-inf"), 1.0])
+
+    def test_integer_and_float_weights_build_one_table(self):
+        ints, floats = AliasTable([3, 0, 1, 7]), AliasTable([3.0, 0.0, 1.0, 7.0])
+        assert (ints.prob, ints.alias, ints.positive) == (floats.prob, floats.alias, floats.positive)
+
     @given(st.lists(st.integers(0, 20), min_size=1, max_size=12).filter(lambda w: sum(w) > 0))
     def test_table_encodes_exact_probabilities(self, weights):
         table = AliasTable(weights)

@@ -2,6 +2,7 @@ import gc
 import tracemalloc
 from math import expm1, sqrt
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from degseq import (
     AliasTable,
     DegenerateSequenceError,
+    DegreeSequence,
     NonGraphicalError,
     OracleCapError,
     RandomSource,
@@ -17,14 +19,16 @@ from degseq import (
     SimpleGraph,
     f_c_transform,
     hadamard,
+    eta_denominator,
     q_matrix,
+    rho,
     sample_gnw,
     seq_approx_p,
     seq_sample_d,
 )
 from degseq.deggen import parse_generator_spec
-from degseq.graphs import InvariantError, SymmetricProbMatrix
-from degseq.samplers import AsymptoticKernel, EtaDenominatorMode
+from degseq.graphs import InvariantError, SymmetricProbMatrix, tri_pairs
+from degseq.samplers import AsymptoticKernel, EtaDenominatorMode, make_kernel
 from degseq.stats import (
     THRESHOLDS,
     empirical_marginals,
@@ -231,6 +235,76 @@ class TestSeqSampleD:
         with pytest.raises(ValueError):
             seq_sample_d((1, 1), SeqSampleMode.ASYMPTOTIC, RandomSource(4), checkpoints=(2,))
 
+    @pytest.mark.parametrize("bad", [1.7, 1.0, True, False, np.float64(1.0), np.bool_(True)])
+    def test_non_integer_checkpoint_rejected(self, bad):
+        # int() would truncate [1.7, True] to two 1-edge snapshots
+        with pytest.raises(TypeError, match="integer"):
+            seq_sample_d((2, 2, 2, 2), SeqSampleMode.EXACT_ORACLE, RandomSource(1),
+                         checkpoints=[bad])
+
+    def test_numpy_integer_checkpoints_accepted(self):
+        _, snaps = seq_sample_d((2, 2, 2, 2), SeqSampleMode.EXACT_ORACLE, RandomSource(1),
+                                checkpoints=[np.int64(1), np.uint8(3), 2])
+        assert [s.num_edges for s in snaps] == [1, 3, 2]
+
+
+class TestMakeKernel:
+    """`make_kernel(d, mode, state)` reaches the state that inserting from the
+    empty graph reaches, and the public queries read that kernel."""
+
+    @given(graphical_degrees(max_n=6), st.sampled_from(list(SeqSampleMode)), st.data())
+    @settings(deadline=None)
+    def test_public_queries_read_the_inserted_kernel(self, degrees, mode, data):
+        d = DegreeSequence.of(degrees)
+        n = d.n
+        # weights are defined for pairs of positive degree, the only candidates
+        candidates = [(j, k) for j, k in tri_pairs(n) if d[j] >= 1 and d[k] >= 1]
+        kernel = make_kernel(d, mode)
+        for _ in range(data.draw(st.integers(0, d.total // 2))):
+            open_pairs = [(j, k) for j, k in candidates
+                          if j * n + k not in kernel.edges and kernel.weight(j, k) > 0]
+            if not open_pairs:
+                break
+            kernel.insert(*data.draw(st.sampled_from(open_pairs)))
+        h = SimpleGraph(n, kernel.edges)
+        for j, k in candidates:
+            if j * n + k not in kernel.edges:
+                assert rho(d, h, (j, k), mode) == kernel.weight(j, k)
+        for denom_mode in EtaDenominatorMode:
+            if denom_mode is EtaDenominatorMode.CERTIFIED_BOUND and mode is not SeqSampleMode.ASYMPTOTIC:
+                continue
+            want = kernel.denominator(denom_mode)
+            if want > 0.0:
+                assert eta_denominator(d, h, denom_mode, mode) == want
+            else:
+                with pytest.raises(ValueError, match="no eligible pair"):
+                    eta_denominator(d, h, denom_mode, mode)
+        replayed = make_kernel(d, mode, h)
+        assert replayed.edges == kernel.edges
+        # the state's edges head the history, in ascending order
+        assert replayed.history == sorted(kernel.edges)
+        if mode is SeqSampleMode.ASYMPTOTIC:
+            assert (replayed.t, replayed.tsum) == (kernel.t, kernel.tsum)
+        else:
+            assert replayed.gmask == kernel.gmask
+            assert list(replayed.sub) == list(kernel.sub)
+
+    def test_oversaturated_raises(self):
+        h = SimpleGraph.from_edges(3, [(0, 1), (0, 2)])
+        with pytest.raises(ValueError, match="vertex 0: partial degree 2 exceeds target 1"):
+            make_kernel(DegreeSequence((1, 1, 1)), SeqSampleMode.ASYMPTOTIC, h)
+
+    def test_state_outside_every_member_raises(self):
+        # insert's InvariantError becomes the conditioning error
+        h = SimpleGraph.from_edges(4, [(0, 1), (0, 2)])
+        with pytest.raises(ValueError, match="conditioning event is empty"):
+            make_kernel(DegreeSequence((1, 1, 1, 1)), SeqSampleMode.EXACT_ORACLE, h)
+
+    @pytest.mark.parametrize("mode", list(SeqSampleMode))
+    def test_wrong_n_raises(self, mode):
+        with pytest.raises(ValueError, match="graph on 3 vertices vs sequence of length 4"):
+            make_kernel(DegreeSequence((1, 1, 1, 1)), mode, SimpleGraph.empty(3))
+
 
 class TestAsymptoticStepLaw:
     """The pair one `insert_step` accepts follows t_j t_k / (||t||_1 + t_j t_k)
@@ -242,7 +316,7 @@ class TestAsymptoticStepLaw:
     def _state(self, fixed_inserts):
         # the first insert_step builds the proposal structure from t; the
         # fixed insertions after it lower t below what that structure saw
-        kernel = AsymptoticKernel(self.D, set(), list(self.D))
+        kernel = AsymptoticKernel(self.D)
         kernel.insert_step(RandomSource(61))
         for _ in range(fixed_inserts):
             t = kernel.t
@@ -280,7 +354,8 @@ class TestAsymptoticStepLaw:
         # copied, and the stub list is shared read only
         base.stubs.setflags(write=False)
         for s in range(self.DRAWS):
-            kernel = AsymptoticKernel(self.D, set(base.edges), list(base.t))
+            kernel = AsymptoticKernel(self.D)
+            kernel.edges, kernel.t, kernel.tsum = set(base.edges), list(base.t), base.tsum
             kernel.history = list(base.history)
             kernel.stubs, kernel.t_r, kernel.tsum_r = base.stubs, base.t_r, base.tsum_r
             counts[index[divmod(kernel.insert_step(RandomSource(seed, s)), n)]] += 1
@@ -303,7 +378,7 @@ def test_stub_list_shares_vertex_ints():
     d = [85] * 10_000
     tracemalloc.start()
     try:
-        AsymptoticKernel(d, set(), list(d)).insert_step(RandomSource(64))
+        AsymptoticKernel(d).insert_step(RandomSource(64))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -350,7 +425,7 @@ class TestAsymptoticKernelFrames:
     @given(graphical_degrees(), st.lists(st.booleans(), max_size=80), st.data())
     @settings(deadline=None)
     def test_heap_max_matches_full_scan(self, degrees, by_step, data):
-        kernel = AsymptoticKernel(degrees, set(), list(degrees))
+        kernel = AsymptoticKernel(degrees)
         rng = RandomSource(data.draw(st.integers(0, 2**32 - 1)))
         n = len(degrees)
         for step in by_step:
@@ -385,11 +460,11 @@ class TestAsymptoticKernelFrames:
         # regular(16,5) at seed 1 completes without a restart; the golden
         # case sample-gnd-asymptotic-checkpoints covers two restarts
         d = [5] * 16
-        stepped = AsymptoticKernel(d, set(), list(d))
+        stepped = AsymptoticKernel(d)
         rng_stepped = RandomSource(1)
         while stepped.insert_step(rng_stepped) is not None:
             pass
-        framed = AsymptoticKernel(d, set(), list(d))
+        framed = AsymptoticKernel(d)
         rng_framed = RandomSource(1)
         assert framed.complete(rng_framed) == 0
         assert stepped.history == framed.history
@@ -453,7 +528,7 @@ def complete_by_steps(kernel, rng):
 
 def completion_record(kernel_cls, degrees, rng, by_steps=False):
     """What a completion leaves: history, t, restarts and the next uniform."""
-    kernel = kernel_cls(degrees, set(), list(degrees))
+    kernel = kernel_cls(degrees)
     restarts = complete_by_steps(kernel, rng) if by_steps else kernel.complete(rng)
     return kernel.history, kernel.t, kernel.tsum, restarts, rng.uniform()
 
@@ -499,8 +574,8 @@ class TestBlockDrawsReplayScalarLoop:
     @example((1, 1, 2), 25, 2)  # a dead end after the first insertion
     def test_full_call_reads_every_draw(self, degrees, seed, count):
         count = min(count, max(1, sum(degrees) // 2))
-        kernel = AsymptoticKernel(degrees, set(), list(degrees))
-        reference = ScalarKernel(degrees, set(), list(degrees))
+        kernel = AsymptoticKernel(degrees)
+        reference = ScalarKernel(degrees)
         rng, rng_ref = RandomSource(seed), RandomSource(seed)
         e = kernel.insert_step(rng, count)
         if e != reference.insert_step(rng_ref, count) or kernel.history != reference.history:
@@ -515,7 +590,7 @@ class TestBlockDrawsReplayScalarLoop:
         # kernel must then read the second rng alone, as a fresh kernel does.
         # With seed 2 it once returned edge 2, history [5, 2], for [2, 5]
         degrees = (1, 1, 2)
-        kernel = AsymptoticKernel(degrees, set(), list(degrees))
+        kernel = AsymptoticKernel(degrees)
         if kernel.insert_step(RandomSource(25), count=2) is not None:
             raise InvariantError("(1, 1, 2) at seed 25 no longer dead-ends")
         kernel.edges.clear()
@@ -523,7 +598,7 @@ class TestBlockDrawsReplayScalarLoop:
         kernel.tsum = sum(degrees)
         kernel.history.clear()
         kernel.stubs = None
-        fresh = AsymptoticKernel(degrees, set(), list(degrees))
+        fresh = AsymptoticKernel(degrees)
         got = kernel.insert_step(RandomSource(second), count=2), kernel.history
         want = fresh.insert_step(RandomSource(second), count=2), fresh.history
         if got != want:

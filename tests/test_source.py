@@ -30,6 +30,38 @@ def test_package_has_no_assert_statements():
     assert not found, found
 
 
+KERNEL_CLASSES = {"OracleKernel", "AsymptoticKernel"}
+
+
+def kernel_calls(path: Path) -> list[tuple[str | None, int]]:
+    """(the innermost enclosing def or class, line) of each call in `path`
+    of a name or attribute that names a kernel class."""
+    calls = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in KERNEL_CLASSES:
+                    calls.append((where, child.lineno))
+            scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            visit(child, child.name if isinstance(child, scopes) else where)
+
+    visit(ast.parse(path.read_text(), str(path)), None)
+    return calls
+
+
+def test_kernels_are_built_only_by_make_kernel():
+    # make_kernel reaches a state by insert, the path the samplers run, so
+    # what rho and eta_denominator read is what the samplers execute
+    calls = {(path.stem, where, line)
+             for path in sorted(PACKAGE.glob("*.py")) for where, line in kernel_calls(path)}
+    inside = {call for call in calls if call[:2] == ("samplers", "make_kernel")}
+    assert len(inside) == len(KERNEL_CLASSES)
+    assert calls == inside, sorted(calls - inside)
+
+
 def missing_degseq_names(path: Path) -> list[str]:
     """The names `path` reads from degseq that the package does not have:
     dotted reads off a name bound to a degseq module, names imported from

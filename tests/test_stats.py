@@ -247,11 +247,10 @@ class TestDegreeConcentration:
         checkpoints = []
         for s in range(runs):
             rng = RandomSource(seed, s)
-            edges = set()
-            kernel = AsymptoticKernel(d, edges, list(d))
+            kernel = AsymptoticKernel(d)
             # one frame of m insertions draws what m single steps would
             assert kernel.insert_step(rng, count=m) is not None
-            checkpoints.append((m, SimpleGraph(n, frozenset(edges))))
+            checkpoints.append((m, SimpleGraph(n, frozenset(kernel.edges))))
         return d, checkpoints
 
     def test_regular_2000_matches_binomial_tail(self):
