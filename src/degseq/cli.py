@@ -327,7 +327,7 @@ class Couple(Command):
         self.denom = EtaDenominatorMode(self.config.denom)
         coupling.require_compatible(self.denom, SeqSampleMode(self.config.mode))
         self.prob = self._prob_mode()
-        # run_coupling reads the cap in every replica: a bad one fails here, before any file
+        # an escape's redraw reads the cap: a bad one fails here, before any file
         oracle.oracle_cap()
         self.traces: list[dict] = []
         self.fallbacks = self.violations = 0

@@ -32,7 +32,7 @@ from .graphs import (
     f_c_transform,
     hadamard,
 )
-from .oracle import exact_uniform_sample, oracle_cap
+from .oracle import OracleCapError, exact_uniform_sample
 from .randomness import CandidateStream, RandomSource, alias_table, sample_poisson
 from .samplers import (
     EtaDenominatorMode,
@@ -213,14 +213,14 @@ class CouplingTrace:
         return asdict(self)
 
 
-def _redraw_upper(d: DegreeSequence, rng: RandomSource, cap: int) -> tuple[SimpleGraph, bool]:
-    """G from its own law, and whether that law is only approximate: exact
-    from the enumeration oracle when n is within the cap, otherwise the
-    asymptotic sequential sampler."""
-    if d.n <= cap:
-        return exact_uniform_sample(d, rng, cap=cap), False
-    g, _ = seq_sample_d(d, SeqSampleMode.ASYMPTOTIC, rng)
-    return g, True
+def _redraw_upper(d: DegreeSequence, rng: RandomSource) -> tuple[SimpleGraph, bool]:
+    """G from its own law, and whether that law is only approximate: exact from
+    the oracle, or from the asymptotic sampler wherever either cap refuses d."""
+    try:
+        return exact_uniform_sample(d, rng), False
+    except OracleCapError:
+        g, _ = seq_sample_d(d, SeqSampleMode.ASYMPTOTIC, rng)
+        return g, True
 
 
 @lru_cache(maxsize=256)
@@ -274,7 +274,6 @@ def run_coupling(
     trace.poisson_steps = steps
     checkpoint_at = _auto_checkpoints(steps)
 
-    cap = oracle_cap()
     kernel = make_kernel(d, prob_mode)
     # both graphs hold edge keys j*n + k
     g_edges = kernel.edges
@@ -326,7 +325,7 @@ def run_coupling(
         # lower graph's set first
         g_l = SimpleGraph(n, l_edges)
         del kernel, g_edges, l_edges
-        g, trace.approx_g = _redraw_upper(d, rng, cap)
+        g, trace.approx_g = _redraw_upper(d, rng)
         return g_l, g, trace
 
     # completion: extend G to its full degree sequence with the same kernel

@@ -60,12 +60,6 @@ def oracle_cap() -> int:
     return int(raw)
 
 
-def _check_cap(n: int, cap: int | None) -> None:
-    limit = oracle_cap() if cap is None else cap
-    if n > limit:
-        raise OracleCapError(f"n={n} exceeds enumeration cap {limit}")
-
-
 def set_bits(mask: int) -> list[int]:
     """The positions of the set bits of `mask`, from low to high."""
     bits = []
@@ -297,13 +291,19 @@ def _cached_family(degrees: tuple[int, ...]) -> GraphFamily:
     return GraphFamily(n, degrees, tuple(masks))
 
 
-def enumerate_graphs(d: DegreeSequence | Sequence[int], cap: int | None = None) -> GraphFamily:
+def enumerate_graphs(d: DegreeSequence | Sequence[int]) -> GraphFamily:
     """All graphs with degree sequence d, in ascending bitmask order.
 
     A non-graphical sequence yields an empty family (not an error).
     """
-    d = DegreeSequence.of(d)
-    _check_cap(d.n, cap)
+    return _family(DegreeSequence.of(d))
+
+
+def _family(d: DegreeSequence) -> GraphFamily:
+    """d's family, or `OracleCapError` past `oracle_cap()` or `DEFAULT_FAMILY_CAP`."""
+    cap = oracle_cap()
+    if d.n > cap:
+        raise OracleCapError(f"n={d.n} exceeds enumeration cap {cap}")
     return _cached_family(d.degrees)
 
 
@@ -325,12 +325,12 @@ def edge_counts(fam: GraphFamily) -> np.ndarray:
     return counts
 
 
-def exact_uniform_sample(
-    d: DegreeSequence | Sequence[int], rng, cap: int | None = None
-) -> SimpleGraph:
-    """Uniform draw from the enumerated family."""
+def exact_uniform_sample(d: DegreeSequence | Sequence[int], rng) -> SimpleGraph:
+    """Uniform draw from the enumerated family.  Either cap refuses, before
+    any draw, in `_family`: `benchmarks/tracing.py` wraps `enumerate_graphs`
+    and needs every call it times to return."""
     d = DegreeSequence.of(d)
-    fam = enumerate_graphs(d, cap=cap)
+    fam = _family(d)
     if not fam.masks:
         raise NonGraphicalError(f"no graph realizes {d.degrees}")
     return graph_of_mask(d.n, fam.masks[rng.below(len(fam))])

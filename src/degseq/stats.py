@@ -158,12 +158,14 @@ def pearson_chi_square(observed: Sequence[int], probabilities: Sequence[float]) 
     probs = [float(p) for p in probabilities]
     if len(obs) != len(probs):
         raise ValueError("length mismatch")
-    if any(p <= 0 for p in probs):
-        raise ValueError("category probabilities must be positive")
+    if not all(0.0 < p < np.inf for p in probs):
+        raise ValueError("category probabilities must be finite and positive")
     total_p = sum(probs)
     if abs(total_p - 1.0) > 1e-9:
         raise ValueError("probabilities must sum to 1")
     n = sum(obs)
+    if n == 0 or min(obs) < 0:
+        raise ValueError("counts must be non-negative with a positive total")
     if len(obs) == 1:
         # point-mass law: anything in support fits perfectly
         return GofReport(1, 0.0, 1.0, n)

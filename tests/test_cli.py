@@ -192,6 +192,18 @@ class TestCouple:
         mb.pop("wall_time_s")
         assert ma == mb
 
+    def test_asymptotic_escape_past_the_family_cap_exits_0(self, tmp_path):
+        # regular(10,3) is within the vertex cap but past the family cap: the
+        # first escape's redraw exited 3 where the oracle refused it
+        out = tmp_path / "o"
+        code = run(["couple", "--degrees", "regular(10,3)", "--runs", "20", "--seed", "1",
+                    "--out", str(out)])
+        assert code == 0
+        traces = [json.loads(line) for line in (out / "traces.ndjson").read_text().splitlines()]
+        escaped = [tr for tr in traces if tr["fallback"]]
+        assert len(traces) == 20 and escaped
+        assert all(tr["approx_g"] for tr in escaped)
+
 
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path):

@@ -407,7 +407,6 @@ class TestRunCoupling:
             return 10
 
         monkeypatch.setattr(degseq.oracle, "oracle_cap", counting_cap)
-        monkeypatch.setattr(degseq.coupling, "oracle_cap", counting_cap)
         params = params_d4()
         escaped = 0
         for i in range(5):
@@ -416,11 +415,10 @@ class TestRunCoupling:
                 RandomSource(5, i),
             )
             escaped += tr.fallback
-        # each run reads the cap twice: run_coupling once, for the escape
-        # redraw, and the exact kernel's enumeration once.  Escapes redraw G
-        # from the oracle, which must reuse run_coupling's resolved cap
+        # only the enumeration reads the cap: once for the exact kernel in
+        # every run, and once more for each escape's redraw
         assert escaped >= 1
-        assert len(calls) == 2 * 5
+        assert len(calls) == 5 + escaped
 
 
 class TestRunInvariants:
@@ -476,6 +474,23 @@ class TestEscape:
             _, g, trace = run_coupling(
                 degrees, params, SeqSampleMode.ASYMPTOTIC, EtaDenominatorMode.CERTIFIED_BOUND,
                 RandomSource(34, s),
+            )
+            if trace.fallback:
+                escaped += 1
+                assert trace.approx_g
+                assert g.degree_vector() == degrees
+        assert escaped > 0
+
+    def test_escape_past_the_family_cap_uses_asymptotic_upper(self):
+        # regular(10,3) is within the vertex cap, but its 11,180,820 members
+        # are past the family cap: the oracle refuses, and the redraw falls back
+        degrees = (3,) * 10
+        params = default_params(degrees)
+        escaped = 0
+        for i in range(5):
+            _, g, trace = run_coupling(
+                degrees, params, SeqSampleMode.ASYMPTOTIC, EtaDenominatorMode.CERTIFIED_BOUND,
+                RandomSource(1, i),
             )
             if trace.fallback:
                 escaped += 1

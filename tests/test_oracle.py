@@ -127,9 +127,10 @@ class TestEnumerateGraphs:
     def test_non_graphical_empty(self):
         assert len(enumerate_graphs((3, 3, 1, 1))) == 0
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setenv("DEGSEQ_ORACLE_CAP", "10")
         with pytest.raises(OracleCapError):
-            enumerate_graphs((1,) * 12, cap=10)
+            enumerate_graphs((1,) * 12)
 
     def test_env_cap_override(self, monkeypatch):
         monkeypatch.setenv("DEGSEQ_ORACLE_CAP", "3")
@@ -369,6 +370,21 @@ class TestExactUniformSample:
     def test_non_graphical_raises(self):
         with pytest.raises(NonGraphicalError):
             exact_uniform_sample((3, 3, 1, 1), RandomSource(0))
+
+    @pytest.mark.parametrize(
+        "d, env_cap",
+        [((3,) * 10, None), ((2, 2, 2, 2), "3"), ((1,) * 12, None)],
+        ids=["family-cap", "env-vertex-cap", "default-vertex-cap"],
+    )
+    def test_refuses_before_any_draw(self, monkeypatch, d, env_cap):
+        # the escape redraw falls back to the asymptotic sampler on this
+        # refusal, from the stream position the oracle was handed
+        if env_cap is not None:
+            monkeypatch.setenv("DEGSEQ_ORACLE_CAP", env_cap)
+        rng = RandomSource(9)
+        with pytest.raises(OracleCapError):
+            exact_uniform_sample(d, rng)
+        assert rng.uniform() == RandomSource(9).uniform()
 
 
 class TestExactSubgraphLaw:

@@ -33,9 +33,9 @@ def test_package_has_no_assert_statements():
 KERNEL_CLASSES = {"OracleKernel", "AsymptoticKernel"}
 
 
-def kernel_calls(path: Path) -> list[tuple[str | None, int]]:
-    """(the innermost enclosing def or class, line) of each call in `path`
-    of a name or attribute that names a kernel class."""
+def calls_to(path: Path, names: set[str]) -> list[tuple[str | None, int]]:
+    """(the dotted names of the defs and classes enclosing it, line) of each
+    call in `path` of a name or attribute in `names`."""
     calls = []
 
     def visit(node, where):
@@ -43,10 +43,12 @@ def kernel_calls(path: Path) -> list[tuple[str | None, int]]:
             if isinstance(child, ast.Call):
                 func = child.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in KERNEL_CLASSES:
+                if name in names:
                     calls.append((where, child.lineno))
-            scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            visit(child, child.name if isinstance(child, scopes) else where)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}" if where else child.name)
+            else:
+                visit(child, where)
 
     visit(ast.parse(path.read_text(), str(path)), None)
     return calls
@@ -55,11 +57,29 @@ def kernel_calls(path: Path) -> list[tuple[str | None, int]]:
 def test_kernels_are_built_only_by_make_kernel():
     # make_kernel reaches a state by insert, the path the samplers run, so
     # what rho and eta_denominator read is what the samplers execute
-    calls = {(path.stem, where, line)
-             for path in sorted(PACKAGE.glob("*.py")) for where, line in kernel_calls(path)}
+    calls = {(path.stem, where, line) for path in sorted(PACKAGE.glob("*.py"))
+             for where, line in calls_to(path, KERNEL_CLASSES)}
     inside = {call for call in calls if call[:2] == ("samplers", "make_kernel")}
     assert len(inside) == len(KERNEL_CLASSES)
     assert calls == inside, sorted(calls - inside)
+
+
+def test_oracle_cap_is_read_only_where_it_refuses():
+    # the oracle reads the cap whenever it enumerates (`_family`, under
+    # enumerate_graphs and exact_uniform_sample), and `couple` checks it
+    # before writing anything; a cap read elsewhere and handed on is a second
+    # copy of the oracle's refusal, which the escape redraw follows
+    reads = sorted((path.stem, where)
+                   for path in PACKAGE.glob("*.py") for where, _ in calls_to(path, {"oracle_cap"}))
+    assert reads == [("cli", "Couple.setup"), ("oracle", "_family")]
+    handed_on = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call) and any(kw.arg == "cap" for kw in node.keywords)
+        or isinstance(node, ast.arg) and node.arg == "cap"
+    ]
+    assert not handed_on, handed_on
 
 
 def missing_degseq_names(path: Path) -> list[str]:

@@ -135,12 +135,31 @@ class TestPearsonChiSquare:
         with pytest.raises(ValueError):
             pearson_chi_square([1, 2], [1.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "observed, probabilities",
+        [([0], [1.0]), ([0, 0], [0.5, 0.5]), ([-1, 2], [0.5, 0.5]),
+         ([1, 2], [float("nan"), 0.5]), ([1, 2], [float("inf"), 0.5])],
+        ids=["empty-point-mass", "empty", "negative-count", "nan-prob", "inf-prob"],
+    )
+    def test_rejects_degenerate_input(self, observed, probabilities):
+        # the first four gave p = 1.0, a ZeroDivisionError, p = 0.0027 and a NaN p
+        with pytest.raises(ValueError):
+            pearson_chi_square(observed, probabilities)
+
 
 class TestChiSquareGof:
     def test_point_mass_law(self):
         g = SimpleGraph.from_edges(2, [(0, 1)])
         report = chi_square_gof([g] * 50, {g: 1.0})
         assert report.statistic == 0.0 and report.p_value == 1.0
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_no_samples_raises(self, size):
+        # a one-member law passed with p = 1.0; a larger one divided by zero
+        law = {g: 1 / size for g in enumerate_graphs((2,) * (size + 2)).members[:size]}
+        assert len(law) == size
+        with pytest.raises(ValueError):
+            chi_square_gof([], law)
 
     def test_out_of_support_sample_raises(self):
         fam = enumerate_graphs((2, 2, 2, 2))
