@@ -40,7 +40,7 @@ def run_cell(n: int, zeta: float | None, runs: int, seed: int) -> dict:
     params = default_params(gen.degrees, zeta=zeta)
     fallbacks = 0
     eta_mins = []
-    fallback_pm = []
+    end_pm = []
     step_fracs = []
     pairs = []
     for run in range(runs):
@@ -52,10 +52,10 @@ def run_cell(n: int, zeta: float | None, runs: int, seed: int) -> dict:
             RandomSource(seed + n, run),
         )
         eta_mins.append(tr.eta_min)
+        # an escape does not end the step loop: this is p_m where it ended
+        end_pm.append(1.0 - 2.0 * tr.edges_at_step_end / gen.degrees.total)
         if tr.fallback:
             fallbacks += 1
-            total = sum(gen.degrees.degrees)
-            fallback_pm.append(1.0 - 2.0 * tr.edges_at_step_end / total)
             step_fracs.append(tr.fallback_step / tr.poisson_steps)
         else:
             pairs.append((g_l, g))
@@ -69,9 +69,7 @@ def run_cell(n: int, zeta: float | None, runs: int, seed: int) -> dict:
         "runs": runs,
         "fallback_fraction": fallbacks / runs,
         "mean_eta_min": sum(eta_mins) / len(eta_mins),
-        "mean_fallback_p_m": (
-            sum(fallback_pm) / len(fallback_pm) if fallback_pm else ""
-        ),
+        "mean_end_p_m": sum(end_pm) / len(end_pm),
         "mean_escape_step_frac": (
             sum(step_fracs) / len(step_fracs) if step_fracs else ""
         ),
@@ -104,7 +102,7 @@ def main() -> int:
                 f"n={row['n']:5d} d={row['degree']:3d} zeta={row['zeta']:.3f} "
                 f"fallback={row['fallback_fraction']:.2f} "
                 f"mean eta_min={row['mean_eta_min']:.3f} "
-                f"mean p_m at escape={row['mean_fallback_p_m']} "
+                f"mean p_m at loop end={row['mean_end_p_m']:.3f} "
                 f"mean escape step fraction={row['mean_escape_step_frac']} "
                 f"violations={row['containment_violations']} "
                 f"wall={row['wall_s']}s peak_rss={row['peak_rss_mb']}MB"

@@ -327,8 +327,6 @@ class Couple(Command):
         self.denom = EtaDenominatorMode(self.config.denom)
         coupling.require_compatible(self.denom, SeqSampleMode(self.config.mode))
         self.prob = self._prob_mode()
-        # an escape's redraw reads the cap: a bad one fails here, before any file
-        oracle.oracle_cap()
         self.traces: list[dict] = []
         self.fallbacks = self.violations = 0
         return self._schedule() | {"denom": self.config.denom}

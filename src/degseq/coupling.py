@@ -1,15 +1,15 @@
 """Coupled construction of an independent-edge graph inside a degree-constrained one.
 
 `run_coupling` drives a Poissonized stream of degree-weighted candidate pairs
-through a three-way accept table so that, marginally, the lower graph is an
-independent-edge graph with entries 1 - exp(-lam * Lambda_jk * Q_jk), the
-upper graph is (in exact mode) a uniform graph with the target degree
-sequence, and on runs that never hit the escape branch the lower graph is a
-subgraph of the upper one.  On an escape the lower graph finishes its
-candidate stream with acceptance coins alone (`CandidateStream.accept_rest`,
-which is all `seq_approx_p` does with its stream) and the upper graph is
-redrawn from its own law (`_redraw_upper`): both marginal laws hold,
-containment does not.
+through both graphs at once.  The lower graph G_L keeps a step's pair with
+probability Lambda_jk, as `seq_approx_p` does with the same stream, so it is
+an independent-edge graph with entries 1 - exp(-lam * Lambda_jk * Q_jk).  The
+upper graph G takes a fresh pair with probability eta = rho / denominator,
+a thinning of its own sequential-insertion kernel, and is then completed by
+that kernel, so it has the standalone sampler's law (in exact mode, uniform
+on the graphs with the target degrees).  One coin decides both, so G_L is a
+subgraph of G unless some fresh step had eta < Lambda_jk: an escape, which
+is recorded and ends neither graph's path.
 """
 from __future__ import annotations
 
@@ -32,14 +32,10 @@ from .graphs import (
     f_c_transform,
     hadamard,
 )
-from .oracle import OracleCapError, exact_uniform_sample
 from .randomness import CandidateStream, RandomSource, alias_table, sample_poisson
-from .samplers import (
-    EtaDenominatorMode,
-    SeqSampleMode,
-    make_kernel,
-    seq_sample_d,
-)
+from .samplers import DeadBaseError, EtaDenominatorMode, SeqSampleMode, make_kernel
+# a module attribute `benchmarks/tracing.py` overrides; nothing here calls it
+from .samplers import seq_sample_d  # noqa: F401
 
 __all__ = [
     "EtaDenominatorMode",
@@ -190,8 +186,12 @@ class CouplingTrace:
 
     The step loop partitions its iterations exactly as
     duplicate_hits + insertions_both + rejections_l_only + rejections_g
-    = steps_total, and the upper graph's edge count when the loop ended is
-    insertions_both + rejections_l_only.
+    = steps_total = poisson_steps, and the upper graph's edge count when the
+    loop ended is edges_at_step_end = insertions_both + rejections_l_only.
+    `fallback_step` is the first fresh step with eta < Lambda_jk, and
+    `eta_min` the smallest eta of the fresh steps up to it (of all of them
+    on a run that did not escape).  The final G has edges_at_step_end +
+    completion_insertions edges.
     """
 
     poisson_steps: int = 0
@@ -206,21 +206,10 @@ class CouplingTrace:
     edges_at_step_end: int = 0
     completion_insertions: int = 0
     completion_restarts: int = 0
-    approx_g: bool = False
     p_m_checkpoints: list[tuple[int, float]] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         return asdict(self)
-
-
-def _redraw_upper(d: DegreeSequence, rng: RandomSource) -> tuple[SimpleGraph, bool]:
-    """G from its own law, and whether that law is only approximate: exact from
-    the oracle, or from the asymptotic sampler wherever either cap refuses d."""
-    try:
-        return exact_uniform_sample(d, rng), False
-    except OracleCapError:
-        g, _ = seq_sample_d(d, SeqSampleMode.ASYMPTOTIC, rng)
-        return g, True
 
 
 @lru_cache(maxsize=256)
@@ -239,23 +228,25 @@ def run_coupling(
 ) -> tuple[SimpleGraph, SimpleGraph, CouplingTrace]:
     """Coupled sequential construction of (G_L, G).
 
-    Runs a Poisson(lam) number of candidate steps.  A candidate pair already
-    in G flips only the lower graph's acceptance coin.  A fresh pair is
-    scored by eta = rho / denominator; a single uniform then decides between
-    adding to both graphs (Lambda_jk), adding to G alone (eta - Lambda_jk),
-    or rejecting (1 - eta).  One uniform per branch point keeps a fixed
-    stream's fallback indicator monotone in zeta.  After the step loop, G is
-    completed to its full degree sequence with the matching
-    sequential-insertion kernel.
+    Runs a Poisson(lam) number of candidate steps, each a pair jk and one
+    uniform u.  G_L takes the pair when u < Lambda_jk.  G takes it when it is
+    fresh (not yet in G) and u < eta, with eta = rho / denominator.  After
+    the step loop, G is completed to its full degree sequence with the
+    matching sequential-insertion kernel.
 
-    When eta < Lambda_jk the coupled construction escapes (recorded in the
-    trace, not an error): the lower graph finishes its candidate stream with
-    acceptance coins alone, so that over the whole run every step applied
-    the same add-with-probability-Lambda update and its independent-edge law
-    holds exactly, unconditionally; the upper graph is redrawn independently
-    from its own law by `_redraw_upper`.  A fresh redraw of the lower graph
-    would instead bias the overall mixture, because the escape event is
-    correlated with the acceptance coins already spent.
+    G_L is then exactly `seq_approx_p`'s graph on the same stream, and G is
+    the kernel's own sampler: each step inserts a pair with probability
+    proportional to d_j d_k rho_jk.  Neither law depends on the other graph.
+    While eta >= Lambda_jk on every fresh step, u < Lambda_jk implies
+    u < eta and G_L stays inside G.  The first fresh step with
+    eta < Lambda_jk is an escape: it is recorded in the trace, not an
+    error, and both graphs keep their paths.  The one coin per step keeps a
+    fixed stream's escape indicator monotone in zeta.
+
+    In asymptotic mode the loop may leave G with no completion; the kernel
+    then gives up on it (`DeadBaseError`), G is completed from the empty
+    graph instead, and the run counts as escaped, at the last step if it
+    had not escaped before.
     """
     d = DegreeSequence.of(d)
     n = d.n
@@ -271,68 +262,68 @@ def run_coupling(
         return SimpleGraph.empty(n), SimpleGraph.empty(n), trace
 
     steps = sample_poisson(params.lam, rng)
-    trace.poisson_steps = steps
+    trace.poisson_steps = trace.steps_total = steps
     checkpoint_at = _auto_checkpoints(steps)
 
     kernel = make_kernel(d, prob_mode)
     # both graphs hold edge keys j*n + k
     g_edges = kernel.edges
     l_edges: set[int] = set()
-    # each step's pair, Lambda_jk and one coin u; u is the duplicate's
-    # acceptance coin, the fresh pair's branch uniform, or the escape step's
-    # acceptance coin
+    # only an insertion changes the denominator
+    denom = kernel.denominator(denom_mode)
+    weight, insert, take_lower = kernel.weight, kernel.insert, l_edges.add
+    duplicates = both = 0
+    eta_min = 1.0
+    escape = None
     stream = CandidateStream(alias_table(d.degrees), params.big_lambda, steps, rng)
     for step, (j, k, lam_jk, u) in enumerate(stream, 1):
         e = j * n + k
+        if u < lam_jk:
+            take_lower(e)
         if e in g_edges:
-            trace.duplicate_hits += 1
-            if u < lam_jk:
-                l_edges.add(e)
+            duplicates += 1
         else:
-            r = kernel.weight(j, k)
+            r = weight(j, k)
             # a candidate that can never join G gets eta = 0, which also
             # covers the saturated state where the true maximum vanishes
-            eta = r / kernel.denominator(denom_mode) if r > 0.0 else 0.0
+            eta = r / denom if r > 0.0 else 0.0
             if eta > 1.0 + 1e-9:
                 raise InvariantError(f"eta = {eta} > 1: the denominator must dominate rho")
-            trace.eta_min = min(trace.eta_min, eta)
-            if eta < lam_jk:
-                trace.fallback = True
-                trace.fallback_step = step
-                break
+            if escape is None:
+                if eta < eta_min:
+                    eta_min = eta
+                if eta < lam_jk:
+                    escape = step
             if u < eta:
-                kernel.insert(j, k)
+                insert(j, k)
+                denom = kernel.denominator(denom_mode)
                 if u < lam_jk:
-                    l_edges.add(e)
-                    trace.insertions_both += 1
-                else:
-                    trace.rejections_l_only += 1
-            else:
-                trace.rejections_g += 1
+                    both += 1
         if step in checkpoint_at:
             trace.p_m_checkpoints.append((step, (total - 2 * len(g_edges)) / total))
 
-    trace.edges_at_step_end = len(g_edges)
-    if trace.fallback:
-        trace.steps_total = trace.fallback_step
-        # finish the lower graph's candidate stream: the escape step's pair
-        # still gets its acceptance coin, then the remaining Poisson steps
-        # run with coins alone, so the lower law holds exactly
-        if u < lam_jk:
-            l_edges.add(e)
-        stream.accept_rest(l_edges)
-        # G is redrawn from scratch: free the step loop's partial G and the
-        # lower graph's set first
-        g_l = SimpleGraph(n, l_edges)
-        del kernel, g_edges, l_edges
-        g, trace.approx_g = _redraw_upper(d, rng)
-        return g_l, g, trace
-
-    # completion: extend G to its full degree sequence with the same kernel
-    # the standalone sequential sampler uses
-    trace.steps_total = steps
-    trace.completion_restarts = kernel.complete(rng)
+    # a fresh step G refused is neither a duplicate nor an insertion
+    inserted = len(g_edges)
+    trace.duplicate_hits, trace.insertions_both = duplicates, both
+    trace.rejections_l_only = inserted - both
+    trace.rejections_g = steps - duplicates - inserted
+    trace.eta_min = eta_min
+    trace.edges_at_step_end = inserted
+    # G_L's set (and each name bound to it) goes before the completion grows G
+    g_l = SimpleGraph(n, l_edges)
+    del l_edges, g_edges, take_lower, weight, insert
+    try:
+        trace.completion_restarts = kernel.complete(rng)
+    except DeadBaseError as dead:
+        kernel = make_kernel(d, prob_mode)
+        trace.completion_restarts = dead.restarts + kernel.complete(rng)
+        if escape is None:
+            escape = steps
     trace.completion_insertions = len(kernel.edges) - trace.edges_at_step_end
-    if not l_edges <= kernel.edges:
+    g = SimpleGraph(n, kernel.edges)
+    del kernel
+    if escape is not None:
+        trace.fallback, trace.fallback_step = True, escape
+    elif not g_l.is_subgraph_of(g):
         raise InvariantError("lower graph is not a subgraph of the upper graph")
-    return SimpleGraph(n, l_edges), SimpleGraph(n, kernel.edges), trace
+    return g_l, g, trace

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import exp, floor, isfinite, lgamma, log, sqrt
-from operator import length_hint
 from typing import Iterator
 
 import numpy as np
@@ -248,21 +247,19 @@ class CandidateStream:
     the step-by-step loop `j, k = table.sample_pair(rng)`, `big_lambda.entry(j,
     k)`, `rng.uniform()`.
 
-    Iterating (once) yields the steps one at a time; `accept_rest` takes the
-    steps not yet yielded with their coins alone.  What has been drawn is kept
-    on the stream, not in the iterator, so a loop may `break` and leave the
-    rest to `accept_rest`.  A step's draws do not depend on what the caller
-    does with earlier steps, so streams of at least 64 steps are parsed ahead
-    with numpy, a window of at most 4096 steps per pass; shorter ones, where
-    numpy's cost per call would dominate, are drawn step by step.  A pass
-    takes five uniforms per step it still owes and puts the draws after its
-    last whole step back with `rng.unread`, so the rng is left where the
-    step-by-step loop would leave it.  `big_lambda` is a
-    `graphs.SymmetricProbMatrix`, whose `entries(j, k)` equal its `entry(j,
-    k)` bit for bit.
+    A stream is used once: iterating yields the steps one at a time, and
+    `accept_rest` instead takes them with their coins alone.  A step's draws
+    do not depend on what the caller does with earlier steps, so streams of
+    at least 64 steps are parsed ahead with numpy, a window of at most 4096
+    steps per pass; shorter ones, where numpy's cost per call would dominate,
+    are drawn step by step.  A pass takes five uniforms per step it still
+    owes and puts the draws after its last whole step back with `rng.unread`,
+    so the rng is left where the step-by-step loop would leave it.
+    `big_lambda` is a `graphs.SymmetricProbMatrix`, whose `entries(j, k)`
+    equal its `entry(j, k)` bit for bit.
     """
 
-    __slots__ = ("table", "big_lambda", "rng", "left", "_chunk", "_tail", "_prob", "_alias")
+    __slots__ = ("table", "big_lambda", "rng", "left", "_prob", "_alias")
 
     def __init__(self, table: AliasTable, big_lambda, count: int, rng: RandomSource):
         table.require_pairs()
@@ -272,28 +269,18 @@ class CandidateStream:
         if count >= _STREAM_BLOCK_MIN:
             self._prob = np.array(table.prob)
             self._alias = np.array(table.alias, dtype=np.intp)
-            # the current window, and an iterator over its coins that the
-            # step iterator advances
-            self._chunk: tuple[np.ndarray, ...] | None = None
-            self._tail: Iterator[float] = iter(())
 
     def __iter__(self) -> Iterator[tuple[int, int, float, float]]:
         # the stream does not hold its iterator: no reference cycle outlives the loop
         return self._scalar_steps() if self._prob is None else self._block_steps()
 
     def accept_rest(self, edges: set[int]) -> None:
-        """Add the key j*n + k of every step not yet yielded whose coin u is
-        below Lambda_jk to `edges`; the stream is then used up."""
+        """Add the key j*n + k of every step whose coin u is below Lambda_jk to
+        `edges`; the stream is then used up."""
         n = self.big_lambda.n
         if self._prob is None:
             edges.update([j * n + k for j, k, lam, u in self._scalar_steps() if u < lam])
             return
-        if self._chunk is not None:
-            # the part of the current window the iteration has not reached
-            rest = length_hint(self._tail)
-            j, k, lam, u = (a[len(a) - rest:] for a in self._chunk)
-            self._chunk, self._tail = None, iter(())
-            edges.update((j * n + k)[u < lam].tolist())
         while self.left:
             j, k, lam, u = self._parse()
             edges.update((j * n + k)[u < lam].tolist())
@@ -308,9 +295,8 @@ class CandidateStream:
 
     def _block_steps(self) -> Iterator[tuple[int, int, float, float]]:
         while self.left:
-            j, k, lam, u = self._chunk = self._parse()
-            self._tail = tail = iter(u.tolist())
-            yield from zip(j.tolist(), k.tolist(), lam.tolist(), tail)
+            j, k, lam, u = self._parse()
+            yield from zip(j.tolist(), k.tolist(), lam.tolist(), u.tolist())
 
     def _parse(self) -> tuple[np.ndarray, ...]:
         """The next steps, at most one window: (j, k, Lambda_jk, u) as arrays, j < k."""

@@ -41,8 +41,13 @@ from .randomness import (
 
 # the most uniforms one refill of `AsymptoticKernel.insert_step` asks for
 _DRAW_BLOCK = 8192
+# the dead ends in a row after which `AsymptoticKernel.complete` gives up on a
+# non-empty base: well above the 23 that the completing bases of a 10^5-run
+# sweep at n <= 9 took at most (see CHANGES.md)
+DEAD_BASE_RESTARTS = 64
 
 __all__ = [
+    "DeadBaseError",
     "InvariantError",
     "SeqSampleMode",
     "SamplerDiagnostics",
@@ -61,6 +66,15 @@ class SeqSampleMode(Enum):
 class EtaDenominatorMode(Enum):
     EXACT_MAX = "exact-max"
     CERTIFIED_BOUND = "certified-bound"
+
+
+class DeadBaseError(RuntimeError):
+    """`complete` dead-ended `DEAD_BASE_RESTARTS` times in a row from the
+    partial graph it began in, and left the kernel there."""
+
+    def __init__(self, restarts: int):
+        super().__init__(f"no completion of the base after {restarts} restarts")
+        self.restarts = restarts
 
 
 @dataclass
@@ -103,7 +117,8 @@ def seq_approx_p(d: DegreeSequence | Sequence[int], lam: float,
 #   weight(j, k)       rho_jk = P(jk joins G | G) / (d_j d_k), jk a non-edge
 #   denominator(mode)  a bound on rho over all non-edges (EtaDenominatorMode)
 #   insert(j, k)       add jk to G
-#   complete(rng)      extend G to degrees d; returns the dead-end restarts
+#   complete(rng)      extend G to degrees d; returns the dead-end restarts, or
+#                      raises DeadBaseError for a G it gives up on
 # Both take a pair in either order.  `oracle.OracleKernel` (whose empty state
 # reads the family's masks in place, whose `insert` refilters its sub-family
 # in one pass, and whose `complete` draws a uniform member containing G, adds
@@ -272,7 +287,10 @@ class AsymptoticKernel:
     def complete(self, rng: RandomSource) -> int:
         """Insert until every degree is met.  A run that paints itself into a
         corner (no weight-positive pair left, degrees unsaturated) restarts
-        from the state `complete` began in; returns the number of restarts."""
+        from the state `complete` began in; returns the number of restarts.
+        A non-empty base may have no completion at all: after
+        `DEAD_BASE_RESTARTS` restarts from one, raises `DeadBaseError`.  The
+        empty base of a graphical d always has one and is never given up."""
         base_t = list(self.t)
         base_len = len(self.history)
         # a restart rewinds t, which the query-time heap cannot follow
@@ -286,6 +304,8 @@ class AsymptoticKernel:
                 self.tsum = sum(base_t)
                 del self.history[base_len:]
                 self.stubs = None
+                if base_len and restarts == DEAD_BASE_RESTARTS:
+                    raise DeadBaseError(restarts)
         return restarts
 
 

@@ -193,8 +193,8 @@ class TestCouple:
         assert ma == mb
 
     def test_asymptotic_escape_past_the_family_cap_exits_0(self, tmp_path):
-        # regular(10,3) is within the vertex cap but past the family cap: the
-        # first escape's redraw exited 3 where the oracle refused it
+        # regular(10,3) is within the vertex cap but past the family cap: an
+        # escape once redrew G from the oracle, which refused it
         out = tmp_path / "o"
         code = run(["couple", "--degrees", "regular(10,3)", "--runs", "20", "--seed", "1",
                     "--out", str(out)])
@@ -202,7 +202,21 @@ class TestCouple:
         traces = [json.loads(line) for line in (out / "traces.ndjson").read_text().splitlines()]
         escaped = [tr for tr in traces if tr["fallback"]]
         assert len(traces) == 20 and escaped
-        assert all(tr["approx_g"] for tr in escaped)
+        assert not any("approx_g" in tr for tr in traces)
+
+    def test_loop_state_with_no_completion_exits_0(self, tmp_path):
+        # replica 8's step loop ends at a triangle of regular(4,2), which no
+        # completion extends: the asymptotic completion restarted from it forever
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "degseq.cli", "couple", "--degrees", "regular(4,2)",
+             "--zeta", "0.9", "--zeta-prime", "0.1", "--runs", "9", "--seed", "1",
+             "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        last = json.loads((tmp_path / "o" / "traces.ndjson").read_text().splitlines()[8])
+        assert last["fallback"] and last["fallback_step"] == last["poisson_steps"]
 
 
 class TestConfigFile:
@@ -430,10 +444,11 @@ class TestConfigValidation:
         assert not out.exists() or not any(out.iterdir())
 
     def test_bad_oracle_cap_exits_before_writing(self, tmp_path, capsys, monkeypatch):
-        # an asymptotic couple read the cap only in replica 0, after degrees.txt
+        # an exact couple reads the cap when set-up enumerates the family
         monkeypatch.setenv("DEGSEQ_ORACLE_CAP", "abc")
         out = tmp_path / "o"
-        assert run(["couple", "--degrees", "regular(40,4)", "--out", str(out)]) == 1
+        assert run(["couple", "--degrees", "regular(6,2)", "--mode", "exact",
+                    "--denom", "exact-max", "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "DEGSEQ_ORACLE_CAP" in err[0]
         assert not out.exists() or not any(out.iterdir())

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -29,10 +30,12 @@ from degseq import (
     q_matrix,
     rho,
     run_coupling,
+    seq_approx_p,
 )
 from degseq.coupling import _auto_checkpoints
 from degseq.deggen import regular_sequence
-from degseq.graphs import SymmetricProbMatrix, tri_pairs
+from degseq.graphs import DegreeSequence, SymmetricProbMatrix, tri_pairs
+from degseq.samplers import DEAD_BASE_RESTARTS, DeadBaseError, make_kernel
 from degseq.stats import chi_square_gof, empirical_marginals
 
 D4 = (2, 2, 2, 2)
@@ -300,28 +303,31 @@ class TestRunCoupling:
                 assert g_l.is_subgraph_of(g)
 
     def test_trace_partition_identity(self):
+        # an escape ends neither graph's path, so the partition holds on every run
         params = params_d4()
+        escaped = 0
         for s in range(300):
             _, g, tr = run_coupling(
                 D4, params, SeqSampleMode.EXACT_ORACLE, EtaDenominatorMode.EXACT_MAX,
                 RandomSource(23, s),
             )
             if tr.fallback:
-                assert tr.fallback_step is not None
-                assert tr.fallback_step <= tr.poisson_steps
-                assert tr.steps_total == tr.fallback_step
+                escaped += 1
+                assert 1 <= tr.fallback_step <= tr.poisson_steps
             else:
-                assert tr.steps_total == tr.poisson_steps
-                assert (
-                    tr.duplicate_hits
-                    + tr.insertions_both
-                    + tr.rejections_l_only
-                    + tr.rejections_g
-                    == tr.steps_total
-                )
-                assert tr.edges_at_step_end == tr.insertions_both + tr.rejections_l_only
-                assert tr.edges_at_step_end + tr.completion_insertions == g.num_edges
+                assert tr.fallback_step is None
+            assert tr.steps_total == tr.poisson_steps
+            assert (
+                tr.duplicate_hits
+                + tr.insertions_both
+                + tr.rejections_l_only
+                + tr.rejections_g
+                == tr.steps_total
+            )
+            assert tr.edges_at_step_end == tr.insertions_both + tr.rejections_l_only
+            assert tr.edges_at_step_end + tr.completion_insertions == g.num_edges
             assert 0.0 <= tr.eta_min <= 1.0
+        assert 0 < escaped < 300
 
     def test_p_m_checkpoints_recorded(self):
         params = params_d4()
@@ -331,15 +337,14 @@ class TestRunCoupling:
                 D4, params, SeqSampleMode.EXACT_ORACLE, EtaDenominatorMode.EXACT_MAX,
                 RandomSource(24, s),
             )
-            # the loop records p_m at every scheduled step it completed; an
-            # escape ends it at the escape step, which records nothing
-            last = tr.fallback_step - 1 if tr.fallback else tr.poisson_steps
-            expected = sorted(m for m in _auto_checkpoints(tr.poisson_steps) if m <= last)
+            # the loop runs every Poisson step, escape or not, and records p_m
+            # at each scheduled one
+            expected = sorted(_auto_checkpoints(tr.poisson_steps))
             assert [step for step, _ in tr.p_m_checkpoints] == expected
             assert all(0.0 <= p_m <= 1.0 for _, p_m in tr.p_m_checkpoints)
-            escaped += tr.fallback
+            escaped += tr.fallback and tr.fallback_step < tr.poisson_steps
             completed += not tr.fallback and bool(expected)
-        assert escaped and completed  # both branches were exercised
+        assert escaped and completed  # both kinds of run were checked
 
     def test_monotone_fallback_in_zeta(self):
         # larger zeta lowers the acceptance matrix, so a replayed stream can
@@ -399,6 +404,22 @@ class TestRunCoupling:
                 EtaDenominatorMode.CERTIFIED_BOUND, RandomSource(29),
             )
 
+    def test_lower_set_is_freed_before_the_completion(self):
+        # a bound `l_edges.add` kept G_L's set alive through G's completion:
+        # 216 traced bytes per edge of G here, against 182
+        d = regular_sequence(1000, 48).degrees
+        params = default_params(d)
+        run_coupling(d, params, SeqSampleMode.ASYMPTOTIC, EtaDenominatorMode.CERTIFIED_BOUND,
+                     RandomSource(40, 0))
+        tracemalloc.start()
+        try:
+            _, g, _ = run_coupling(d, params, SeqSampleMode.ASYMPTOTIC,
+                                   EtaDenominatorMode.CERTIFIED_BOUND, RandomSource(40, 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / g.num_edges < 200, peak / g.num_edges
+
     def test_oracle_cap_read_once_per_run(self, monkeypatch):
         calls = []
 
@@ -415,10 +436,10 @@ class TestRunCoupling:
                 RandomSource(5, i),
             )
             escaped += tr.fallback
-        # only the enumeration reads the cap: once for the exact kernel in
-        # every run, and once more for each escape's redraw
+        # only the enumeration for the exact kernel reads the cap, once a run,
+        # whether it escaped or not
         assert escaped >= 1
-        assert len(calls) == 5 + escaped
+        assert len(calls) == 5
 
 
 class TestRunInvariants:
@@ -449,9 +470,9 @@ except InvariantError as exc:
 
 
 class TestEscape:
-    """On an escape, `run_coupling` redraws G from its own law."""
+    """An escape ends neither graph's path: G is completed from the loop's state."""
 
-    def test_exact_escape_redraws_a_family_member(self):
+    def test_exact_escape_keeps_a_family_member(self):
         params = params_d4()
         members = set(enumerate_graphs(D4).members)
         escaped = 0
@@ -463,10 +484,10 @@ class TestEscape:
             if trace.fallback:
                 escaped += 1
                 assert g in members
-                assert not trace.approx_g
+                assert "approx_g" not in trace.to_json_dict()
         assert escaped > 0
 
-    def test_large_n_escape_uses_asymptotic_upper(self):
+    def test_large_n_escape_keeps_the_degrees(self):
         degrees = (3,) * 20
         params = default_params(degrees)
         escaped = 0
@@ -477,13 +498,12 @@ class TestEscape:
             )
             if trace.fallback:
                 escaped += 1
-                assert trace.approx_g
                 assert g.degree_vector() == degrees
         assert escaped > 0
 
-    def test_escape_past_the_family_cap_uses_asymptotic_upper(self):
+    def test_escape_past_the_family_cap_keeps_the_degrees(self):
         # regular(10,3) is within the vertex cap, but its 11,180,820 members
-        # are past the family cap: the oracle refuses, and the redraw falls back
+        # are past the family cap; an asymptotic run never asks the oracle
         degrees = (3,) * 10
         params = default_params(degrees)
         escaped = 0
@@ -494,9 +514,70 @@ class TestEscape:
             )
             if trace.fallback:
                 escaped += 1
-                assert trace.approx_g
                 assert g.degree_vector() == degrees
         assert escaped > 0
+
+
+class TestStreamIdentities:
+    """Each graph's path read off the one candidate stream, seed by seed."""
+
+    CASES = [
+        (D4, SeqSampleMode.EXACT_ORACLE, EtaDenominatorMode.EXACT_MAX),
+        ((3, 3, 2, 2, 2, 2, 1, 1), SeqSampleMode.EXACT_ORACLE, EtaDenominatorMode.EXACT_MAX),
+        ((2,) * 6, SeqSampleMode.ASYMPTOTIC, EtaDenominatorMode.CERTIFIED_BOUND),
+        ((3, 3, 2, 2, 2, 2, 1, 1), SeqSampleMode.ASYMPTOTIC, EtaDenominatorMode.EXACT_MAX),
+    ]
+
+    @pytest.mark.parametrize("d, mode, denom", CASES)
+    def test_lower_graph_is_seq_approx_p(self, d, mode, denom):
+        p = default_params(d, zeta=0.1, zeta_prime=0.1)
+        escaped = 0
+        for s in range(200):
+            g_l, _, tr = run_coupling(d, p, mode, denom, RandomSource(37, s))
+            assert g_l == seq_approx_p(d, p.lam, p.big_lambda, RandomSource(37, s))
+            escaped += tr.fallback
+        assert 0 < escaped < 200
+
+    @pytest.mark.parametrize("d, mode, denom", CASES)
+    def test_upper_graph_does_not_read_lambda(self, d, mode, denom):
+        # with Lambda = 0 no step escapes, and G takes the same path either
+        # way; a run still counts as escaped if its completion gives up
+        p = default_params(d, zeta=0.1, zeta_prime=0.1)
+        blind = dataclasses.replace(p, big_lambda=SymmetricProbMatrix.full(len(d), 0.0))
+        escaped = 0
+        for s in range(200):
+            _, g, tr = run_coupling(d, p, mode, denom, RandomSource(38, s))
+            _, g_blind, tr_blind = run_coupling(d, blind, mode, denom, RandomSource(38, s))
+            assert g == g_blind
+            assert tr.edges_at_step_end == tr_blind.edges_at_step_end
+            assert tr.completion_restarts == tr_blind.completion_restarts
+            assert not tr_blind.fallback or tr_blind.completion_restarts >= DEAD_BASE_RESTARTS
+            escaped += tr.fallback
+        assert 0 < escaped < 200
+
+
+class TestDeadBase:
+    def test_complete_gives_up_on_a_base_with_no_completion(self):
+        # the triangle saturates 0, 1 and 2, and vertex 3 still needs two edges
+        kernel = make_kernel(DegreeSequence.of(D4), SeqSampleMode.ASYMPTOTIC,
+                             SimpleGraph.from_edges(4, [(0, 1), (0, 2), (1, 2)]))
+        with pytest.raises(DeadBaseError) as raised:
+            kernel.complete(RandomSource(39))
+        assert raised.value.restarts == DEAD_BASE_RESTARTS
+        assert kernel.t == [0, 0, 0, 2] and len(kernel.history) == 3
+
+    def test_run_that_gives_up_counts_as_escaped(self):
+        # replica 8 of `couple --degrees regular(4,2) --zeta 0.9 --zeta-prime
+        # 0.1 --seed 1` ends its loop at the triangle {02, 03, 23} without
+        # escaping; its G is completed from the empty graph instead
+        p = default_params(D4, zeta=0.9, zeta_prime=0.1)
+        _, g, tr = run_coupling(D4, p, SeqSampleMode.ASYMPTOTIC,
+                                EtaDenominatorMode.CERTIFIED_BOUND, RandomSource(1, 8))
+        assert tr.fallback and tr.fallback_step == tr.poisson_steps
+        assert tr.completion_restarts >= DEAD_BASE_RESTARTS
+        assert g.degree_vector() == D4
+        assert tr.edges_at_step_end == tr.insertions_both + tr.rejections_l_only == 3
+        assert tr.edges_at_step_end + tr.completion_insertions == g.num_edges
 
 
 class TestCouplingLawAtSmallSamples:

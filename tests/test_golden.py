@@ -13,8 +13,11 @@ runner.  The `-block` cases, whose candidate streams run past 64 steps, were
 recorded from the loop that drew each candidate step with `sample_pair`,
 `entry` and `uniform()`.  The `sample-gnw-chung-lu` digests were recorded
 from the dense-triangle W, before W was held as degree classes.  The
-`couple-exact-regular-8-3` digests were recorded from the exact kernel that
-recounted every sub-family with the Python bit loop `bit_counts`.  A refactor
+`couple-exact-regular-8-3` metadata digest was recorded from the exact
+kernel that recounted every sub-family with the Python bit loop `bit_counts`.
+The `couple` file digests were recorded from the step loop that runs every
+Poisson step for both graphs, so that an escaped run's G is completed from
+the loop's state, with no `approx_g` in `traces.ndjson`.  A refactor
 that changes the order of random draws, a weight, a file format or a metadata
 entry changes a digest.
 """
@@ -25,55 +28,63 @@ import pytest
 
 import degseq.cli as cli
 from degseq.randomness import RandomSource, sample_poisson
+from degseq.samplers import DEAD_BASE_RESTARTS
 
 CASES = {
-    # n = 30 > oracle cap: escapes redraw G with the asymptotic sampler
+    # n = 30 > oracle cap: 7 of 8 runs escape, each before its last step
     "couple-asymptotic-certified": (
         ["couple", "--degrees", "regular(30,4)", "--mode", "asymptotic",
          "--denom", "certified-bound", "--zeta", "0.7", "--seed", "3", "--runs", "8"],
-        "766beef0ecd76070003d4e98ad5be02a1e8385f13310f30d8bb8658dd10e6a0d",
+        "d3054a4fb409bd30779ecc0b252d11a3e0e63f7fe230f2b16f705351f7b055c8",
         "12c2d1e8e05e40039f2c953ee951f2b3b7622da63b9bd86aa1c1da55faad1b6b",
     ),
-    # n = 7 <= oracle cap: the escape redraws G exactly from the family
+    # one run escapes
     "couple-asymptotic-certified-small": (
         ["couple", "--degrees", "regular(7,2)", "--mode", "asymptotic",
          "--denom", "certified-bound", "--seed", "3", "--runs", "8"],
-        "6c09947ada5c44b3035f6f349bdb3c1bf0163b7ecc0860871c60b35199e05f39",
+        "0b34fb1be2679f9e2e445f163a728b8f4996eb4c356bde395efb114d53c65e9e",
         "baa8d07d6baa15220606e33ba28fe3bcd88c04a27ec8c94a54b9275b97e3bb9c",
     ),
     # run 6 completes after a dead-end restart
     "couple-asymptotic-exact-max": (
         ["couple", "--degrees", "regular(12,3)", "--mode", "asymptotic",
          "--denom", "exact-max", "--zeta", "0.7", "--seed", "3", "--runs", "8"],
-        "afce48586dc5f2471100cf7e9035182937603c7a45799abe7100ae81c741ff64",
+        "35fe9e52c635962eb80a3205f4a89eac8f644e03d9e8f02bcb72908d5f91d990",
         "260af793ff77af406ea0f1dc05c4a2d429ad2e72662d0aa457a141e178812b09",
     ),
     # the Poisson budget (about 4.7e3 steps) spans two 4096-step windows of
-    # the candidate stream: every run escapes in the first window and takes
-    # the rest of the stream as acceptance coins alone
+    # the candidate stream: every run escapes in the first window and runs
+    # the rest of the stream through both graphs
     "couple-block-escape": (
         ["couple", "--degrees", "regular(400,33)", "--seed", "1", "--runs", "4"],
-        "7c043e9cf012a6741c15439a3085d74399bc96ec163ccebdd44908019deb1b24",
+        "379612c3c7944624080a07083ca42b8f11fdc25d71f9a25bdee523c9f3ced97d",
         "6dc7083e69ada6d4f2d314aac40a53557e91f3b5d5e40a48e7ba03c18f57b3d2",
     ),
     # run 1 escapes in the second window, two steps before the end
     "couple-block-late-escape": (
         ["couple", "--degrees", "regular(400,33)", "--zeta", "0.7", "--seed", "1",
          "--runs", "4"],
-        "d6c5b21d5789a404b0da00cf390157f5db25fabdf357260ef68b36b4aea6c600",
+        "e0a49b2ed4c7ff9c41b930c6857e4325d21dcb6f8b5f741d31a6f8e8c31f3275",
         "97544966dbcc5ff09337cce498f86aaaaa597e898959dd6327fe414984292aec",
     ),
     # no run escapes: the step loop reads both windows, then G is completed
     "couple-block-complete": (
         ["couple", "--degrees", "regular(400,33)", "--zeta", "0.9", "--seed", "1",
          "--runs", "4"],
-        "dc041f4b161b1be7252fe2f2e94ca5bc0fbcf534cfc0af734ba638b2c23d5167",
+        "17d1b562cdfadb32ee5b41ac0f7845695f951f70b04711d332c0463836a76924",
         "9c537bc67931c07048f41bb1a8c87081fd287469378715a7cedac44ed66161b3",
+    ),
+    # replica 8's step loop ends at a triangle, which no completion extends
+    "couple-dead-base": (
+        ["couple", "--degrees", "regular(4,2)", "--zeta", "0.9", "--zeta-prime", "0.1",
+         "--seed", "1", "--runs", "9"],
+        "9372ce497fe337f56a4a02e91ebae9dd1fb858d5d818f6ff23f3cf031cda6e46",
+        "2e793138ca9ad166add2165aaf1ca758f58ad86f802f491aaaa4b1df59f7c3df",
     ),
     "couple-exact": (
         ["couple", "--degrees", "regular(6,2)", "--mode", "exact",
          "--denom", "exact-max", "--seed", "1", "--runs", "10"],
-        "7410219ab1becc1c5688c28a111083e16af278082b93e403992deb6383348ef9",
+        "2f41db6fceac2ded6fe0d81407181be884c08829a8ab5cdbe238e81ac1ebe186",
         "b81dd78ae022bcaae9f94a53d464558391fbc32a618d94e4ee0aae135cc174af",
     ),
     # 19,355 members; the first recount after an insertion covers about
@@ -81,7 +92,7 @@ CASES = {
     "couple-exact-regular-8-3": (
         ["couple", "--degrees", "regular(8,3)", "--mode", "exact",
          "--denom", "exact-max", "--seed", "1", "--runs", "10"],
-        "aa23720c86870efb8cc475afd5d80ec94ba2e3e7188ffb3fee9c1ffba4dd82f2",
+        "a42bd8768f134ffe02ccc279c0a92b4bc9cb9dd5d56a4e38d78fd7dc5b9e2098",
         "c0ba4e2d985a39e3b6884d897aaf12384b6693575a3f979d2a4093f23f1f8776",
     ),
     "sample-gnd-exact-checkpoints": (
@@ -179,10 +190,11 @@ def test_outputs_byte_identical(name, tmp_path):
 
 
 def test_cases_cover_escape_completion_and_restart(tmp_path):
+    # escaped runs go on past the escape step
     out = tmp_path / "big"
     run_case(CASES["couple-asymptotic-certified"][0], out)
     records = traces(out)
-    assert any(r["fallback"] and r["approx_g"] for r in records)
+    assert any(r["fallback"] and r["fallback_step"] < r["poisson_steps"] for r in records)
 
     out = tmp_path / "restart"
     run_case(CASES["couple-asymptotic-exact-max"][0], out)
@@ -192,8 +204,15 @@ def test_cases_cover_escape_completion_and_restart(tmp_path):
     out = tmp_path / "small"
     run_case(CASES["couple-asymptotic-certified-small"][0], out)
     records = traces(out)
-    assert any(r["fallback"] and not r["approx_g"] for r in records)
+    assert any(r["fallback"] for r in records)
     assert any(not r["fallback"] for r in records)
+
+    # run 8's step loop leaves G with no completion: G starts over
+    out = tmp_path / "dead-base"
+    run_case(CASES["couple-dead-base"][0], out)
+    last = traces(out)[8]
+    assert last["fallback"] and last["fallback_step"] == last["poisson_steps"]
+    assert last["completion_restarts"] >= DEAD_BASE_RESTARTS
 
     out = tmp_path / "exact"
     run_case(CASES["couple-exact"][0], out)

@@ -87,8 +87,9 @@ def test_bit_rows_match_per_bit_reference(width, rows, top, rnd):
 
 class TestOracleCapVariable:
     @pytest.mark.parametrize("value, argv", [
-        # n = 40 never reaches the oracle, but run_coupling reads the cap
-        ("abc", ["couple", "--degrees", "regular(40,4)"]),
+        # an exact couple reads the cap when set-up enumerates the family
+        ("abc", ["couple", "--degrees", "regular(6,2)", "--mode", "exact",
+                 "--denom", "exact-max"]),
         ("-1", ["oracle", "--degrees", "regular(4,2)"]),
     ])
     def test_bad_value_is_named_and_exits_1(self, monkeypatch, capsys, tmp_path, value, argv):
@@ -99,7 +100,7 @@ class TestOracleCapVariable:
         assert err.count("\n") == 1
 
     def test_zero_is_valid(self, monkeypatch):
-        # 0 sends every escape redraw to the asymptotic sampler
+        # 0 refuses every enumeration
         monkeypatch.setenv("DEGSEQ_ORACLE_CAP", "0")
         assert oracle_cap() == 0
 

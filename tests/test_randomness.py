@@ -267,13 +267,12 @@ def test_alias_table_built_once_per_sequence(monkeypatch):
 
 class TestCandidateStream:
     @given(STREAM_WEIGHTS, st.sampled_from(STREAM_COUNTS),
-           st.sampled_from(["classes", "per-pair"]), st.integers(0, 2**32),
-           st.floats(0.0, 1.0))
+           st.sampled_from(["classes", "per-pair"]), st.integers(0, 2**32))
     @settings(max_examples=60, deadline=None)
-    @example((1, 1), 10_000, "classes", 3, 0.5)
-    @example((5, 1, 1, 0), 4097, "per-pair", 4, 0.9999)
-    @example((5, 1, 1, 0), 64, "classes", 5, 0.0)
-    def test_replays_the_scalar_draws(self, weights, count, kind, seed, stop_frac):
+    @example((1, 1), 10_000, "classes", 3)
+    @example((5, 1, 1, 0), 4097, "per-pair", 4)
+    @example((5, 1, 1, 0), 64, "classes", 5)
+    def test_replays_the_scalar_draws(self, weights, count, kind, seed):
         table = AliasTable(weights)
         big_lambda = stream_lambda(weights, kind, seed)
         rng = RandomSource(seed, 1)
@@ -285,16 +284,12 @@ class TestCandidateStream:
         assert bits(got) == bits(ref)
         assert rng.uniform() == after
 
-        # stop after `stop` steps, then take the rest with their coins alone
-        stop = int(stop_frac * count)
+        # the whole stream with its coins alone
         rng = RandomSource(seed, 1)
-        stream = CandidateStream(table, big_lambda, count, rng)
-        head = [step for _, step in zip(range(stop), stream)]
         keys: set[int] = set()
-        stream.accept_rest(keys)
+        CandidateStream(table, big_lambda, count, rng).accept_rest(keys)
         n = len(weights)
-        assert bits(head) == bits(ref[:stop])
-        assert keys == {j * n + k for j, k, lam, u in ref[stop:] if u < lam}
+        assert keys == {j * n + k for j, k, lam, u in ref if u < lam}
         assert rng.uniform() == after
 
     @pytest.mark.parametrize("count", [5, 100])

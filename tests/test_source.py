@@ -66,12 +66,11 @@ def test_kernels_are_built_only_by_make_kernel():
 
 def test_oracle_cap_is_read_only_where_it_refuses():
     # the oracle reads the cap whenever it enumerates (`_family`, under
-    # enumerate_graphs and exact_uniform_sample), and `couple` checks it
-    # before writing anything; a cap read elsewhere and handed on is a second
-    # copy of the oracle's refusal, which the escape redraw follows
+    # enumerate_graphs and exact_uniform_sample); a cap read elsewhere and
+    # handed on is a second copy of the oracle's refusal
     reads = sorted((path.stem, where)
                    for path in PACKAGE.glob("*.py") for where, _ in calls_to(path, {"oracle_cap"}))
-    assert reads == [("cli", "Couple.setup"), ("oracle", "_family")]
+    assert reads == [("oracle", "_family")]
     handed_on = [
         f"{path.name}:{node.lineno}"
         for path in sorted(PACKAGE.glob("*.py"))
@@ -80,6 +79,20 @@ def test_oracle_cap_is_read_only_where_it_refuses():
         or isinstance(node, ast.arg) and node.arg == "cap"
     ]
     assert not handed_on, handed_on
+
+
+def test_coupling_imports_nothing_from_the_oracle():
+    # the coupling is written against the kernel interface: `make_kernel`
+    # picks the kernel, and the step loop never asks which one it has
+    sources = []
+    for node in ast.walk(ast.parse((PACKAGE / "coupling.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            sources += [base] + [f"{base}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            sources += [alias.name for alias in node.names]
+    assert "samplers" in sources
+    assert not [m for m in sources if "oracle" in m.split(".")], sources
 
 
 def missing_degseq_names(path: Path) -> list[str]:
