@@ -26,7 +26,7 @@ from . import __version__, coupling, deggen, graphs, io, oracle, randomness, sam
 from .acceptance import run_battery
 from .graphs import NonGraphicalError, SymmetricProbMatrix
 from .oracle import OracleCapError
-from .samplers import EtaDenominatorMode, SeqSampleMode
+from .samplers import SeqSampleMode
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -51,7 +51,7 @@ class ExperimentConfig:
     seed: int = 0
     out: str = "degseq-out"
     mode: str = "asymptotic"            # exact | asymptotic
-    denom: str = "certified-bound"      # exact-max | certified-bound
+    denom: str | None = None            # exact-max | certified-bound; null: the mode's own
     checkpoints: list[int] = field(default_factory=list)
     xi: float | None = None
     zeta: float | None = None
@@ -74,7 +74,8 @@ class ExperimentConfig:
         ):
             raise ValueError(f"checkpoints must be integers >= 0, got {self.checkpoints!r}")
         SeqSampleMode(self.mode)
-        EtaDenominatorMode(self.denom)
+        if self.denom is not None:
+            coupling.EtaDenominatorMode(self.denom)
         if not isinstance(self.out, str):
             raise ValueError(f"out must be a string, got {self.out!r}")
         if self.degrees is not None and not isinstance(self.degrees, str):
@@ -324,12 +325,12 @@ class Couple(Command):
     fields = ("xi", "zeta", "zeta_prime", "c_mult")
 
     def setup(self) -> dict:
-        self.denom = EtaDenominatorMode(self.config.denom)
-        coupling.require_compatible(self.denom, SeqSampleMode(self.config.mode))
+        given = self.config.denom and coupling.EtaDenominatorMode(self.config.denom)
+        self.denom = coupling.own_denominator(SeqSampleMode(self.config.mode), given)
         self.prob = self._prob_mode()
         self.traces: list[dict] = []
         self.fallbacks = self.violations = 0
-        return self._schedule() | {"denom": self.config.denom}
+        return self._schedule() | {"denom": self.denom.value}
 
     def replica(self, i: int):
         g_l, g, tr = coupling.run_coupling(self.d, self.params, self.prob, self.denom, self.rng(i))
@@ -405,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--degrees",
                        help="degree file path or generator spec, e.g. 'regular(2000,50)'")
         p.add_argument("--mode", choices=[m.value for m in SeqSampleMode])
-        p.add_argument("--denom", choices=[m.value for m in EtaDenominatorMode])
+        p.add_argument("--denom", choices=[m.value for m in coupling.EtaDenominatorMode])
         p.add_argument("--checkpoints", help="comma-separated snapshot edge counts, e.g. '1,2,10'")
         p.add_argument("--xi", type=float)
         p.add_argument("--zeta", type=float)

@@ -14,6 +14,7 @@ is recorded and ends neither graph's path.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from enum import Enum
 from functools import lru_cache
 from math import isfinite, log, sqrt
 from typing import Sequence
@@ -33,7 +34,7 @@ from .graphs import (
     hadamard,
 )
 from .randomness import CandidateStream, RandomSource, alias_table, sample_poisson
-from .samplers import DeadBaseError, EtaDenominatorMode, SeqSampleMode, make_kernel
+from .samplers import DeadBaseError, SeqSampleMode, make_kernel
 # a module attribute `benchmarks/tracing.py` overrides; nothing here calls it
 from .samplers import seq_sample_d  # noqa: F401
 
@@ -45,8 +46,26 @@ __all__ = [
     "lower_law",
     "rho",
     "eta_denominator",
+    "own_denominator",
     "run_coupling",
 ]
+
+
+class EtaDenominatorMode(Enum):
+    EXACT_MAX = "exact-max"
+    CERTIFIED_BOUND = "certified-bound"
+
+
+def own_denominator(prob_mode: SeqSampleMode,
+                    denom_mode: EtaDenominatorMode | None = None) -> EtaDenominatorMode:
+    """The one denominator `prob_mode`'s kernel has, the exact maximum (exact)
+    or the certified bound (asymptotic); ValueError if `denom_mode` is the other."""
+    exact = prob_mode is SeqSampleMode.EXACT_ORACLE
+    own = EtaDenominatorMode.EXACT_MAX if exact else EtaDenominatorMode.CERTIFIED_BOUND
+    if denom_mode not in (None, own):
+        given, kept = (m.value.replace("-", " ") for m in (denom_mode, own))
+        raise ValueError(f"{prob_mode.value} mode has only the {kept} denominator, not the {given}")
+    return own
 
 
 @dataclass(frozen=True)
@@ -156,28 +175,20 @@ def rho(
 def eta_denominator(
     d: DegreeSequence | Sequence[int],
     state: SimpleGraph,
-    denom_mode: EtaDenominatorMode,
     prob_mode: SeqSampleMode,
 ) -> float:
-    """Normalizer for the per-step acceptance ratio.
+    """Normalizer for the per-step acceptance ratio: the kernel's one denominator.
 
-    EXACT_MAX scans every non-edge and returns the true maximum weight.
-    CERTIFIED_BOUND returns B = (max_h t_h/d_h)^2 / ||t||_1, valid only for
-    the asymptotic weights, where B >= rho for every non-edge because
+    Exact mode's is the true maximum weight over non-edges.  Asymptotic mode's
+    is the certified bound B = (max_h t_h/d_h)^2 / ||t||_1, and B >= rho for
+    every non-edge because
     rho = t_h t_l / (d_h d_l (||t||_1 + t_h t_l)) <= (t_h/d_h)(t_l/d_l)/||t||_1.
     """
     d = DegreeSequence.of(d)
-    require_compatible(denom_mode, prob_mode)
-    bound = make_kernel(d, prob_mode, state).denominator(denom_mode)
+    bound = make_kernel(d, prob_mode, state).denominator()
     if bound <= 0.0:
         raise ValueError("no eligible pair")
     return bound
-
-
-def require_compatible(denom_mode: EtaDenominatorMode, prob_mode: SeqSampleMode) -> None:
-    certified = denom_mode is EtaDenominatorMode.CERTIFIED_BOUND
-    if certified and prob_mode is not SeqSampleMode.ASYMPTOTIC:
-        raise ValueError("certified bound is only valid for asymptotic probabilities")
 
 
 @dataclass
@@ -230,7 +241,8 @@ def run_coupling(
 
     Runs a Poisson(lam) number of candidate steps, each a pair jk and one
     uniform u.  G_L takes the pair when u < Lambda_jk.  G takes it when it is
-    fresh (not yet in G) and u < eta, with eta = rho / denominator.  After
+    fresh (not yet in G) and u < eta, with eta = rho / denominator, the
+    kernel's own, which `denom_mode` must name (`own_denominator`).  After
     the step loop, G is completed to its full degree sequence with the
     matching sequential-insertion kernel.
 
@@ -254,7 +266,7 @@ def run_coupling(
         raise ValueError("params built for a different n")
     if not is_graphical(d):
         raise NonGraphicalError(f"{d.degrees} is not graphical")
-    require_compatible(denom_mode, prob_mode)
+    own_denominator(prob_mode, denom_mode)
 
     trace = CouplingTrace()
     total = d.total
@@ -270,7 +282,7 @@ def run_coupling(
     g_edges = kernel.edges
     l_edges: set[int] = set()
     # only an insertion changes the denominator
-    denom = kernel.denominator(denom_mode)
+    denom = kernel.denominator()
     weight, insert, take_lower = kernel.weight, kernel.insert, l_edges.add
     duplicates = both = 0
     eta_min = 1.0
@@ -296,7 +308,7 @@ def run_coupling(
                     escape = step
             if u < eta:
                 insert(j, k)
-                denom = kernel.denominator(denom_mode)
+                denom = kernel.denominator()
                 if u < lam_jk:
                     both += 1
         if step in checkpoint_at:

@@ -31,7 +31,6 @@ from .graphs import (
 
 if TYPE_CHECKING:
     from .randomness import RandomSource
-    from .samplers import EtaDenominatorMode
 
 DEFAULT_CAP = 10
 DEFAULT_FAMILY_CAP = 5_000_000
@@ -411,9 +410,9 @@ class OracleKernel:
         i = key_to_tri(self.n, j * self.n + k if j < k else k * self.n + j)
         return self._weight(i, self.candidate_counts().get(i, 0))
 
-    def denominator(self, mode: EtaDenominatorMode) -> float:
-        """The largest weight over non-edges, or 0.0.  Exact weights have no
-        closed-form bound, so every mode gets the exact maximum."""
+    def denominator(self) -> float:
+        """The largest weight over non-edges, or 0.0: exact weights have no
+        closed-form bound."""
         return max(starmap(self._weight, self.candidate_counts().items()), default=0.0)
 
     def _weight(self, i: int, count: int) -> float:

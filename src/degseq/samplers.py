@@ -16,7 +16,7 @@ import heapq
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,7 +39,8 @@ from .randomness import (
     sample_poisson,
 )
 
-# the most uniforms one refill of `AsymptoticKernel.insert_step` asks for
+# the fewest and the most uniforms one refill of `AsymptoticKernel.insert_step` asks for
+_DRAW_MIN = 128
 _DRAW_BLOCK = 8192
 # the dead ends in a row after which `AsymptoticKernel.complete` gives up on a
 # non-empty base: well above the 23 that the completing bases of a 10^5-run
@@ -61,11 +62,6 @@ __all__ = [
 class SeqSampleMode(Enum):
     EXACT_ORACLE = "exact"
     ASYMPTOTIC = "asymptotic"
-
-
-class EtaDenominatorMode(Enum):
-    EXACT_MAX = "exact-max"
-    CERTIFIED_BOUND = "certified-bound"
 
 
 class DeadBaseError(RuntimeError):
@@ -115,7 +111,8 @@ def seq_approx_p(d: DegreeSequence | Sequence[int], lam: float,
 # graph G (`edges`, and `history` in insertion order, both of edge keys
 # j*n + k) under the degrees d:
 #   weight(j, k)       rho_jk = P(jk joins G | G) / (d_j d_k), jk a non-edge
-#   denominator(mode)  a bound on rho over all non-edges (EtaDenominatorMode)
+#   denominator()      the kernel's one bound on rho over all non-edges, > 0 while
+#                      any rho is: the exact maximum (oracle) or a certified bound
 #   insert(j, k)       add jk to G
 #   complete(rng)      extend G to degrees d; returns the dead-end restarts, or
 #                      raises DeadBaseError for a G it gives up on
@@ -157,7 +154,7 @@ class AsymptoticKernel:
     `complete` makes all of its insertions in one frame, one `insert_step`
     call per attempt; a plain `insert_step` makes one.  The stub list is
     built by the first of them.  The max-heap over t_h/d_h is built on the
-    first certified-bound query and refreshed only when queried: `insert`
+    first `denominator` query and refreshed only when queried: `insert`
     never touches it, and since t only falls between restarts, a stale top
     entry overstates its ratio and is replaced by its current one.
     """
@@ -182,14 +179,10 @@ class AsymptoticKernel:
         prod = self.t[j] * self.t[k]
         return prod / (self.tsum + prod) / (self.d[j] * self.d[k]) if prod > 0 else 0.0
 
-    def denominator(self, mode: EtaDenominatorMode) -> float:
-        """EXACT_MAX: the largest weight over non-edges; CERTIFIED_BOUND:
-        (max_h t_h/d_h)^2 / ||t||_1 (see `coupling.eta_denominator`).  Either
-        is 0.0 when no non-edge has positive weight."""
-        if mode is EtaDenominatorMode.CERTIFIED_BOUND:
-            rmax = self._max_ratio()
-            return rmax * rmax / self.tsum if self.tsum > 0 else 0.0
-        return max((self.weight(j, k) for j, k in self._open_pairs()), default=0.0)
+    def denominator(self) -> float:
+        """The certified bound (max_h t_h/d_h)^2 / ||t||_1 >= every weight; 0.0 at ||t||_1 = 0."""
+        rmax = self._max_ratio()
+        return rmax * rmax / self.tsum if self.tsum > 0 else 0.0
 
     def _max_ratio(self) -> float:
         t, d, heap = self.t, self.d, self.heap
@@ -212,19 +205,12 @@ class AsymptoticKernel:
         t[k] -= 1
         self.tsum -= 2
 
-    def _open_pairs(self) -> Iterator[tuple[int, int]]:
-        """The non-edges jk with t_j, t_k >= 1: every pair of positive weight."""
+    def eligible_pair_exists(self) -> bool:
+        # a non-edge jk with t_j, t_k >= 1, in O(n + max(d)^2): a vertex with t_h >= 1
+        # has fewer than max(d) neighbours, so the first row finds one if len(pos) > max(d)
         n, edges = self.n, self.edges
         pos = [h for h, v in enumerate(self.t) if v > 0]
-        for a, j in enumerate(pos):
-            for k in pos[a + 1:]:
-                if j * n + k not in edges:
-                    yield j, k
-
-    def eligible_pair_exists(self) -> bool:
-        # O(n + max(d)^2): a vertex with t_h >= 1 has fewer than max(d)
-        # neighbours, so the first row finds a non-edge when len(pos) > max(d)
-        return next(self._open_pairs(), None) is not None
+        return any(j * n + k not in edges for a, j in enumerate(pos) for k in pos[a + 1:])
 
     def insert_step(self, rng: RandomSource, count: int = 1) -> int | None:
         """`count` accepted insertions in one frame; the key of the last edge
@@ -255,9 +241,10 @@ class AsymptoticKernel:
                             return None
                         attempts = 0
                     if end - p < 3:
-                        # at most 3 uniforms per insertion still owed
+                        # at most 3 uniforms per insertion still owed, but not so
+                        # few that the 512 proposals of a dead end refill each time
                         rng.unread(drawn[p:])
-                        u = rng.uniforms(min(_DRAW_BLOCK, 3 * owed))
+                        u = rng.uniforms(min(_DRAW_BLOCK, max(_DRAW_MIN, 3 * owed)))
                         drawn, p, end = u.tolist(), 0, len(u)
                         # the vertex each uniform picks from the stub list
                         drawn_stubs = stubs[(u * len(stubs)).astype(np.intp)].tolist()

@@ -134,6 +134,15 @@ class TestSampleGnd:
         meta = read_meta(out)
         assert meta["checkpoints"] == [1, 2]
 
+    def test_denom_is_accepted_and_ignored(self, tmp_path):
+        # the benchmark's replay sends its default --denom to every command
+        args = ["sample-gnd", "--degrees", "regular(6,2)", "--mode", "exact", "--seed", "5",
+                "--save-graphs", "--out"]
+        assert run(args + [str(tmp_path / "a"), "--denom", "certified-bound"]) == 0
+        assert run(args + [str(tmp_path / "b")]) == 0
+        edges = "run_00000.edges"
+        assert (tmp_path / "a" / edges).read_bytes() == (tmp_path / "b" / edges).read_bytes()
+
 
 class TestSampleGnw:
     def test_marginal_report_written(self, tmp_path):
@@ -192,6 +201,15 @@ class TestCouple:
         mb.pop("wall_time_s")
         assert ma == mb
 
+    @pytest.mark.parametrize("mode, denom", [("exact", "exact-max"),
+                                             ("asymptotic", "certified-bound")])
+    def test_mode_brings_its_own_denominator(self, tmp_path, mode, denom):
+        # `couple --mode exact` exited 1 without `--denom exact-max`
+        out = tmp_path / "o"
+        assert run(["couple", "--degrees", "regular(6,2)", "--mode", mode, "--runs", "3",
+                    "--out", str(out)]) == 0
+        assert read_meta(out)["denom"] == denom
+
     def test_asymptotic_escape_past_the_family_cap_exits_0(self, tmp_path):
         # regular(10,3) is within the vertex cap but past the family cap: an
         # escape once redrew G from the oracle, which refused it
@@ -230,6 +248,13 @@ class TestConfigFile:
         ])
         assert code == 0
         assert read_meta(out)["runs"] == 4
+
+    def test_null_denom_takes_the_mode_default(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"degrees": "regular(6,2)", "mode": "exact", "denom": None}))
+        out = tmp_path / "o"
+        assert run(["couple", "--config", str(cfg), "--out", str(out)]) == 0
+        assert read_meta(out)["denom"] == "exact-max"
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -423,6 +448,8 @@ class TestConfigValidation:
         "args, code, message",
         [(["couple", "--degrees", "regular(6,2)", "--mode", "exact", "--denom", "certified-bound"],
           1, "certified bound"),
+         (["couple", "--degrees", "regular(6,2)", "--mode", "asymptotic", "--denom", "exact-max"],
+          1, "exact max"),
          (["sample-gnd", "--degrees", "regular(6,2)", "--checkpoints", "1,7"],
           1, "checkpoint 7 outside [0, 6]"),
          (["oracle", "--degrees", "regular(12,3)"], 3, "exceeds enumeration cap"),
@@ -432,7 +459,7 @@ class TestConfigValidation:
           3, "exceeds enumeration cap"),
          (["seq-approx-p", "--degrees", "regular(6,2)", "--lam", "1e308"],
           1, "lam must be finite, >= 0 and at most")],
-        ids=["couple-denom", "gnd-checkpoint", "oracle-cap", "couple-cap", "gnd-cap",
+        ids=["couple-denom", "couple-exact-max", "gnd-checkpoint", "oracle-cap", "couple-cap", "gnd-cap",
              "approx-p-lam"],
     )
     def test_bad_setup_exits_before_writing(self, tmp_path, capsys, args, code, message):

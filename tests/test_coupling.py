@@ -32,7 +32,7 @@ from degseq import (
     run_coupling,
     seq_approx_p,
 )
-from degseq.coupling import _auto_checkpoints
+from degseq.coupling import _auto_checkpoints, own_denominator
 from degseq.deggen import regular_sequence
 from degseq.graphs import DegreeSequence, SymmetricProbMatrix, tri_pairs
 from degseq.samplers import DEAD_BASE_RESTARTS, DeadBaseError, make_kernel
@@ -230,34 +230,36 @@ def random_partial_state(degrees, seed):
 
 class TestEtaDenominator:
     def test_certified_bound_empty_state(self):
-        b = eta_denominator(
-            D4, SimpleGraph.empty(4), EtaDenominatorMode.CERTIFIED_BOUND, SeqSampleMode.ASYMPTOTIC
-        )
+        b = eta_denominator(D4, SimpleGraph.empty(4), SeqSampleMode.ASYMPTOTIC)
         assert b == pytest.approx(1 / 8)
 
     def test_exact_max_empty_state_symmetric(self):
-        b = eta_denominator(
-            D4, SimpleGraph.empty(4), EtaDenominatorMode.EXACT_MAX, SeqSampleMode.ASYMPTOTIC
-        )
-        assert b == pytest.approx(1 / 12)
-        # regular sequence, empty state: every pair ties at the maximum
-        assert b == pytest.approx(rho(D4, SimpleGraph.empty(4), (1, 3), SeqSampleMode.ASYMPTOTIC))
+        # regular sequence, empty state: every pair ties at the maximum, which
+        # is the exact kernel's denominator
+        empty = SimpleGraph.empty(4)
+        asymptotic = [rho(D4, empty, jk, SeqSampleMode.ASYMPTOTIC) for jk in tri_pairs(4)]
+        exact = [rho(D4, empty, jk, SeqSampleMode.EXACT_ORACLE) for jk in tri_pairs(4)]
+        assert min(asymptotic) == max(asymptotic) == pytest.approx(1 / 12)
+        assert min(exact) == max(exact) == pytest.approx(1 / 6)
+        assert eta_denominator(D4, empty, SeqSampleMode.EXACT_ORACLE) == max(exact)
 
     def test_certified_requires_asymptotic(self):
-        with pytest.raises(ValueError):
-            eta_denominator(
-                D4,
-                SimpleGraph.empty(4),
-                EtaDenominatorMode.CERTIFIED_BOUND,
-                SeqSampleMode.EXACT_ORACLE,
-            )
+        with pytest.raises(ValueError, match="certified bound"):
+            own_denominator(SeqSampleMode.EXACT_ORACLE, EtaDenominatorMode.CERTIFIED_BOUND)
+
+    def test_exact_max_requires_exact(self):
+        with pytest.raises(ValueError, match="exact max"):
+            own_denominator(SeqSampleMode.ASYMPTOTIC, EtaDenominatorMode.EXACT_MAX)
+
+    def test_each_mode_has_one_denominator(self):
+        for mode, own in ((SeqSampleMode.EXACT_ORACLE, EtaDenominatorMode.EXACT_MAX),
+                          (SeqSampleMode.ASYMPTOTIC, EtaDenominatorMode.CERTIFIED_BOUND)):
+            assert own_denominator(mode) is own_denominator(mode, own) is own
 
     def test_no_eligible_pair_raises(self):
         saturated = SimpleGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
         with pytest.raises(ValueError):
-            eta_denominator(
-                (2, 2, 2), saturated, EtaDenominatorMode.CERTIFIED_BOUND, SeqSampleMode.ASYMPTOTIC
-            )
+            eta_denominator((2, 2, 2), saturated, SeqSampleMode.ASYMPTOTIC)
 
     @given(st.integers(0, 200))
     def test_exact_max_below_certified_bound(self, seed):
@@ -267,14 +269,13 @@ class TestEtaDenominator:
         eligible = any(
             t[j] > 0 and t[k] > 0 and not state.has_edge(j, k) for j, k in tri_pairs(6)
         )
-        if not eligible:
+        # the true maximum of rho over the non-edges, 0 exactly at a dead end
+        exact = max((rho(degrees, state, jk, SeqSampleMode.ASYMPTOTIC)
+                     for jk in tri_pairs(6) if not state.has_edge(*jk)), default=0.0)
+        assert (exact > 0) == eligible
+        if sum(t) == 0:
             return
-        exact = eta_denominator(
-            degrees, state, EtaDenominatorMode.EXACT_MAX, SeqSampleMode.ASYMPTOTIC
-        )
-        bound = eta_denominator(
-            degrees, state, EtaDenominatorMode.CERTIFIED_BOUND, SeqSampleMode.ASYMPTOTIC
-        )
+        bound = eta_denominator(degrees, state, SeqSampleMode.ASYMPTOTIC)
         assert exact <= bound + 1e-15
 
 
@@ -373,6 +374,13 @@ class TestRunCoupling:
                 EtaDenominatorMode.CERTIFIED_BOUND, RandomSource(26),
             )
 
+    def test_exact_max_requires_exact(self):
+        with pytest.raises(ValueError):
+            run_coupling(
+                D4, params_d4(), SeqSampleMode.ASYMPTOTIC,
+                EtaDenominatorMode.EXACT_MAX, RandomSource(26),
+            )
+
     def test_asymptotic_certified_small_n(self):
         params = params_d4(zeta=0.4)
         for s in range(200):
@@ -451,8 +459,8 @@ from degseq import EtaDenominatorMode, RandomSource, SeqSampleMode, default_para
 from degseq.samplers import AsymptoticKernel, InvariantError
 
 assert sys.flags.optimize == 1
-exact = AsymptoticKernel.denominator
-AsymptoticKernel.denominator = lambda self, mode: exact(self, mode) / 2
+bound = AsymptoticKernel.denominator
+AsymptoticKernel.denominator = lambda self: bound(self) / 2
 d = (2, 2, 2, 2)
 try:
     run_coupling(d, default_params(d, zeta=0.1, zeta_prime=0.1), SeqSampleMode.ASYMPTOTIC,
@@ -525,7 +533,7 @@ class TestStreamIdentities:
         (D4, SeqSampleMode.EXACT_ORACLE, EtaDenominatorMode.EXACT_MAX),
         ((3, 3, 2, 2, 2, 2, 1, 1), SeqSampleMode.EXACT_ORACLE, EtaDenominatorMode.EXACT_MAX),
         ((2,) * 6, SeqSampleMode.ASYMPTOTIC, EtaDenominatorMode.CERTIFIED_BOUND),
-        ((3, 3, 2, 2, 2, 2, 1, 1), SeqSampleMode.ASYMPTOTIC, EtaDenominatorMode.EXACT_MAX),
+        ((3, 3, 2, 2, 2, 2, 1, 1), SeqSampleMode.ASYMPTOTIC, EtaDenominatorMode.CERTIFIED_BOUND),
     ]
 
     @pytest.mark.parametrize("d, mode, denom", CASES)

@@ -17,9 +17,11 @@ from the dense-triangle W, before W was held as degree classes.  The
 kernel that recounted every sub-family with the Python bit loop `bit_counts`.
 The `couple` file digests were recorded from the step loop that runs every
 Poisson step for both graphs, so that an escaped run's G is completed from
-the loop's state, with no `approx_g` in `traces.ndjson`.  A refactor
-that changes the order of random draws, a weight, a file format or a metadata
-entry changes a digest.
+the loop's state, with no `approx_g` in `traces.ndjson`; the
+`couple-asymptotic-restart` digests from the same loop, while the asymptotic
+kernel still offered an exact maximum besides its certified bound, which the
+case uses.  A refactor that changes the order of random draws, a weight, a
+file format or a metadata entry changes a digest.
 """
 import hashlib
 import json
@@ -45,12 +47,12 @@ CASES = {
         "0b34fb1be2679f9e2e445f163a728b8f4996eb4c356bde395efb114d53c65e9e",
         "baa8d07d6baa15220606e33ba28fe3bcd88c04a27ec8c94a54b9275b97e3bb9c",
     ),
-    # run 6 completes after a dead-end restart
-    "couple-asymptotic-exact-max": (
+    # run 7 does not escape, and its completion restarts twice
+    "couple-asymptotic-restart": (
         ["couple", "--degrees", "regular(12,3)", "--mode", "asymptotic",
-         "--denom", "exact-max", "--zeta", "0.7", "--seed", "3", "--runs", "8"],
-        "35fe9e52c635962eb80a3205f4a89eac8f644e03d9e8f02bcb72908d5f91d990",
-        "260af793ff77af406ea0f1dc05c4a2d429ad2e72662d0aa457a141e178812b09",
+         "--denom", "certified-bound", "--zeta", "0.7", "--seed", "1", "--runs", "8"],
+        "5b8cb1172b3485b53e7daa38f334d4c2390ccd68a0602dc3bbca63dc99d7bab7",
+        "6f458751fd9b728f7945176657ffc48c696561f93578f17eddd3700bf4c1b001",
     ),
     # the Poisson budget (about 4.7e3 steps) spans two 4096-step windows of
     # the candidate stream: every run escapes in the first window and runs
@@ -197,7 +199,7 @@ def test_cases_cover_escape_completion_and_restart(tmp_path):
     assert any(r["fallback"] and r["fallback_step"] < r["poisson_steps"] for r in records)
 
     out = tmp_path / "restart"
-    run_case(CASES["couple-asymptotic-exact-max"][0], out)
+    run_case(CASES["couple-asymptotic-restart"][0], out)
     records = traces(out)
     assert any(not r["fallback"] and r["completion_restarts"] > 0 for r in records)
 

@@ -28,7 +28,7 @@ from degseq import (
 )
 from degseq.deggen import parse_generator_spec
 from degseq.graphs import InvariantError, SymmetricProbMatrix, tri_pairs
-from degseq.samplers import AsymptoticKernel, EtaDenominatorMode, make_kernel
+from degseq.samplers import AsymptoticKernel, make_kernel
 from degseq.stats import (
     THRESHOLDS,
     empirical_marginals,
@@ -270,15 +270,12 @@ class TestMakeKernel:
         for j, k in candidates:
             if j * n + k not in kernel.edges:
                 assert rho(d, h, (j, k), mode) == kernel.weight(j, k)
-        for denom_mode in EtaDenominatorMode:
-            if denom_mode is EtaDenominatorMode.CERTIFIED_BOUND and mode is not SeqSampleMode.ASYMPTOTIC:
-                continue
-            want = kernel.denominator(denom_mode)
-            if want > 0.0:
-                assert eta_denominator(d, h, denom_mode, mode) == want
-            else:
-                with pytest.raises(ValueError, match="no eligible pair"):
-                    eta_denominator(d, h, denom_mode, mode)
+        want = kernel.denominator()
+        if want > 0.0:
+            assert eta_denominator(d, h, mode) == want
+        else:
+            with pytest.raises(ValueError, match="no eligible pair"):
+                eta_denominator(d, h, mode)
         replayed = make_kernel(d, mode, h)
         assert replayed.edges == kernel.edges
         # the state's edges head the history, in ascending order
@@ -432,8 +429,10 @@ class TestAsymptoticKernelFrames:
             t = kernel.t
             weights = [kernel.weight(j, k) for j in range(n) for k in range(j + 1, n)
                        if j * n + k not in kernel.edges]
-            assert kernel.denominator(EtaDenominatorMode.EXACT_MAX) == max(weights, default=0.0)
-            assert kernel.eligible_pair_exists() == any(w > 0 for w in weights)
+            # the true maximum, below the bound, and 0 exactly at a dead end
+            top = max(weights, default=0.0)
+            assert top <= kernel.denominator()
+            assert kernel.eligible_pair_exists() == (top > 0)
             open_pairs = [
                 (j, k)
                 for j in range(n)
@@ -449,7 +448,7 @@ class TestAsymptoticKernelFrames:
                 kernel.insert(*data.draw(st.sampled_from(open_pairs)))
             tsum = sum(t)
             rmax = max((t[h] / degrees[h] for h in range(n) if degrees[h] >= 1), default=0.0)
-            bound = kernel.denominator(EtaDenominatorMode.CERTIFIED_BOUND)
+            bound = kernel.denominator()
             assert bound == (rmax * rmax / tsum if tsum > 0 else 0.0)
             for j in range(n):
                 for k in range(j + 1, n):
@@ -472,6 +471,26 @@ class TestAsymptoticKernelFrames:
         assert stepped.t == framed.t == [0] * 16
         assert stepped.tsum == framed.tsum == 0
         assert rng_stepped.uniform() == rng_framed.uniform()
+
+    def test_dead_end_refills_in_blocks(self):
+        # at the triangle {02, 03, 23} of regular(4,2) only vertex 1 has
+        # stubs left: 512 proposals of two draws each find the dead end.
+        # Refills of 3 uniforms per owed insertion made 512 calls there
+        class CountingSource(RandomSource):
+            calls = 0
+
+            def uniforms(self, k):
+                self.calls += 1
+                return super().uniforms(k)
+
+        kernel = AsymptoticKernel([2, 2, 2, 2])
+        for j, k in ((0, 2), (0, 3), (2, 3)):
+            kernel.insert(j, k)
+        rng = CountingSource(1)
+        assert kernel.insert_step(rng) is None
+        assert rng.calls <= 16
+        # every draw a proposal read is spent, and only those
+        assert rng.uniform() == RandomSource(1).uniforms(2 * 512 + 1)[-1]
 
 
 class ScalarKernel(AsymptoticKernel):

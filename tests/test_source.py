@@ -81,6 +81,26 @@ def test_oracle_cap_is_read_only_where_it_refuses():
     assert not handed_on, handed_on
 
 
+def test_each_kernel_has_one_denominator():
+    # the denominator is the kernel's own: no kernel reads a mode to pick
+    # one, and no caller hands it one
+    for name in ("samplers.py", "oracle.py"):
+        tree = ast.parse((PACKAGE / name).read_text())
+        named = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and node.id == "EtaDenominatorMode"
+                 or isinstance(node, ast.Attribute) and node.attr == "EtaDenominatorMode"
+                 or isinstance(node, ast.alias) and node.name == "EtaDenominatorMode"]
+        assert not named, (name, named)
+    calls = [
+        (path.name, node.lineno, bool(node.args or node.keywords))
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "denominator"
+    ]
+    assert calls
+    assert not [call for call in calls if call[2]], calls
+
+
 def test_coupling_imports_nothing_from_the_oracle():
     # the coupling is written against the kernel interface: `make_kernel`
     # picks the kernel, and the step loop never asks which one it has
