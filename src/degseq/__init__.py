@@ -24,7 +24,6 @@ from .oracle import (
     exact_edge_marginals,
     exact_subgraph_law,
     exact_uniform_sample,
-    oracle_cap,
 )
 from .randomness import AliasTable, RandomSource, sample_poisson
 from .samplers import (

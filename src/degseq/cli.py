@@ -239,7 +239,10 @@ class SampleGnd(Command):
         samplers.check_checkpoints(self.d, self.config.checkpoints)
         self.mode = self._prob_mode()
         self.diag = samplers.SamplerDiagnostics()
-        self.snapshots: list[tuple[int, graphs.SimpleGraph]] = []
+        self.xi = self.config.xi if self.config.xi is not None else 0.2
+        # one band per snapshot, in replica order; the snapshots themselves
+        # are dropped as each replica ends
+        self.bands: list[stats.CheckpointBand] = []
         return {"checkpoints": self.config.checkpoints}
 
     def replica(self, i: int) -> graphs.SimpleGraph:
@@ -247,14 +250,14 @@ class SampleGnd(Command):
         g, snaps = samplers.seq_sample_d(
             self.d, self.mode, self.rng(i), checkpoints=checkpoints, diagnostics=self.diag
         )
-        self.snapshots.extend(zip(checkpoints, snaps))
+        report = stats.degree_concentration_check(self.d, zip(checkpoints, snaps), self.xi)
+        self.bands += report.bands
         self._save(f"run_{i:05d}.edges", g)
         return g
 
     def finish(self) -> dict:
-        if self.snapshots:
-            xi = self.config.xi if self.config.xi is not None else 0.2
-            report = stats.degree_concentration_check(self.d, self.snapshots, xi)
+        if self.bands:
+            report = stats.ConcentrationReport(self.xi, self.bands)
             (self.out / "concentration.json").write_text(
                 json.dumps(dataclasses.asdict(report), sort_keys=True, indent=2) + "\n"
             )

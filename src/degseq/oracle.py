@@ -8,7 +8,6 @@ Integer counting is the source of truth; probabilities are derived doubles.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, groupby, starmap
@@ -32,31 +31,22 @@ from .graphs import (
 if TYPE_CHECKING:
     from .randomness import RandomSource
 
+# the most vertices the oracle enumerates: 45 pairs, so every family's
+# masks fit one uint64 word
 DEFAULT_CAP = 10
 DEFAULT_FAMILY_CAP = 5_000_000
-CAP_ENV_VAR = "DEGSEQ_ORACLE_CAP"
 # masks per bit matrix: at regular(9,2), 1024 counted pairs as fast as 4096
 # did, with a quarter of the transient memory
 BIT_ROWS_CHUNK = 1024
 # sub-families of more members are counted by `column_counts`: on the exact
 # kernel's states at regular(8,3) and regular(9,2) (2-core VM), `bit_counts`
 # takes 0.7-0.9 us a member and `column_counts` a near-fixed 11-14 us a call
-# on 2-18 members (to_bytes within 1.5 us of it): break-even at 15-16 members
+# on 2-18 members: break-even at 15-16 members
 BIT_COUNTS_MAX = 14
 
 
 class OracleCapError(RuntimeError):
-    """Raised when a request exceeds the configured enumeration cap."""
-
-
-def oracle_cap() -> int:
-    """Current vertex cap; overridable through the DEGSEQ_ORACLE_CAP env var."""
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_CAP
-    if not raw.strip().isdecimal():
-        raise ValueError(f"{CAP_ENV_VAR} must be an integer >= 0, got {raw!r}")
-    return int(raw)
+    """Raised when a request exceeds an enumeration cap."""
 
 
 def set_bits(mask: int) -> list[int]:
@@ -89,16 +79,12 @@ def bit_rows(masks: Sequence[int], width: int) -> Iterator[np.ndarray]:
     """Bits 0 .. width - 1 of each mask as a uint8 row, in matrices of at most
     `BIT_ROWS_CHUNK` rows.
 
-    Masks of at most 64 bits, every family on at most 11 vertices, are read
-    as little-endian uint64 words; wider ones go through `int.to_bytes`."""
-    size = 8 if width <= 64 else width // 8 + 1
+    Masks are read as little-endian uint64 words: every family within
+    `DEFAULT_CAP` vertices has at most 45 pairs, so width <= 64."""
     for start in range(0, len(masks), BIT_ROWS_CHUNK):
         part = masks[start:start + BIT_ROWS_CHUNK]
-        if width <= 64:
-            raw = np.fromiter(part, dtype="<u8", count=len(part)).view(np.uint8)
-        else:
-            raw = np.frombuffer(b"".join([m.to_bytes(size, "little") for m in part]), dtype=np.uint8)
-        yield np.unpackbits(raw.reshape(len(part), size), axis=1, count=width, bitorder="little")
+        raw = np.fromiter(part, dtype="<u8", count=len(part)).view(np.uint8)
+        yield np.unpackbits(raw.reshape(len(part), 8), axis=1, count=width, bitorder="little")
 
 
 def column_counts(masks: Sequence[int], width: int, drop: int = 0) -> dict[int, int]:
@@ -299,10 +285,9 @@ def enumerate_graphs(d: DegreeSequence | Sequence[int]) -> GraphFamily:
 
 
 def _family(d: DegreeSequence) -> GraphFamily:
-    """d's family, or `OracleCapError` past `oracle_cap()` or `DEFAULT_FAMILY_CAP`."""
-    cap = oracle_cap()
-    if d.n > cap:
-        raise OracleCapError(f"n={d.n} exceeds enumeration cap {cap}")
+    """d's family, or `OracleCapError` past `DEFAULT_CAP` or `DEFAULT_FAMILY_CAP`."""
+    if d.n > DEFAULT_CAP:
+        raise OracleCapError(f"n={d.n} exceeds enumeration cap {DEFAULT_CAP}")
     return _cached_family(d.degrees)
 
 

@@ -470,16 +470,6 @@ class TestConfigValidation:
         assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
         assert not out.exists() or not any(out.iterdir())
 
-    def test_bad_oracle_cap_exits_before_writing(self, tmp_path, capsys, monkeypatch):
-        # an exact couple reads the cap when set-up enumerates the family
-        monkeypatch.setenv("DEGSEQ_ORACLE_CAP", "abc")
-        out = tmp_path / "o"
-        assert run(["couple", "--degrees", "regular(6,2)", "--mode", "exact",
-                    "--denom", "exact-max", "--out", str(out)]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and "DEGSEQ_ORACLE_CAP" in err[0]
-        assert not out.exists() or not any(out.iterdir())
-
 
 # each command's numeric flags and config keys, and what they are fed:
 # non-finite, zero and negative numbers, and values of the wrong type

@@ -428,27 +428,6 @@ class TestRunCoupling:
             tracemalloc.stop()
         assert peak / g.num_edges < 200, peak / g.num_edges
 
-    def test_oracle_cap_read_once_per_run(self, monkeypatch):
-        calls = []
-
-        def counting_cap():
-            calls.append(1)
-            return 10
-
-        monkeypatch.setattr(degseq.oracle, "oracle_cap", counting_cap)
-        params = params_d4()
-        escaped = 0
-        for i in range(5):
-            *_, tr = run_coupling(
-                D4, params, SeqSampleMode.EXACT_ORACLE, EtaDenominatorMode.EXACT_MAX,
-                RandomSource(5, i),
-            )
-            escaped += tr.fallback
-        # only the enumeration for the exact kernel reads the cap, once a run,
-        # whether it escaped or not
-        assert escaped >= 1
-        assert len(calls) == 5
-
 
 class TestRunInvariants:
     def test_denominator_below_rho_raises_under_python_O(self):

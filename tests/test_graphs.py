@@ -541,15 +541,8 @@ class TestGraphMatchesFrozensetReference:
             with pytest.raises(ValueError, match="must be integers"):
                 SimpleGraph(n, np.array(keys + [bad]))
 
-    def test_passes_under_python_O(self, tmp_path):
+    def test_passes_under_python_O(self, python_O_passed):
         # the constructor's checks are explicit raises, which python -O keeps
-        src = str(Path(degseq.__file__).resolve().parents[1])
-        out = subprocess.run(
-            [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             "-W", "ignore", f"{__file__}::TestGraphMatchesFrozensetReference",
-             "-k", "not python_O"],
-            env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
-            capture_output=True, text=True, timeout=300,
-        )
-        assert out.returncode == 0, out.stdout + out.stderr
-        assert "2 passed" in out.stdout, out.stdout
+        assert {f"test_graphs.py::TestGraphMatchesFrozensetReference::{name}"
+                for name in ("test_queries_agree", "test_bad_keys_raise_the_same_error")
+                } <= python_O_passed, python_O_passed

@@ -1,16 +1,11 @@
-import os
-import subprocess
-import sys
 from collections import Counter
 from math import sqrt
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-import degseq
 from degseq import (
     EtaDenominatorMode,
     NonGraphicalError,
@@ -38,13 +33,13 @@ from degseq.oracle import (
     edge_counts,
     graph_of_mask,
     mask_of_edges,
-    oracle_cap,
     raw_scan_masks,
     set_bits,
 )
 from degseq.samplers import make_kernel
 from degseq.stats import THRESHOLDS, pearson_chi_square
 from test_coupling import graphical_degrees
+from test_golden import run_case
 
 
 def exact_kernel(d, state) -> OracleKernel:
@@ -69,12 +64,12 @@ def test_bit_counts_matches_bin(masks):
     assert bit_counts(masks) == Counter(i for m in masks for i in bin_positions(m))
 
 
-@given(st.sampled_from([0, 1, 36, 55, 64, 66]), st.sampled_from([0, 1, 3, 1024, 1025]),
+@given(st.sampled_from([0, 1, 36, 45, 55, 64]), st.sampled_from([0, 1, 3, 1024, 1025]),
        st.booleans(), st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
 def test_bit_rows_match_per_bit_reference(width, rows, top, rnd):
-    # widths up to 64 take the uint64 words, 66 takes int.to_bytes; 1025
-    # rows cross the seam between two bit matrices
+    # every width fits one uint64 word, 64 fills it; 1025 rows cross the
+    # seam between two bit matrices
     high = 1 << (width - 1) if top and width else 0
     masks = [rnd.getrandbits(width) | high for _ in range(rows)]
     chunks = list(bit_rows(masks, width))
@@ -86,23 +81,21 @@ def test_bit_rows_match_per_bit_reference(width, rows, top, rnd):
 
 
 class TestOracleCapVariable:
-    @pytest.mark.parametrize("value, argv", [
-        # an exact couple reads the cap when set-up enumerates the family
-        ("abc", ["couple", "--degrees", "regular(6,2)", "--mode", "exact",
-                 "--denom", "exact-max"]),
-        ("-1", ["oracle", "--degrees", "regular(4,2)"]),
-    ])
-    def test_bad_value_is_named_and_exits_1(self, monkeypatch, capsys, tmp_path, value, argv):
-        monkeypatch.setenv("DEGSEQ_ORACLE_CAP", value)
-        assert main(argv + ["--out", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: DEGSEQ_ORACLE_CAP must be an integer >= 0")
-        assert err.count("\n") == 1
+    """The vertex cap is the constant `DEFAULT_CAP` and a run reads no
+    environment, so setting `DEGSEQ_ORACLE_CAP` changes nothing."""
 
-    def test_zero_is_valid(self, monkeypatch):
-        # 0 refuses every enumeration
-        monkeypatch.setenv("DEGSEQ_ORACLE_CAP", "0")
-        assert oracle_cap() == 0
+    @pytest.mark.parametrize("value", ["abc", "0", "12"])
+    def test_is_ignored(self, monkeypatch, capsys, tmp_path, value):
+        # an exact couple enumerates its family in set-up
+        couple = ["couple", "--degrees", "regular(6,2)", "--mode", "exact", "--seed", "2",
+                  "--runs", "4"]
+        unset = run_case(couple, tmp_path / "unset")
+        monkeypatch.setenv("DEGSEQ_ORACLE_CAP", value)
+        assert run_case(couple, tmp_path / "set") == unset
+        capsys.readouterr()
+        assert main(["oracle", "--degrees", "regular(12,1)", "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: n=12 exceeds enumeration cap 10\n"
 
 
 class TestEnumerateGraphs:
@@ -128,14 +121,16 @@ class TestEnumerateGraphs:
     def test_non_graphical_empty(self):
         assert len(enumerate_graphs((3, 3, 1, 1))) == 0
 
-    def test_cap_enforced(self, monkeypatch):
-        monkeypatch.setenv("DEGSEQ_ORACLE_CAP", "10")
+    def test_cap_enforced(self):
         with pytest.raises(OracleCapError):
             enumerate_graphs((1,) * 12)
 
-    def test_env_cap_override(self, monkeypatch):
-        monkeypatch.setenv("DEGSEQ_ORACLE_CAP", "3")
-        with pytest.raises(OracleCapError):
+    def test_lowered_cap_refuses(self, monkeypatch):
+        # the cap is read at each enumeration, so a family built before
+        # is refused too
+        enumerate_graphs((1, 1, 1, 1))
+        monkeypatch.setattr(oracle, "DEFAULT_CAP", 3)
+        with pytest.raises(OracleCapError, match="n=4 exceeds enumeration cap 3"):
             enumerate_graphs((1, 1, 1, 1))
 
     @given(st.lists(st.integers(0, 3), min_size=2, max_size=5))
@@ -220,27 +215,29 @@ class TestCountGraphs:
         assert oracle.count_graphs(d) == len(enumerate_graphs(d))
 
 
-class TestFamilyPast64Bits:
-    """regular(12,1): 10395 perfect matchings over 66 pairs, so masks need
-    more than 64 bits and the bit matrices span several chunks."""
+class TestFamilyOfManyChunks:
+    """regular(9,2): 30016 members over 36 pairs, so masks use both halves
+    of their uint64 word and the bit matrices span several chunks."""
 
     @pytest.fixture
-    def family(self, monkeypatch):
-        monkeypatch.setenv("DEGSEQ_ORACLE_CAP", "12")
-        return enumerate_graphs((1,) * 12)
+    def family(self):
+        return enumerate_graphs((2,) * 9)
 
     def test_members(self, family):
-        assert len(family) == double_factorial(11) == 10_395
-        assert max(family.masks).bit_length() > 64
+        assert len(family) == oracle.count_graphs((2,) * 9) == 30_016
+        assert max(family.masks).bit_length() == 36
         assert list(family.masks) == sorted(set(family.masks))
         for mask in family.masks[::997]:
-            assert graph_of_mask(12, mask).degree_vector() == (1,) * 12
+            assert graph_of_mask(9, mask).degree_vector() == (2,) * 9
 
     def test_pair_counts_match_bit_counts(self, family):
-        assert len(family) > 2 * oracle.BIT_ROWS_CHUNK
+        chunk = oracle.BIT_ROWS_CHUNK
+        assert len(family) > 2 * chunk
+        sizes = [len(bits) for bits in bit_rows(family.masks, 36)]
+        assert sizes == [chunk] * (len(family) // chunk) + [len(family) % chunk]
         assert dict(family.pair_counts) == bit_counts(family.masks)
-        # every pair lies in 1/11 of the matchings
-        assert set(family.pair_counts.values()) == {945}
+        # every pair lies in 2/8 of the members
+        assert set(family.pair_counts.values()) == {7504}
 
 
 class TestExactEdgeMarginals:
@@ -373,15 +370,15 @@ class TestExactUniformSample:
             exact_uniform_sample((3, 3, 1, 1), RandomSource(0))
 
     @pytest.mark.parametrize(
-        "d, env_cap",
-        [((3,) * 10, None), ((2, 2, 2, 2), "3"), ((1,) * 12, None)],
-        ids=["family-cap", "env-vertex-cap", "default-vertex-cap"],
+        "d, cap",
+        [((3,) * 10, None), ((2, 2, 2, 2), 3), ((1,) * 12, None)],
+        ids=["family-cap", "lowered-vertex-cap", "default-vertex-cap"],
     )
-    def test_refuses_before_any_draw(self, monkeypatch, d, env_cap):
+    def test_refuses_before_any_draw(self, monkeypatch, d, cap):
         # the escape redraw falls back to the asymptotic sampler on this
         # refusal, from the stream position the oracle was handed
-        if env_cap is not None:
-            monkeypatch.setenv("DEGSEQ_ORACLE_CAP", env_cap)
+        if cap is not None:
+            monkeypatch.setattr(oracle, "DEFAULT_CAP", cap)
         rng = RandomSource(9)
         with pytest.raises(OracleCapError):
             exact_uniform_sample(d, rng)
@@ -504,22 +501,15 @@ class TestKernelCounters:
         # the step loop inserted, so it recounted
         assert any(trace.edges_at_step_end > 0 for _, _, trace in runs[0])
 
-    def test_passes_under_python_O(self, tmp_path):
+    def test_passes_under_python_O(self, python_O_passed):
         # insert's InvariantError, both counters and the direct completion
         # are explicit code, which python -O keeps
-        src = str(Path(degseq.__file__).resolve().parents[1])
-        out = subprocess.run(
-            [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             "-W", "ignore",
-             f"{__file__}::TestKernelCounters::test_candidate_counts_match_bin",
-             f"{__file__}::TestOracleCompletion::test_insert_outside_every_member_raises",
-             f"{__file__}::TestFamilyPast64Bits::test_pair_counts_match_bit_counts",
-             f"{__file__}::TestOracleCompletion::test_complete_equals_inserting_one_at_a_time"],
-            env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
-            capture_output=True, text=True, timeout=300,
-        )
-        assert out.returncode == 0, out.stdout + out.stderr
-        assert "4 passed" in out.stdout, out.stdout
+        assert {f"test_oracle.py::{name}" for name in (
+            "TestKernelCounters::test_candidate_counts_match_bin",
+            "TestOracleCompletion::test_insert_outside_every_member_raises",
+            "TestFamilyOfManyChunks::test_pair_counts_match_bit_counts",
+            "TestOracleCompletion::test_complete_equals_inserting_one_at_a_time",
+        )} <= python_O_passed, python_O_passed
 
 
 def kernel_state(kernel) -> list:

@@ -10,8 +10,10 @@ from degseq import (
     CouplingTrace,
     SamplerDiagnostics,
     SymmetricProbMatrix,
+    oracle,
     seq_sample_d,
 )
+from degseq.graphs import tri_size
 
 PACKAGE = Path(degseq.__file__).resolve().parent
 BENCHMARKS = PACKAGE.parents[1] / "benchmarks"
@@ -64,13 +66,23 @@ def test_kernels_are_built_only_by_make_kernel():
     assert calls == inside, sorted(calls - inside)
 
 
-def test_oracle_cap_is_read_only_where_it_refuses():
-    # the oracle reads the cap whenever it enumerates (`_family`, under
-    # enumerate_graphs and exact_uniform_sample); a cap read elsewhere and
-    # handed on is a second copy of the oracle's refusal
-    reads = sorted((path.stem, where)
-                   for path in PACKAGE.glob("*.py") for where, _ in calls_to(path, {"oracle_cap"}))
-    assert reads == [("oracle", "_family")]
+ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_package_reads_no_environment():
+    # a run is determined by its flags and config file: no module reads
+    # os.environ or os.getenv, by attribute or by import
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READS
+        or isinstance(node, ast.ImportFrom) and node.module == "os"
+        and any(alias.name in ENVIRONMENT_READS for alias in node.names)
+    ]
+    assert not reads, reads
+    # the vertex cap is the oracle's own constant, checked where it refuses
+    # (`_family`): a cap handed on is a second copy of that refusal
     handed_on = [
         f"{path.name}:{node.lineno}"
         for path in sorted(PACKAGE.glob("*.py"))
@@ -79,6 +91,11 @@ def test_oracle_cap_is_read_only_where_it_refuses():
         or isinstance(node, ast.arg) and node.arg == "cap"
     ]
     assert not handed_on, handed_on
+
+
+def test_every_family_mask_fits_one_word():
+    # `bit_rows` reads masks as uint64 words
+    assert tri_size(oracle.DEFAULT_CAP) <= 64
 
 
 def test_each_kernel_has_one_denominator():
